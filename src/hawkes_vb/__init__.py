@@ -5,7 +5,7 @@ with Polya-Gamma augmentation, adaptive model selection / averaging, two-step
 sparse graph estimation, a Gibbs-sampler oracle, and evaluation metrics.
 """
 
-from hawkes_vb._backend import BACKEND
+from hawkes_vb.pg import BACKEND
 from hawkes_vb.core import (
     EventData,
     HawkesParams,

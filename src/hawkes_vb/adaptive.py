@@ -45,9 +45,6 @@ class Model:
             if j < 1 or (j & (j - 1)):
                 raise DomainError("bins_J entries must be powers of two")
 
-    def param_count(self, k):
-        return 1 + int(self.graph_delta[:, k].sum()) * self.bins_J[k]
-
 
 @dataclass(frozen=True)
 class SubModel:
@@ -281,8 +278,11 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
 def detect_gap_threshold(s_values, override=None):
     """Threshold from the largest gap of the sorted norm estimates.
 
-    Returns the midpoint of the widest gap between consecutive sorted
-    values, or ``override`` unchanged when supplied.  All-equal values have
+    At the widest gap between consecutive sorted values vals[i] < vals[i+1]
+    the threshold satisfies ``vals[i] <= thr < vals[i+1]``, so ``s > thr``
+    keeps exactly the values above the gap.  It is the midpoint, or the
+    largest double below vals[i+1] when the midpoint rounds up to it.
+    ``override`` is returned unchanged when supplied.  All-equal values have
     no gap and raise NoGapError.
     """
     if override is not None:
@@ -294,7 +294,8 @@ def detect_gap_threshold(s_values, override=None):
     i = int(np.argmax(gaps))
     if gaps[i] <= 0.0:
         raise NoGapError("all norm estimates are equal; supply a threshold")
-    return float(0.5 * (vals[i] + vals[i + 1]))
+    return float(min(0.5 * vals[i] + 0.5 * vals[i + 1],
+                     np.nextafter(vals[i + 1], -np.inf)))
 
 
 def norm_matrix(result):

@@ -2,7 +2,8 @@
 
 Subcommands: ``hawkes-vb simulate|fit|eval --config cfg.json [--seed N]
 [--out DIR] [--threads N]``.  Exit codes: 0 success, 1 config error, 2 I/O
-error, 3 data error, 4 numerical failure; failures additionally emit a
+error, 3 data error, 4 numerical failure; every package error carries its
+code (see ``hawkes_vb.errors``), and failures additionally emit a
 machine-readable ``{"error": {...}}`` object on stderr.
 
 File formats
@@ -33,17 +34,16 @@ import jsonschema
 
 from hawkes_vb import adaptive, metrics
 from hawkes_vb.core import EventData, HawkesParams, HistogramBasis, LinkFunction
-from hawkes_vb.errors import (ConfigError, DataError, NumericalError,
-                              SimulationDivergedError)
+from hawkes_vb.errors import ConfigError, DataError, HawkesVBError, NumericalError
 from hawkes_vb.gibbs import GibbsConfig, gibbs_sample
 from hawkes_vb.simulate import SimConfig, excursion_stats, simulate
 from hawkes_vb.vi import GaussianPrior, VIConfig
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
+EXIT_CONFIG = ConfigError.exit_code
 EXIT_IO = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
+EXIT_DATA = DataError.exit_code
+EXIT_NUMERICAL = NumericalError.exit_code
 
 _LINK_SCHEMA = {
     "type": "object",
@@ -139,8 +139,6 @@ def load_config(path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
@@ -207,6 +205,8 @@ def read_events_csv(path, dims_K, horizon_T):
                 t = float(t)
             except ValueError as exc:
                 raise DataError(f"malformed event row {ln}: {line!r}") from exc
+            if not math.isfinite(t):
+                raise DataError(f"event row {ln}: time {t} is not finite")
             if not 0 <= d < dims_K:
                 raise DataError(f"event row {ln}: dimension {d} out of range")
             times[d].append(t)
@@ -490,18 +490,12 @@ def main(argv=None):
             cfg["threads"] = threads
         handler = {"simulate": cmd_simulate, "fit": cmd_fit, "eval": cmd_eval}
         return handler[args.command](cfg)
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG)
-        return EXIT_CONFIG
+    except HawkesVBError as exc:
+        _fail(exc, exc.exit_code)
+        return exc.exit_code
     except OSError as exc:
         _fail(exc, EXIT_IO)
         return EXIT_IO
-    except DataError as exc:
-        _fail(exc, EXIT_DATA)
-        return EXIT_DATA
-    except (NumericalError, SimulationDivergedError) as exc:
-        _fail(exc, EXIT_NUMERICAL)
-        return EXIT_NUMERICAL
 
 
 def _fail(exc, code):

@@ -178,26 +178,6 @@ class HawkesParams:
                     d[l, k] = 1
         return d
 
-    def kernel_value(self, l, k, lag):
-        """h_lk evaluated at one lag."""
-        w = self.weights[l][k]
-        if w is None:
-            return 0.0
-        j = self.basis[k].bin_of_lag(lag)
-        if j == 0:
-            return 0.0
-        return float(w[j - 1] * self.basis[k].height)
-
-    def l1_norms(self):
-        """Matrix of ||h_lk||_1 = sum_j |w_lk^j| (unit-norm disjoint basis)."""
-        s = np.zeros((self.dims_K, self.dims_K))
-        for l in range(self.dims_K):
-            for k in range(self.dims_K):
-                w = self.weights[l][k]
-                if w is not None:
-                    s[l, k] = float(np.sum(np.abs(w)))
-        return s
-
 
 @dataclass(frozen=True)
 class EventData:

@@ -119,7 +119,7 @@ def gibbs_sample(events, config, link, model=None, prior=None):
 
     ``model`` and ``prior`` may live on the config instead of being passed
     here.  ``prior`` is a per-dimension list of GaussianPrior or a callable
-    ``prior(k, sources, J)``.  Reproducible for a fixed seed and backend.
+    ``prior(k, sources, J)``.  Reproducible for a fixed seed.
     """
     if link.kind != SIGMOID:
         raise UnsupportedLinkError("the Gibbs sampler requires the sigmoid link")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _fixtures as fx
@@ -92,15 +92,19 @@ class TestGapThreshold:
             detect_gap_threshold([0.3])
 
     @given(st.lists(st.floats(0, 1), min_size=2, max_size=20))
+    @example([1.0 - 2.0**-53, 1.0])  # the midpoint rounds up to the upper value
+    @example([0.0, 5e-324])  # the midpoint rounds down to the lower value
     @settings(max_examples=60, deadline=None)
     def test_threshold_inside_largest_gap(self, vals):
+        # no double lies strictly between two adjacent doubles, so the lower
+        # end is the only threshold that can split them
         vals = sorted(vals)
         gaps = np.diff(vals)
         if gaps.size == 0 or gaps.max() <= 0:
             return
         thr = detect_gap_threshold(vals)
         i = int(np.argmax(gaps))
-        assert vals[i] < thr < vals[i + 1]
+        assert vals[i] <= thr < vals[i + 1]
 
 
 class TestWeights:

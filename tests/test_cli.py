@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import _fixtures as fx
-from hawkes_vb import cli
+from hawkes_vb import cli, errors
 
 
 def _write(tmp_path, name, payload):
@@ -58,6 +58,24 @@ class TestConfigValidation:
         path = _write(tmp_path, "c.json",
                       {"mode": "fit", "memory_A": 0.1, "dims_K": 1})
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
+
+
+    def test_zero_horizon_simulation_is_config_error(self, tmp_path, capsys):
+        path = _sim_config(tmp_path, fx.excitation_1d(), 0.0)
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "DomainError"
+
+    def test_every_package_error_has_a_documented_code(self):
+        pending, seen = [errors.HawkesVBError], []
+        while pending:
+            cls = pending.pop()
+            seen.append(cls)
+            pending.extend(cls.__subclasses__())
+        assert len(seen) == 8
+        for cls in seen:
+            assert cls.exit_code in (cli.EXIT_CONFIG, cli.EXIT_DATA,
+                                     cli.EXIT_NUMERICAL)
 
 
 class TestSimulateCommand:
@@ -142,6 +160,37 @@ class TestFitCommand:
         np.testing.assert_allclose(dim["mean"], np.zeros(3), atol=1e-12)
         cov = np.asarray(dim["cov_row_major"]).reshape(3, 3)
         np.testing.assert_allclose(cov, 25.0 * np.eye(3), rtol=1e-9)
+
+    def _fit_file_config(self, tmp_path, rows, **extra):
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_text("dim,time\n" + "".join(f"{r}\n" for r in rows))
+        cfg = {
+            "mode": "fit", "fit_method": "two-step",
+            "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
+            "memory_A": fx.MEMORY_A, "dims_K": 2, "horizon_T": 10.0,
+            "events_csv": str(csv_path), "adaptive": {"D_max": 1},
+            "out_dir": str(tmp_path / "fit"),
+        }
+        cfg.update(extra)
+        return _write(tmp_path, "fit.json", cfg)
+
+    def test_two_step_fit_of_empty_file_is_exit_3(self, tmp_path, capsys):
+        # every norm estimate is equal, so the graph step finds no gap
+        path = self._fit_file_config(tmp_path, [])
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_DATA
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"code": cli.EXIT_DATA, "type": "NoGapError",
+                         "message": error["message"]}
+        assert not (tmp_path / "fit" / "result.json").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_fit_of_non_finite_time_is_exit_3(self, tmp_path, capsys, bad):
+        path = self._fit_file_config(tmp_path, ["0,1.000000", f"1,{bad}",
+                                                "0,2.000000"])
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_DATA
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "DataError" and "row 3" in error["message"]
+        assert not (tmp_path / "fit" / "result.json").exists()
 
     def test_fit_deterministic_byte_identical(self, tmp_path):
         path = _sim_config(tmp_path, fx.excitation_1d(), 30.0)
