@@ -1,8 +1,9 @@
 """Variational Bayes and Gibbs inference for multivariate nonlinear Hawkes processes.
 
 Simulation by exact thinning, fixed-model mean-field variational inference
-with Polya-Gamma augmentation, adaptive model selection / averaging, two-step
-sparse graph estimation, a Gibbs-sampler oracle, and evaluation metrics.
+with Polya-Gamma augmentation, adaptive model selection with model weights,
+two-step sparse graph estimation, a Gibbs-sampler oracle, and evaluation
+metrics.
 """
 
 from hawkes_vb.pg import BACKEND

@@ -1,11 +1,12 @@
-"""Adaptive model selection, model averaging, and two-step graph estimation.
+"""Adaptive model selection, model weights, and two-step graph estimation.
 
 A model fixes the connectivity column and histogram depth of every
 dimension; since the posterior factorises over receiving dimensions, the
 candidate grid is enumerated per dimension as all pairs (column in {0,1}^K,
 depth D in 0..D_max), with the empty column listed once.  Each sub-model is
 fitted by coordinate-ascent VI and scored by its evidence lower bound; model
-weights are softmax(log prior + ELBO) per dimension.
+weights are softmax(log prior + ELBO) per dimension and are reported, while
+the fit goes on with the selected (highest-bound) candidate.
 
 The two-step procedure avoids the exponential column enumeration: step one
 fits depth-adaptive models under the complete graph, thresholds the
@@ -16,16 +17,13 @@ estimate.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from hawkes_vb.core import SIGMOID, HistogramBasis
-from hawkes_vb.errors import DomainError, NoGapError, UnsupportedLinkError
-from hawkes_vb.vi import (FeatureCache, QuadratureGrid, VIConfig,
-                          _DimensionProblem, _fit_dimension)
+from hawkes_vb.errors import DomainError, NoGapError
+from hawkes_vb.vi import FeatureCache, QuadratureGrid, VIConfig, fit_candidates
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,6 @@ class AdaptiveResult:
 
     per_dim: tuple          # DimensionWeights per dimension
     posteriors: tuple       # tuple per dim of GaussianPosterior per candidate
-    mode: str
     memory_A: float
 
     def selected_submodel(self, k):
@@ -202,8 +199,7 @@ def _log_sum_exp_weights(scores):
 
 
 def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
-                   mode="select", memory_A=None, log_prior=None, quad=None,
-                   cache=None):
+                   memory_A=None, log_prior=None, quad=None, cache=None):
     """Fit every candidate sub-model of every dimension and score by ELBO.
 
     ``model_set`` is one candidate list shared by all dimensions or a
@@ -211,12 +207,8 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
     the Gaussian prior of each fit.  Candidates run as independent tasks;
     the reduction is ordered, so results are reproducible.
     """
-    if link.kind != SIGMOID:
-        raise UnsupportedLinkError("adaptive VI requires the sigmoid link")
     if vi_config is None:
         vi_config = VIConfig()
-    if mode not in ("select", "average"):
-        raise DomainError(f"unknown mode {mode!r}")
     k_dims = events.dims_K
     if not len(model_set):
         raise DomainError("empty candidate set")
@@ -231,35 +223,16 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
     if cache is None:
         cache = FeatureCache(events, quad)
 
-    tasks = [(k, i, sm) for k in range(k_dims)
-             for i, sm in enumerate(per_dim_sets[k])]
-
-    def solve(task):
-        k, _, sm = task
-        basis = HistogramBasis(memory_A, sm.num_bins)
-        e, q = cache.stack(basis, list(sm.active_sources), k)
-        prior = prior_factory(k, sm.active_sources, sm.num_bins)
-        problem = _DimensionProblem(e, q, quad.weights, link, prior,
-                                    events.horizon_T)
-        return _fit_dimension(problem, vi_config.max_iter, vi_config.tol)
-
-    n_threads = vi_config.threads
-    if n_threads is not None and n_threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            fits = list(pool.map(solve, tasks))
-    else:
-        fits = [solve(t) for t in tasks]
-
-    by_dim = [[] for _ in range(k_dims)]
-    for (k, i, sm), post in zip(tasks, fits):
-        by_dim[k].append((i, sm, post))
+    tasks = [(k, sm.active_sources, sm.num_bins)
+             for k in range(k_dims) for sm in per_dim_sets[k]]
+    fits = iter(fit_candidates(tasks, cache, link, prior_factory, memory_A,
+                               vi_config.max_iter, vi_config.tol, vi_config.threads))
 
     dim_results = []
     dim_posteriors = []
     for k in range(k_dims):
-        by_dim[k].sort(key=lambda t: t[0])
-        subs = tuple(sm for _, sm, _ in by_dim[k])
-        posts = tuple(p for _, _, p in by_dim[k])
+        subs = tuple(per_dim_sets[k])
+        posts = tuple(next(fits) for _ in subs)
         elbos = np.array([p.elbo for p in posts])
         lp = (log_prior(subs) if callable(log_prior)
               else uniform_log_prior(subs) if log_prior is None
@@ -271,8 +244,7 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
                                             selected=sel))
         dim_posteriors.append(posts)
     return AdaptiveResult(per_dim=tuple(dim_results),
-                          posteriors=tuple(dim_posteriors),
-                          mode=mode, memory_A=memory_A)
+                          posteriors=tuple(dim_posteriors), memory_A=memory_A)
 
 
 def detect_gap_threshold(s_values, override=None):
@@ -313,7 +285,7 @@ def norm_matrix(result):
 
 
 def two_step(events, link, max_depth, prior_factory, vi_config=None,
-             memory_A=None, threshold="auto", mode="select"):
+             memory_A=None, threshold="auto"):
     """Complete-graph VI, norm thresholding, then graph-restricted VI."""
     if vi_config is None:
         vi_config = VIConfig()
@@ -323,8 +295,7 @@ def two_step(events, link, max_depth, prior_factory, vi_config=None,
 
     complete = enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)
     step1 = fully_adaptive(events, complete, link, prior_factory, vi_config,
-                           mode="select", memory_A=memory_A, quad=quad,
-                           cache=cache)
+                           memory_A=memory_A, quad=quad, cache=cache)
     s_hat = norm_matrix(step1)
     values = s_hat.ravel()
     if values.size == 1:
@@ -339,6 +310,5 @@ def two_step(events, link, max_depth, prior_factory, vi_config=None,
                                       column=tuple(delta_hat[:, k]))
                   for k in range(k_dims)]
     step2 = fully_adaptive(events, restricted, link, prior_factory, vi_config,
-                           mode=mode, memory_A=memory_A, quad=quad,
-                           cache=cache)
+                           memory_A=memory_A, quad=quad, cache=cache)
     return TwoStepResult(step1=step1, graph=graph, step2=step2)

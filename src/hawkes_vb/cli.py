@@ -103,7 +103,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "D_max": {"type": "integer", "minimum": 0},
                 "threshold": {"anyOf": [{"enum": ["auto"]}, {"type": "number"}]},
-                "mode": {"enum": ["select", "average"]},
             },
             "additionalProperties": False,
         },
@@ -128,7 +127,7 @@ _DEFAULTS = {
              "theta_base": 0.001},
     "prior": {"mu": 0.0, "sigma": 5.0},
     "vi": {"max_iter": 100, "tol": 1e-3, "n_quad": None},
-    "adaptive": {"D_max": 3, "threshold": "auto", "mode": "select"},
+    "adaptive": {"D_max": 3, "threshold": "auto"},
     "gibbs": {"n_iter": 3000, "burn_in": 500, "thin": 1},
     "seed": 0,
     "out_dir": ".",
@@ -355,18 +354,16 @@ def cmd_fit(cfg):
             subs = [adaptive.SubModel(column=(1,) * k_dims,
                                       depth=cfg["basis"]["D"])]
             result = adaptive.fully_adaptive(events, subs, link, factory, vic,
-                                             mode="select", memory_A=memory_A)
+                                             memory_A=memory_A)
         elif method == "adaptive":
             subs = adaptive.enumerate_submodels(k_dims, cfg["adaptive"]["D_max"])
             result = adaptive.fully_adaptive(events, subs, link, factory, vic,
-                                             mode=cfg["adaptive"]["mode"],
                                              memory_A=memory_A)
         else:
             thr = cfg["adaptive"]["threshold"]
             two = adaptive.two_step(events, link, cfg["adaptive"]["D_max"],
                                     factory, vic, memory_A=memory_A,
-                                    threshold="auto" if thr == "auto" else thr,
-                                    mode=cfg["adaptive"]["mode"])
+                                    threshold="auto" if thr == "auto" else thr)
             result = two.step2
             payload["s_hat"] = two.graph.s_hat.tolist()
             payload["threshold"] = two.graph.threshold

@@ -202,6 +202,8 @@ class EventData:
             a = np.asarray(t, dtype=np.float64)
             if a.ndim != 1:
                 raise DataError("event arrays must be one-dimensional")
+            if not np.all(np.isfinite(a)):
+                raise DataError(f"event times of dimension {k} must be finite")
             if a.size and np.any(np.diff(a) <= 0):
                 raise DataError(f"event times of dimension {k} must be strictly increasing")
             if a.size and a[-1] > self.horizon_T:

@@ -26,9 +26,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from hawkes_vb.core import SIGMOID, HistogramBasis, feature_matrix
-from hawkes_vb.errors import UnsupportedLinkError
+from hawkes_vb.errors import ConfigError, UnsupportedLinkError
 from hawkes_vb.pg import pg_sample_arr
-from hawkes_vb.vi import _chol_with_jitter
+from hawkes_vb.vi import _chol_with_jitter, _resolve_prior
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,12 @@ class GibbsConfig:
 
     def __post_init__(self):
         if not self.n_iter > self.burn_in >= 0:
-            raise ValueError("need n_iter > burn_in >= 0")
+            raise ConfigError(f"need n_iter > burn_in >= 0, got n_iter={self.n_iter}, "
+                              f"burn_in={self.burn_in}")
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise ConfigError("thin must be >= 1")
         if self.init not in ("mean", "prior"):
-            raise ValueError("init must be 'mean' or 'prior'")
+            raise ConfigError("init must be 'mean' or 'prior'")
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def gibbs_sample(events, config, link, model=None, prior=None):
     model = model if model is not None else config.model
     prior = prior if prior is not None else config.prior
     if model is None or prior is None:
-        raise ValueError("a model and a prior are required")
+        raise ConfigError("a model and a prior are required")
     rng = np.random.default_rng(config.seed)
     k_dims = events.dims_K
     horizon = events.horizon_T
@@ -139,9 +140,7 @@ def gibbs_sample(events, config, link, model=None, prior=None):
         own = events.times[k]
         own = own[own >= 0.0]
         feats_ev = feature_matrix(events, basis, sources, own)
-        pk = prior(k, sources, basis.num_bins_J) if callable(prior) else prior[k]
-        if pk.dim != feats_ev.shape[0]:
-            raise ValueError("prior dimension does not match the model")
+        pk = _resolve_prior(prior, k, sources, basis.num_bins_J, feats_ev.shape[0])
         dims.append((sources, basis, feats_ev, pk))
 
     # A wide draw from the prior (sigma = 5) can start the chain inside the

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from hawkes_vb.core import SIGMOID, HistogramBasis, feature_matrix
-from hawkes_vb.errors import NumericalError, UnsupportedLinkError
+from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
 from hawkes_vb.pg import pg_mean
 
 _JITTER = 1e-8
@@ -50,7 +50,7 @@ class GaussianPrior:
         m = np.asarray(self.mean, dtype=np.float64)
         c = np.asarray(self.cov, dtype=np.float64)
         if c.shape != (m.size, m.size):
-            raise ValueError("prior covariance shape must match the mean")
+            raise ConfigError("prior covariance shape must match the mean")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", c)
 
@@ -174,11 +174,16 @@ class _DimensionProblem:
         log_rate = math.log(self.link.theta) - 0.5 * m - (0.5 * c + np.log1p(np.exp(-c)))
         return np.exp(log_rate)
 
-    def update(self, mean, cov):
+    def moments(self, mean, cov):
+        """(c, m) at the events and at the quadrature nodes, in that order."""
+        return (self.second_moment_stats(mean, cov, self.e),
+                self.second_moment_stats(mean, cov, self.q))
+
+    def update(self, mom):
+        """Next (mean, cov) from the moments of the current factor."""
         alpha, eta = self.link.alpha, self.link.eta
-        c_e, _ = self.second_moment_stats(mean, cov, self.e)
+        (c_e, _), (c_q, m_q) = mom
         w_e = pg_mean(c_e)
-        c_q, m_q = self.second_moment_stats(mean, cov, self.q)
         w_q = pg_mean(c_q)
         rate_q = self.latent_rate(c_q, m_q)
 
@@ -199,8 +204,8 @@ class _DimensionProblem:
         new_mean = 0.5 * cho_solve(cf, rhs)
         return new_mean, new_cov
 
-    def elbo(self, mean, cov):
-        """Collapsed evidence lower bound at the current Gaussian factor."""
+    def elbo(self, mean, cov, mom):
+        """Collapsed evidence lower bound at the factor (mean, cov) with moments mom."""
         link = self.link
         d = self.prior.dim
         cf = _chol_with_jitter(cov)
@@ -209,14 +214,13 @@ class _DimensionProblem:
         val = 0.5 * d + 0.5 * logdet_cov - 0.5 * float(np.sum(self.prior_prec * cov))
         val -= 0.5 * float(diff @ self.prior_prec @ diff)
         val -= 0.5 * self.prior_logdet
+        (c_e, m_e), (c_q, m_q) = mom
         if self.e.shape[1]:
-            c_e, m_e = self.second_moment_stats(mean, cov, self.e)
             # log theta - log 2 + m/2 - log cosh(c/2), with the stable
             # log(2 cosh(c/2)) = c/2 + log1p(exp(-c))
             val += float(np.sum(math.log(link.theta) + 0.5 * m_e
                                 - (0.5 * c_e + np.log1p(np.exp(-c_e)))))
         if self.q.shape[1]:
-            c_q, m_q = self.second_moment_stats(mean, cov, self.q)
             val += float(self.v @ self.latent_rate(c_q, m_q))
         val -= link.theta * self.horizon_T
         return val
@@ -230,16 +234,18 @@ class _DimensionProblem:
 _INIT_COV_SCALE = 1e-4
 
 
-def _fit_dimension(problem, max_iter, tol, init_cov_scale=_INIT_COV_SCALE):
+def _fit_dimension(problem, max_iter, tol):
     mean = problem.prior.mean.copy()
-    cov = problem.prior.cov * init_cov_scale
-    trace = [problem.elbo(mean, cov)]
+    cov = problem.prior.cov * _INIT_COV_SCALE
+    mom = problem.moments(mean, cov)
+    trace = [problem.elbo(mean, cov, mom)]
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        mean, cov = problem.update(mean, cov)
+        mean, cov = problem.update(mom)
+        mom = problem.moments(mean, cov)
         iterations += 1
-        trace.append(problem.elbo(mean, cov))
+        trace.append(problem.elbo(mean, cov, mom))
         if abs(trace[-1] - trace[-2]) < tol * max(1.0, abs(trace[-2])):
             converged = True
             break
@@ -284,8 +290,47 @@ class FeatureCache:
         return e, q
 
 
-def _sources_of(model, k):
-    return [l for l in range(model.graph_delta.shape[0]) if model.graph_delta[l, k]]
+def _resolve_prior(prior, k, sources, j_bins, dim):
+    """Prior of dimension k: ``prior[k]`` from a list, or ``prior(k, sources, J)``."""
+    pk = prior(k, sources, j_bins) if callable(prior) else prior[k]
+    if pk.dim != dim:
+        raise ConfigError(f"prior dimension {pk.dim} of dimension {k} does not "
+                          f"match the model's {dim} parameters")
+    return pk
+
+
+def _build_problem(cache, link, prior, memory_A, k, sources, j_bins):
+    """The CAVI problem of receiving dimension k with the given column and J."""
+    if link.kind != SIGMOID:
+        raise UnsupportedLinkError("variational inference requires the sigmoid link")
+    e, q = cache.stack(HistogramBasis(memory_A, j_bins), sources, k)
+    pk = _resolve_prior(prior, k, sources, j_bins, e.shape[0])
+    return _DimensionProblem(e, q, cache.quad.weights, link, pk,
+                             cache.events.horizon_T)
+
+
+def fit_candidates(tasks, cache, link, prior, memory_A, max_iter, tol, threads=None):
+    """Fit every task ``(k, sources, J)``; posteriors come back in task order.
+
+    ``prior`` is a list of per-dimension GaussianPrior or a callable
+    ``prior(k, sources, J) -> GaussianPrior``.  The tasks are independent,
+    so with ``threads > 1`` they run in a thread pool; each fit is the same
+    computation either way, so results do not depend on the thread count.
+    """
+    def solve(task):
+        problem = _build_problem(cache, link, prior, memory_A, *task)
+        return _fit_dimension(problem, max_iter, tol)
+
+    if threads is not None and threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(solve, tasks))
+    return [solve(task) for task in tasks]
+
+
+def _model_tasks(model, dims):
+    """One task ``(k, sources, J)`` per receiving dimension k of a fixed model."""
+    return [(k, [l for l in range(model.graph_delta.shape[0]) if model.graph_delta[l, k]],
+             int(model.bins_J[k])) for k in dims]
 
 
 def cavi_fixed_model(events, model, link, prior, quad, max_iter=100, tol=1e-3,
@@ -296,47 +341,21 @@ def cavi_fixed_model(events, model, link, prior, quad, max_iter=100, tol=1e-3,
     ``prior(k, sources, J) -> GaussianPrior``.  Dimensions are independent
     and run as parallel tasks; the result order is deterministic.
     """
-    if link.kind != SIGMOID:
-        raise UnsupportedLinkError("variational updates require the sigmoid link")
-    k_dims = events.dims_K
     if cache is None:
         cache = FeatureCache(events, quad)
     if dims is None:
-        dims = range(k_dims)
-
-    def solve(k):
-        sources = _sources_of(model, k)
-        basis = HistogramBasis(model.memory_A, int(model.bins_J[k]))
-        e, q = cache.stack(basis, sources, k)
-        pk = prior(k, sources, basis.num_bins_J) if callable(prior) else prior[k]
-        if pk.dim != e.shape[0]:
-            raise ValueError("prior dimension does not match the model")
-        problem = _DimensionProblem(e, q, quad.weights, link, pk, events.horizon_T)
-        return _fit_dimension(problem, max_iter, tol)
-
-    dims = list(dims)
-    if threads is not None and threads > 1 and len(dims) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, dims))
-    else:
-        results = [solve(k) for k in dims]
-    return results
+        dims = range(events.dims_K)
+    return fit_candidates(_model_tasks(model, dims), cache, link, prior,
+                          model.memory_A, max_iter, tol, threads)
 
 
 def elbo(events, model, link, prior, posterior, quad, dims=None):
     """Evidence lower bound of a per-dimension Gaussian factor list (summed)."""
-    if link.kind != SIGMOID:
-        raise UnsupportedLinkError("the bound is derived for the sigmoid link")
     cache = FeatureCache(events, quad)
     if dims is None:
         dims = range(events.dims_K)
     total = 0.0
-    for idx, k in enumerate(dims):
-        sources = _sources_of(model, k)
-        basis = HistogramBasis(model.memory_A, int(model.bins_J[k]))
-        e, q = cache.stack(basis, sources, k)
-        pk = prior(k, sources, basis.num_bins_J) if callable(prior) else prior[k]
-        problem = _DimensionProblem(e, q, quad.weights, link, pk, events.horizon_T)
-        post = posterior[idx]
-        total += problem.elbo(post.mean, post.cov)
+    for task, post in zip(_model_tasks(model, dims), posterior):
+        problem = _build_problem(cache, link, prior, model.memory_A, *task)
+        total += problem.elbo(post.mean, post.cov, problem.moments(post.mean, post.cov))
     return total

@@ -189,8 +189,7 @@ def adaptive_runs():
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=2000.0,
                                 seed=seed))
         res = fully_adaptive(ev, subs, LINK, _prior_factory,
-                             VIConfig(tol=1e-4, threads=2), mode="select",
-                             memory_A=A)
+                             VIConfig(tol=1e-4, threads=2), memory_A=A)
         _collect_traces(f"sel-s{seed}", res)
         runs.append(res)
     return truth, runs
@@ -276,7 +275,11 @@ def test_criterion_11_oracle_equivalence():
         low = np.array([[math.exp(x[2]), 0.0], [x[3], math.exp(x[4])]])
         return mean, low @ low.T
 
-    res = minimize(lambda x: -problem.elbo(*unpack(x)),
+    def neg_elbo(x):
+        mean, cov = unpack(x)
+        return -problem.elbo(mean, cov, problem.moments(mean, cov))
+
+    res = minimize(neg_elbo,
                    np.array([1.0, 0.1, math.log(0.5), 0.0, math.log(0.5)]),
                    method="Nelder-Mead",
                    options={"maxiter": 6000, "xatol": 1e-10, "fatol": 1e-12})

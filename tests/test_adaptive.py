@@ -14,7 +14,7 @@ from hawkes_vb.adaptive import (Model, SubModel, detect_gap_threshold,
                                 folded_normal_mean, fully_adaptive, norm_matrix,
                                 two_step, bernoulli_log_prior,
                                 _log_sum_exp_weights, _select_index)
-from hawkes_vb.errors import DomainError, NoGapError
+from hawkes_vb.errors import ConfigError, DomainError, NoGapError
 from hawkes_vb.vi import GaussianPrior, QuadratureGrid, VIConfig, cavi_fixed_model
 
 LINK = fx.SIM_LINK
@@ -155,6 +155,31 @@ class TestFullyAdaptive:
         np.testing.assert_array_equal(res.selected_posterior(0).mean,
                                       direct[0].mean)
 
+    def test_threaded_equals_serial(self):
+        truth = fx.sparse_truth(2)
+        ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=30.0, seed=7))
+        subs = enumerate_submodels(2, 1)
+        serial = fully_adaptive(ev, subs, LINK, _prior_factory,
+                                VIConfig(tol=1e-4), memory_A=fx.MEMORY_A)
+        threaded = fully_adaptive(ev, subs, LINK, _prior_factory,
+                                  VIConfig(tol=1e-4, threads=2), memory_A=fx.MEMORY_A)
+        for k in range(2):
+            np.testing.assert_array_equal(serial.per_dim[k].elbos,
+                                          threaded.per_dim[k].elbos)
+            assert len(serial.posteriors[k]) == len(subs)
+            for a, b in zip(serial.posteriors[k], threaded.posteriors[k]):
+                np.testing.assert_array_equal(a.mean, b.mean)
+                np.testing.assert_array_equal(a.cov, b.cov)
+                assert a.elbo_trace == b.elbo_trace
+
+    def test_prior_dimension_mismatch_is_config_error(self):
+        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                horizon_T=5.0, seed=3))
+        with pytest.raises(ConfigError):
+            fully_adaptive(ev, [SubModel(column=(1,), depth=1)], LINK,
+                           lambda k, sources, j: GaussianPrior.isotropic(2, 5.0),
+                           memory_A=fx.MEMORY_A)
+
     def test_empty_model_set_rejected(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
                                 horizon_T=5.0, seed=3))
@@ -179,14 +204,14 @@ class TestFullyAdaptive:
         assert by_bins[2] > by_bins[8]
 
     def test_inhibition_weights_concentrate_on_top_models(self):
-        # averaging mode: the inhibition scenario concentrates essentially
-        # all weight on at most two resolutions
+        # the inhibition scenario concentrates essentially all model weight
+        # on at most two resolutions
         basis = fx.HistogramBasis(fx.MEMORY_A, 2)
         truth = fx.HawkesParams.build([6.0], [[np.array([-0.28, -0.12])]], basis)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=400.0, seed=1))
         res = fully_adaptive(ev, enumerate_submodels(1, 3), LINK,
                              _prior_factory, VIConfig(tol=1e-5),
-                             mode="average", memory_A=fx.MEMORY_A)
+                             memory_A=fx.MEMORY_A)
         w = np.sort(res.per_dim[0].weights)[::-1]
         assert w[0] + w[1] >= 0.9
 

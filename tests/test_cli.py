@@ -66,6 +66,14 @@ class TestConfigValidation:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "DomainError"
 
+    def test_adaptive_mode_key_rejected(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.json",
+                      {"mode": "fit", "memory_A": 0.1, "dims_K": 1,
+                       "adaptive": {"mode": "average"}})
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError" and "schema" in error["message"]
+
     def test_every_package_error_has_a_documented_code(self):
         pending, seen = [errors.HawkesVBError], []
         while pending:
@@ -244,6 +252,25 @@ class TestFitCommand:
         assert cli.main(["fit", "--config", p]) == 0
         result = json.loads((tmp_path / "g" / "result.json").read_text())
         assert result["dimensions"][0]["n_kept"] == 30
+
+    def test_gibbs_burn_in_not_below_n_iter_is_exit_1(self, tmp_path, capsys):
+        path = _sim_config(tmp_path, fx.excitation_1d(), 10.0)
+        cli.main(["simulate", "--config", path])
+        cfg = {
+            "mode": "fit", "fit_method": "gibbs",
+            "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
+            "memory_A": fx.MEMORY_A, "dims_K": 1, "horizon_T": 10.0,
+            "events_csv": str(tmp_path / "out" / "events.csv"),
+            "basis": {"D": 1}, "gibbs": {"n_iter": 10, "burn_in": 10},
+            "out_dir": str(tmp_path / "g"),
+        }
+        capsys.readouterr()
+        p = _write(tmp_path, "g.json", cfg)
+        assert cli.main(["fit", "--config", p]) == cli.EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"code": cli.EXIT_CONFIG, "type": "ConfigError",
+                         "message": error["message"]}
+        assert not (tmp_path / "g" / "result.json").exists()
 
 
 class TestEvalCommand:

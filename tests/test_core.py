@@ -93,6 +93,12 @@ class TestEventData:
         with pytest.raises(DataError):
             _events([1.0, 5.0], 3.0)
 
+    @pytest.mark.parametrize("times", [[-np.inf, np.nan], [np.nan], [1.0, np.inf],
+                                       [-np.inf, 1.0]])
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(DataError):
+            EventData(dims_K=1, horizon_T=10.0, times=(np.array(times),))
+
     def test_negative_times_form_initial_condition(self):
         ev = _events([-0.05, 0.5], 1.0)
         assert ev.counts()[0] == 1

@@ -79,13 +79,13 @@ class TestCaviFixedModel:
         problem = _DimensionProblem(e, q, quad.weights, LINK, prior[0], 2.0)
         mean, cov = posts[0].mean, posts[0].cov
         for _ in range(5000):
-            new_mean, new_cov = problem.update(mean, cov)
+            new_mean, new_cov = problem.update(problem.moments(mean, cov))
             step = max(np.max(np.abs(new_mean - mean)), np.max(np.abs(new_cov - cov)))
             mean, cov = new_mean, new_cov
             if step < 1e-12:
                 break
         assert step < 1e-12
-        mean2, cov2 = problem.update(mean, cov)
+        mean2, cov2 = problem.update(problem.moments(mean, cov))
         assert np.max(np.abs(mean2 - mean)) < 1e-8
         assert np.max(np.abs(cov2 - cov)) < 1e-8
 
@@ -162,7 +162,7 @@ class TestElbo:
         prior = [GaussianPrior.isotropic(5, 5.0)]
         posts = cavi_fixed_model(ev, _model(1, 4), LINK, prior, quad)
         val = elbo(ev, _model(1, 4), LINK, prior, posts, quad)
-        assert val == pytest.approx(posts[0].elbo, rel=1e-12)
+        assert val == posts[0].elbo
 
 
 class TestBruteForceOracle:
@@ -188,7 +188,7 @@ class TestBruteForceOracle:
 
         def neg(x):
             mean, cov = unpack(x)
-            return -problem.elbo(mean, cov)
+            return -problem.elbo(mean, cov, problem.moments(mean, cov))
 
         x0 = np.array([1.0, 0.1, math.log(0.5), 0.0, math.log(0.5)])
         res = minimize(neg, x0, method="Nelder-Mead",
