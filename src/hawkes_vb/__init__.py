@@ -12,8 +12,6 @@ from hawkes_vb.core import (
     HawkesParams,
     HistogramBasis,
     LinkFunction,
-    basis_features,
-    intensity,
     linear_drive,
     log_likelihood,
 )
@@ -29,9 +27,7 @@ __all__ = [
     "HistogramBasis",
     "LinkFunction",
     "SimConfig",
-    "basis_features",
     "excursion_stats",
-    "intensity",
     "linear_drive",
     "log_likelihood",
     "simulate",

@@ -10,8 +10,8 @@ File formats
 ------------
 events.csv   header ``dim,time``; 0-based dimension, time fixed to 6
              decimals, rows sorted by time.  Ingestion re-checks
-             tie-freeness after rounding and jitters ties by 1e-9 with a
-             warning.
+             tie-freeness after rounding and jitters ties forward by 1e-9
+             (at least one ulp) with a warning.
 stats.json   event counts, excursion counts, seed.
 result.json  per-dimension posterior mean/cov (row-major), model weights,
              estimated graph, norm matrix, ELBO traces.  Byte-identical
@@ -61,7 +61,9 @@ _TRUTH_SCHEMA = {
     "type": "object",
     "properties": {
         "nu": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "weights": {"type": "array"},  # K x K of (array of numbers | null)
+        "weights": {"type": "array", "items": {"type": "array", "items": {
+            "anyOf": [{"type": "array", "items": {"type": "number"}},
+                      {"type": "null"}]}}},
         "bins_J": {"type": "integer", "minimum": 1},
     },
     "required": ["nu", "weights", "bins_J"],
@@ -136,10 +138,10 @@ _DEFAULTS = {
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -167,6 +169,8 @@ def _truth_from(cfg):
     k = cfg["dims_K"]
     if len(t["nu"]) != k:
         raise ConfigError("truth.nu length must equal dims_K")
+    if len(t["weights"]) != k or any(len(row) != k for row in t["weights"]):
+        raise ConfigError("truth.weights must be a dims_K x dims_K table")
     basis = HistogramBasis(cfg["memory_A"], t["bins_J"])
     weights = []
     for l in range(k):
@@ -190,31 +194,35 @@ def write_events_csv(path, events):
 def read_events_csv(path, dims_K, horizon_T):
     """Ingest an event file, re-checking tie-freeness at 1e-6 resolution."""
     times = [[] for _ in range(dims_K)]
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "dim,time":
-            raise DataError(f"bad events header {header!r}; expected 'dim,time'")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d, t = line.split(",")
-                d = int(d)
-                t = float(t)
-            except ValueError as exc:
-                raise DataError(f"malformed event row {ln}: {line!r}") from exc
-            if not math.isfinite(t):
-                raise DataError(f"event row {ln}: time {t} is not finite")
-            if not 0 <= d < dims_K:
-                raise DataError(f"event row {ln}: dimension {d} out of range")
-            times[d].append(t)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != "dim,time":
+                raise DataError(f"bad events header {header!r}; expected 'dim,time'")
+            for ln, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    d, t = line.split(",")
+                    d = int(d)
+                    t = float(t)
+                except ValueError as exc:
+                    raise DataError(f"malformed event row {ln}: {line!r}") from exc
+                if not math.isfinite(t):
+                    raise DataError(f"event row {ln}: time {t} is not finite")
+                if not 0 <= d < dims_K:
+                    raise DataError(f"event row {ln}: dimension {d} out of range")
+                times[d].append(t)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"events file is not valid UTF-8: {exc}") from exc
     seen = {}
     for d in range(dims_K):
         for i, t in enumerate(times[d]):
             while t in seen:
-                warnings.warn(f"tie at t={t:.6f} after rounding; jittering by 1e-9")
-                t += 1e-9
+                warnings.warn(f"tie at t={t:.6f} after rounding; jittering forward")
+                # 1e-9 is below half an ulp once |t| >= 2**24
+                t = max(t + 1e-9, math.nextafter(t, math.inf))
             seen[t] = True
             times[d][i] = t
     arrays = tuple(np.sort(np.asarray(ts, dtype=np.float64)) for ts in times)
@@ -235,14 +243,18 @@ def _dump_json(path, payload):
         fh.write("\n")
 
 
-def cmd_simulate(cfg):
+def _simulate_truth(cfg):
+    """Simulate the config's truth section on [0, horizon_T] with the run seed."""
     link = _link_from(cfg)
     truth = _truth_from(cfg)
     if "horizon_T" not in cfg:
-        raise ConfigError("simulate requires horizon_T")
-    sim = SimConfig(params=truth, link=link, horizon_T=cfg["horizon_T"],
-                    burn_in=cfg.get("burn_in"), seed=cfg["seed"])
-    raw = simulate(sim)
+        raise ConfigError("simulating the truth requires horizon_T")
+    return simulate(SimConfig(params=truth, link=link, horizon_T=cfg["horizon_T"],
+                              burn_in=cfg.get("burn_in"), seed=cfg["seed"]))
+
+
+def cmd_simulate(cfg):
+    raw = _simulate_truth(cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "events.csv")
@@ -264,12 +276,7 @@ def _load_events(cfg):
         if "horizon_T" not in cfg:
             raise ConfigError("fitting a file requires horizon_T")
         return read_events_csv(cfg["events_csv"], cfg["dims_K"], cfg["horizon_T"])
-    # no file: simulate from the truth section with the run seed
-    link = _link_from(cfg)
-    truth = _truth_from(cfg)
-    sim = SimConfig(params=truth, link=link, horizon_T=cfg["horizon_T"],
-                    burn_in=cfg.get("burn_in"), seed=cfg["seed"])
-    return simulate(sim)
+    return _simulate_truth(cfg)
 
 
 def _prior_factory(cfg):
@@ -401,9 +408,9 @@ def cmd_eval(cfg):
     if path is None:
         raise ConfigError("eval requires result_json")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             result = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed result file: {exc}") from exc
     truth = _truth_from(cfg)
     k_dims = cfg["dims_K"]

@@ -8,16 +8,17 @@ interaction kernels h_lk supported on (0, A], expanded over a histogram basis
 so each kernel is piecewise constant and ||e_j||_1 = 1.  The conditional
 intensity of dimension k is
 
-    lambda_t^k = phi_k( nu_k + sum_l sum_{T_i^l in [t-A, t)} h_lk(t - T_i^l) )
+    lambda_t^k = phi( nu_k + sum_l sum_{T_i^l in [t-A, t)} h_lk(t - T_i^l) )
 
-with a monotone nonnegative link phi_k.  An event influences only times
-strictly after itself (kernel support open at 0, closed at A).
+with one monotone nonnegative link phi shared by all dimensions.  An event
+influences only times strictly after itself (kernel support open at 0,
+closed at A).  The drive is the stacked parameter [nu_k, w_{l_1 k}, ...]
+dotted with the columns of ``feature_matrix``.
 
 Everything here is immutable after construction and safe to share across
 threads.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -63,20 +64,18 @@ class LinkFunction:
         return self.theta if self.kind == SIGMOID else math.inf
 
     def __call__(self, x):
-        z = self.alpha * (np.asarray(x, dtype=np.float64) - self.eta)
+        """phi(x) for one scalar drive x; no exp overflows for any finite x."""
+        z = self.alpha * (x - self.eta)
         if self.kind == SIGMOID:
-            out = self.theta * _sigmoid(z)
-        elif self.kind == RELU:
-            out = self.theta_base + np.maximum(z, 0.0)
-        else:
-            out = self.theta * np.logaddexp(0.0, z)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
-
-
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+            if z >= 0.0:
+                return self.theta / (1.0 + math.exp(-z))
+            ez = math.exp(z)
+            return self.theta * ez / (1.0 + ez)
+        if self.kind == RELU:
+            return self.theta_base + (z if z > 0.0 else 0.0)
+        if z > 35.0:  # log1p(exp(z)) == z to double precision
+            return self.theta * z
+        return self.theta * math.log1p(math.exp(z))
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,6 @@ class HistogramBasis:
     def height(self):
         """Value of e_j on its support: J/A (each e_j has unit L1 norm)."""
         return self.num_bins_J / self.memory_A
-
-    def bin_of_lag(self, lag):
-        """1-based bin index for a lag in (0, A]; 0 if outside the support."""
-        if lag <= 0.0 or lag > self.memory_A:
-            return 0
-        j = math.ceil(lag * self.num_bins_J / self.memory_A)
-        return min(max(j, 1), self.num_bins_J)
 
 
 @dataclass(frozen=True)
@@ -230,53 +222,10 @@ class EventData:
         return np.sort(np.concatenate(self.times))
 
 
-def linear_drive(params, events, k, t):
-    """Linear drive nu_k + sum_l sum_{T_i^l in [t-A, t)} h_lk(t - T_i^l).
-
-    Right-continuous piecewise constant in t; breakpoints only at event
-    times shifted by bin edges.  Raises DomainError for t outside [0, T].
-    """
-    if t < 0.0 or t > events.horizon_T:
-        raise DomainError(f"t={t} outside the observation window [0, {events.horizon_T}]")
-    basis = params.basis[k]
-    a = basis.memory_A
-    total = float(params.nu[k])
-    for l in range(params.dims_K):
-        w = params.weights[l][k]
-        if w is None:
-            continue
-        src = events.times[l]
-        lo = bisect.bisect_left(src, t - a)
-        hi = bisect.bisect_left(src, t)
-        for i in range(lo, hi):
-            j = basis.bin_of_lag(t - src[i])
-            if j:
-                total += w[j - 1] * basis.height
-    return total
-
-
-def intensity(params, events, link, k, t):
-    """Nonlinear intensity phi_k(linear drive) at time t."""
-    return link(linear_drive(params, events, k, t))
-
-
-def basis_features(events, basis, l, t):
-    """Histogram feature vector of source dimension l at time t.
-
-    H_j^l(t) = (J/A) * #{ events of dim l with lag t - s in ((j-1)A/J, jA/J] }.
-    """
-    src = events.times[l]
-    j_bins = basis.num_bins_J
-    a = basis.memory_A
-    edges = t - np.arange(j_bins + 1) * (a / j_bins)  # t, t-A/J, ..., t-A
-    idx = np.searchsorted(src, edges, side="left")
-    counts = idx[:-1] - idx[1:]
-    return counts.astype(np.float64) * basis.height
-
-
 def feature_matrix(events, basis, sources, times):
     """Stacked features [1, H^{l_1}(t), H^{l_2}(t), ...] at many times.
 
+    H_j^l(t) = (J/A) * #{ events of dim l with lag t - s in ((j-1)A/J, jA/J] }.
     Returns an array of shape (1 + len(sources) * J, len(times)); row 0 is
     the constant regressor attached to nu.
     """
@@ -314,6 +263,21 @@ def drive_breakpoints(params, events, k):
     return pts[(pts >= 0.0) & (pts <= events.horizon_T)]
 
 
+def linear_drive(params, events, k, times):
+    """Linear drive nu_k + sum_l sum_{T_i^l in [t-A, t)} h_lk(t - T_i^l) per t.
+
+    ``times`` is a 1-d array; returns the drive at each entry.  The drive is
+    right-continuous and piecewise constant in t (see ``drive_breakpoints``).
+    Raises DomainError for times outside [0, T].
+    """
+    times = np.asarray(times, dtype=np.float64)
+    if np.any((times < 0.0) | (times > events.horizon_T)):
+        raise DomainError(f"times outside the observation window [0, {events.horizon_T}]")
+    sources = [l for l in range(params.dims_K) if params.weights[l][k] is not None]
+    f_k = np.concatenate([params.nu[k:k + 1]] + [params.weights[l][k] for l in sources])
+    return f_k @ feature_matrix(events, params.basis[k], sources, times)
+
+
 def log_likelihood(params, events, link, method="exact", grid_step=None):
     """Log-likelihood sum_k [ sum_i log lambda^k_{T_i^k} - int_0^T lambda^k dt ].
 
@@ -323,37 +287,28 @@ def log_likelihood(params, events, link, method="exact", grid_step=None):
     ``grid_step`` (default A/1e4).  Returns -inf when some event has zero
     intensity.
     """
-    links = _per_dim_links(link, params.dims_K)
+    if method not in ("exact", "riemann"):
+        raise DomainError(f"unknown integration method {method!r}")
     total = 0.0
     for k in range(params.dims_K):
-        lam_at_events = [intensity(params, events, links[k], k, float(t))
-                         for t in events.times[k] if t >= 0.0]
+        own = events.times[k]
+        drive = linear_drive(params, events, k, own[own >= 0.0])
+        lam_at_events = [link(x) for x in drive.tolist()]
         if any(v <= 0.0 for v in lam_at_events):
             return -math.inf
         total += sum(math.log(v) for v in lam_at_events)
         if method == "exact":
             pts = drive_breakpoints(params, events, k)
-            for left, right in zip(pts[:-1], pts[1:]):
-                # drive constant on the open segment; midpoint avoids the
-                # closed-right endpoint convention of the kernel support
-                lam = intensity(params, events, links[k], k, float(0.5 * (left + right)))
-                total -= lam * (right - left)
-        elif method == "riemann":
+            # drive constant on each open segment; the midpoint avoids the
+            # closed-right endpoint convention of the kernel support
+            drive = linear_drive(params, events, k, 0.5 * (pts[:-1] + pts[1:]))
+            for x, width in zip(drive.tolist(), np.diff(pts).tolist()):
+                total -= link(x) * width
+        else:
             step = grid_step if grid_step is not None else params.memory_A / 1e4
             n = max(1, int(math.ceil(events.horizon_T / step)))
             grid = np.linspace(0.0, events.horizon_T, n, endpoint=False)
             h = events.horizon_T / n
-            total -= h * sum(intensity(params, events, links[k], k, float(t))
-                             for t in grid)
-        else:
-            raise DomainError(f"unknown integration method {method!r}")
+            drive = linear_drive(params, events, k, grid)
+            total -= h * sum(link(x) for x in drive.tolist())
     return total
-
-
-def _per_dim_links(link, dims_K):
-    if isinstance(link, LinkFunction):
-        return (link,) * dims_K
-    links = tuple(link)
-    if len(links) != dims_K:
-        raise DataError("need one link per dimension")
-    return links

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from hawkes_vb.core import SIGMOID, HistogramBasis, feature_matrix
+from hawkes_vb.core import SIGMOID, HawkesParams, HistogramBasis, feature_matrix
 from hawkes_vb.errors import ConfigError, UnsupportedLinkError
 from hawkes_vb.pg import pg_sample_arr
 from hawkes_vb.vi import _chol_with_jitter, _resolve_prior
@@ -37,9 +37,6 @@ class GibbsConfig:
     burn_in: int = 500
     thin: int = 1
     seed: int = 0
-    init: str = "mean"  # "mean": start at the prior mean; "prior": draw from it
-    model: object = None   # may also be passed to gibbs_sample directly
-    prior: object = None
 
     def __post_init__(self):
         if not self.n_iter > self.burn_in >= 0:
@@ -47,8 +44,6 @@ class GibbsConfig:
                               f"burn_in={self.burn_in}")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
-        if self.init not in ("mean", "prior"):
-            raise ConfigError("init must be 'mean' or 'prior'")
 
 
 @dataclass(frozen=True)
@@ -73,8 +68,6 @@ class GibbsResult:
 
     def params_at(self, i):
         """Draw i of the chain assembled into a HawkesParams."""
-        from hawkes_vb.core import HawkesParams, HistogramBasis
-
         k_dims = len(self.samples)
         delta = self.model.graph_delta
         nu = np.empty(k_dims)
@@ -115,19 +108,14 @@ def _draw_gaussian(mean, prec_chol, rng):
     return mean + solve_triangular(prec_chol[0], z, lower=True, trans="T")
 
 
-def gibbs_sample(events, config, link, model=None, prior=None):
+def gibbs_sample(events, config, link, model, prior):
     """Run the sampler; returns one chain of parameter draws per dimension.
 
-    ``model`` and ``prior`` may live on the config instead of being passed
-    here.  ``prior`` is a per-dimension list of GaussianPrior or a callable
+    ``prior`` is a per-dimension list of GaussianPrior or a callable
     ``prior(k, sources, J)``.  Reproducible for a fixed seed.
     """
     if link.kind != SIGMOID:
         raise UnsupportedLinkError("the Gibbs sampler requires the sigmoid link")
-    model = model if model is not None else config.model
-    prior = prior if prior is not None else config.prior
-    if model is None or prior is None:
-        raise ConfigError("a model and a prior are required")
     rng = np.random.default_rng(config.seed)
     k_dims = events.dims_K
     horizon = events.horizon_T
@@ -147,13 +135,7 @@ def gibbs_sample(events, config, link, model=None, prior=None):
     # saturated phase of the sigmoid, where the latent-point rate collapses
     # and the chain is effectively absorbed; starting at the prior mean keeps
     # the first sweep in the responsive region.
-    state = []
-    for sources, basis, feats_ev, pk in dims:
-        if config.init == "mean":
-            state.append(pk.mean.copy())
-        else:
-            cf = cho_factor(pk.cov, lower=True)
-            state.append(pk.mean + cf[0] @ rng.standard_normal(pk.dim))
+    state = [pk.mean.copy() for _, _, _, pk in dims]
 
     kept = [[] for _ in range(k_dims)]
     for sweep in range(config.n_iter):

@@ -2,11 +2,12 @@
 
 Candidates are proposed from a dominating homogeneous rate and accepted with
 probability (total intensity)/bound, then assigned to a dimension
-proportionally to the per-dimension intensities.  For sigmoid links the bound
-is the constant sum of the scales theta_k; for unbounded links (ReLU,
-softplus) a lookahead bound is recomputed at every candidate from the largest
-positive kernel contribution each active event can still produce, which keeps
-the envelope valid until the next accepted event and the simulation exact.
+proportionally to the per-dimension intensities.  All dimensions share one
+link.  For the sigmoid link the bound is the constant K theta; for unbounded
+links (ReLU, softplus) a lookahead bound is recomputed at every candidate
+from the largest positive kernel contribution each active event can still
+produce, which keeps the envelope valid until the next accepted event and
+the simulation exact.
 
 Also provides the renewal ("excursion") statistics of the generated data: a
 renewal happens at t when the window [t-A, t) contains an event but (t-A, t]
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hawkes_vb.core import RELU, SIGMOID, EventData, _per_dim_links
+from hawkes_vb.core import EventData, LinkFunction
 from hawkes_vb.errors import DomainError, SimulationDivergedError
 
 
@@ -29,7 +30,7 @@ class SimConfig:
     """Inputs of one simulation run; same seed reproduces the output bitwise."""
 
     params: object
-    link: object  # LinkFunction or sequence of per-dimension links
+    link: LinkFunction  # shared by all dimensions
     horizon_T: float
     burn_in: float = None
     seed: int = 0
@@ -40,6 +41,8 @@ class SimConfig:
             raise DomainError("horizon_T must be positive")
         if self.burn_in is not None and self.burn_in < 0:
             raise DomainError("burn_in must be nonnegative")
+        if not isinstance(self.link, LinkFunction):
+            raise DomainError("link must be one LinkFunction shared by all dimensions")
 
 
 @dataclass(frozen=True)
@@ -47,21 +50,6 @@ class ExcursionStats:
     num_events: tuple
     num_global_excursions: int
     num_local_excursions: tuple
-
-
-def _phi_scalar(kind, theta, alpha, eta, theta_base, x):
-    z = alpha * (x - eta)
-    if kind == SIGMOID:
-        if z >= 0.0:
-            return theta / (1.0 + math.exp(-z))
-        ez = math.exp(z)
-        return theta * ez / (1.0 + ez)
-    if kind == RELU:
-        return theta_base + (z if z > 0.0 else 0.0)
-    # softplus
-    if z > 35.0:
-        return theta * z
-    return theta * math.log1p(math.exp(z))
 
 
 def _refined_kernel_values(params):
@@ -87,17 +75,17 @@ def simulate(config):
     """Draw one realisation; returns EventData on [-A, T]."""
     params = config.params
     k_dims = params.dims_K
-    links = _per_dim_links(config.link, k_dims)
-    link_args = [(lk.kind, lk.theta, lk.alpha, lk.eta, lk.theta_base) for lk in links]
+    link = config.link
     a = params.memory_A
     horizon = float(config.horizon_T)
     burn_in = a if config.burn_in is None else float(config.burn_in)
     rng = np.random.default_rng(config.seed)
 
     vals, j_star = _refined_kernel_values(params)
-    bounded = all(lk.is_bounded for lk in links)
+    bounded = link.is_bounded
     if bounded:
-        const_bound = float(sum(lk.theta for lk in links))
+        # summed term by term: K * theta can round differently and move every draw
+        const_bound = float(sum(link.theta for _ in range(k_dims)))
     else:
         # largest positive contribution an event sitting in bin r can still
         # make at any later lag (0 once it leaves the support)
@@ -126,8 +114,7 @@ def simulate(config):
                     # after, so its future maximum starts at bin 1
                     r = max(min(int(math.ceil((t - s) * bin_scale)), j_star), 1)
                     head += suffmax[l][:, r - 1]
-            bound = max(sum(_phi_scalar(*link_args[k], head[k]) for k in range(k_dims)),
-                        1e-12)
+            bound = max(sum(link(head[k]) for k in range(k_dims)), 1e-12)
 
         t += -math.log(1.0 - rng.random()) / bound
         if t > horizon:
@@ -147,7 +134,7 @@ def simulate(config):
                 if lag > 0.0:
                     drive += cols[:, min(int(math.ceil(lag * bin_scale)), j_star) - 1]
         for k in range(k_dims):
-            v = _phi_scalar(*link_args[k], drive[k])
+            v = link(drive[k])
             lams.append(v)
             lam_total += v
         if lam_total > bound * (1.0 + 1e-9):

@@ -2,8 +2,8 @@
 
 Within a model (graph column + histogram resolution per dimension) the
 augmented posterior factorises over dimensions, and each factor over
-(parameter, latent variables).  With phi_k(x) = theta_k sigmoid(alpha (x -
-eta)) and recentred drive lam~_t = alpha (H(t)' f - eta), the optimal
+(parameter, latent variables).  With phi(x) = theta sigmoid(alpha (x - eta))
+and recentred drive lam~_t = alpha (H(t)' f - eta), the optimal
 parameter factor is Gaussian with closed-form updates
 
     Sigma~^{-1} = alpha^2 [ sum_i E[w_i] H_i H_i' + int E[w] H H' Lam dt ] + Sigma^{-1}

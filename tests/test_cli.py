@@ -1,6 +1,9 @@
 """Experiment harness: config validation, file round-trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,10 @@ def _truth_section(params):
                for l in range(k)]
     return {"nu": list(params.nu), "weights": weights,
             "bins_J": params.basis[0].num_bins_J}
+
+
+def _error_of(capsys):
+    return json.loads(capsys.readouterr().err)["error"]
 
 
 def _sim_config(tmp_path, params, T, seed=1, **extra):
@@ -73,6 +80,22 @@ class TestConfigValidation:
         assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ConfigError" and "schema" in error["message"]
+
+    def test_non_utf8_config_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"mode": "simulate", "memory_A": 0.1, "dims_K": 1, "x": "\xff"}')
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert _error_of(capsys)["type"] == "ConfigError"
+
+    def test_short_truth_weights_is_exit_1(self, tmp_path, capsys):
+        truth = _truth_section(fx.sparse_truth(2))
+        truth["weights"] = truth["weights"][:1]
+        path = _write(tmp_path, "c.json", {
+            "mode": "simulate", "memory_A": fx.MEMORY_A, "dims_K": 2,
+            "horizon_T": 5.0, "truth": truth, "out_dir": str(tmp_path / "out")})
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and "weights" in error["message"]
 
     def test_every_package_error_has_a_documented_code(self):
         pending, seen = [errors.HawkesVBError], []
@@ -148,6 +171,24 @@ class TestEventsCsv:
             ev = cli.read_events_csv(str(path), 2, 10.0)
         assert ev.times[0][0] != ev.times[1][0]
 
+    def test_tie_jitter_terminates_at_large_times(self, tmp_path):
+        # 1e-9 is below half an ulp at 2e7; the read runs in a child process
+        # so that a hang fails the test instead of stalling the suite
+        path = tmp_path / "e.csv"
+        path.write_text("dim,time\n0,20000000.000000\n1,20000000.000000\n")
+        code = ("import sys, warnings; from hawkes_vb import cli; "
+                "warnings.simplefilter('ignore'); "
+                "ev = cli.read_events_csv(sys.argv[1], 2, 3e7); "
+                "print(repr(float(ev.times[0][0])), repr(float(ev.times[1][0])))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path_entries = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        a, b = (float(x) for x in done.stdout.split())
+        assert a == 2e7 and b > a
+
 
 class TestFitCommand:
     def test_fixed_fit_on_empty_window_returns_prior(self, tmp_path):
@@ -199,6 +240,23 @@ class TestFitCommand:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "DataError" and "row 3" in error["message"]
         assert not (tmp_path / "fit" / "result.json").exists()
+
+    def test_non_utf8_events_file_is_exit_3(self, tmp_path, capsys):
+        path = self._fit_file_config(tmp_path, ["0,1.000000"])
+        with open(tmp_path / "events.csv", "ab") as fh:
+            fh.write(b"1,2.\xff\n")
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_DATA
+        assert _error_of(capsys)["type"] == "DataError"
+        assert not (tmp_path / "fit" / "result.json").exists()
+
+    def test_fit_without_file_or_horizon_is_exit_1(self, tmp_path, capsys):
+        path = _write(tmp_path, "fit.json", {
+            "mode": "fit", "fit_method": "fixed", "memory_A": fx.MEMORY_A,
+            "dims_K": 1, "truth": _truth_section(fx.excitation_1d()),
+            "basis": {"D": 1}, "out_dir": str(tmp_path / "fit")})
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and "horizon_T" in error["message"]
 
     def test_fit_deterministic_byte_identical(self, tmp_path):
         path = _sim_config(tmp_path, fx.excitation_1d(), 30.0)
@@ -330,6 +388,18 @@ class TestEvalCommand:
         }
         p = _write(tmp_path, "eval.json", cfg)
         assert cli.main(["eval", "--config", p]) == cli.EXIT_DATA
+
+    def test_non_utf8_result_is_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "result.json"
+        bad.write_bytes(b'{"delta_hat": "\xff"}')
+        cfg = {
+            "mode": "eval", "memory_A": fx.MEMORY_A, "dims_K": 1,
+            "truth": _truth_section(fx.excitation_1d()),
+            "result_json": str(bad), "out_dir": str(tmp_path),
+        }
+        p = _write(tmp_path, "eval.json", cfg)
+        assert cli.main(["eval", "--config", p]) == cli.EXIT_DATA
+        assert _error_of(capsys)["type"] == "DataError"
 
 
 class TestEndToEnd:

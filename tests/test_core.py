@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkes_vb import (EventData, HawkesParams, HistogramBasis, LinkFunction,
-                       basis_features, intensity, linear_drive, log_likelihood)
+                       linear_drive, log_likelihood)
 from hawkes_vb.core import drive_breakpoints, feature_matrix
 from hawkes_vb.errors import DataError, DomainError
 
@@ -41,6 +41,22 @@ def _brute_drive(params, events, k, t):
     return total
 
 
+def _brute_features(times, basis, t):
+    """Independent oracle: histogram features of one source at time t."""
+    want = np.zeros(basis.num_bins_J)
+    for s in times:
+        lag = t - s
+        if 0.0 < lag <= basis.memory_A:
+            j = int(math.ceil(lag * basis.num_bins_J / basis.memory_A))
+            want[min(j, basis.num_bins_J) - 1] += basis.height
+    return want
+
+
+def _features(events, basis, l, t):
+    """Features of the single source l at one time t."""
+    return feature_matrix(events, basis, [l], [t])[1:, 0]
+
+
 class TestLinkFunction:
     def test_sigmoid_midpoint(self):
         link = LinkFunction("sigmoid", theta=20.0, alpha=0.1, eta=10.0)
@@ -60,9 +76,8 @@ class TestLinkFunction:
 
     def test_sigmoid_bounded(self):
         link = LinkFunction("sigmoid", theta=20.0, alpha=0.2, eta=10.0)
-        xs = np.linspace(-1e4, 1e4, 1001)
-        vals = link(xs)
-        assert np.all(vals >= 0.0) and np.all(vals <= 20.0)
+        for x in np.linspace(-1e4, 1e4, 1001).tolist():
+            assert 0.0 <= link(x) <= 20.0
 
     @given(st.sampled_from(["sigmoid", "relu", "softplus"]),
            st.floats(-50, 50), st.floats(-50, 50))
@@ -110,14 +125,14 @@ class TestLinearDrive:
         basis = HistogramBasis(A, 4)
         p = HawkesParams.build([10.0], [[None]], basis)
         ev = _events([0.2, 0.4], 1.0)
-        assert linear_drive(p, ev, 0, 0.7) == pytest.approx(10.0)
+        np.testing.assert_allclose(linear_drive(p, ev, 0, [0.3, 0.7]), [10.0, 10.0])
 
     def test_single_bin_value(self):
         basis = HistogramBasis(A, 1)
         p = HawkesParams.build([1.0], [[np.array([0.3])]], basis)
         t = 0.6
         ev = _events([t - A / 2], 1.0)
-        assert linear_drive(p, ev, 0, t) == pytest.approx(1.0 + 0.3 / A)
+        assert linear_drive(p, ev, 0, [t])[0] == pytest.approx(1.0 + 0.3 / A)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -125,18 +140,29 @@ class TestLinearDrive:
         p = HawkesParams.build([2.0], [[np.array([0.3, -0.1, 0.2, 0.05])]], basis)
         times = np.sort(rng.uniform(0.0, 0.5, size=5))
         ev = _events(times, 1.0)
-        for t in rng.uniform(0.0, 1.0, size=20):
-            assert linear_drive(p, ev, 0, t) == pytest.approx(
-                _brute_drive(p, ev, 0, t), rel=1e-12)
+        ts = rng.uniform(0.0, 1.0, size=20)
+        np.testing.assert_allclose(linear_drive(p, ev, 0, ts),
+                                   [_brute_drive(p, ev, 0, t) for t in ts], rtol=1e-12)
+
+    def test_support_open_at_zero_closed_at_memory(self):
+        # dyadic memory and times keep every lag exact: an event at lag 0
+        # adds nothing, one at lag A still adds its last bin
+        basis = HistogramBasis(0.25, 4)
+        p = HawkesParams.build([1.0], [[np.array([0.5, 0.25, 0.125, 2.0])]], basis)
+        ev = _events([0.5, 0.75], 1.0)
+        ts = np.array([0.75, 0.5, 1.0])
+        want = [_brute_drive(p, ev, 0, t) for t in ts]
+        assert want == [1.0 + 2.0 * 16.0, 1.0, 1.0 + 2.0 * 16.0]
+        np.testing.assert_array_equal(linear_drive(p, ev, 0, ts), want)
 
     def test_domain_error(self):
         basis = HistogramBasis(A, 1)
         p = HawkesParams.build([1.0], [[None]], basis)
         ev = _events([0.5], 1.0)
         with pytest.raises(DomainError):
-            linear_drive(p, ev, 0, 1.5)
+            linear_drive(p, ev, 0, [0.5, 1.5])
         with pytest.raises(DomainError):
-            linear_drive(p, ev, 0, -0.1)
+            linear_drive(p, ev, 0, [-0.1])
 
     def test_piecewise_constant_between_breakpoints(self):
         rng = np.random.default_rng(1)
@@ -146,7 +172,7 @@ class TestLinearDrive:
         pts = drive_breakpoints(p, ev, 0)
         for left, right in zip(pts[:-1], pts[1:]):
             qs = left + (right - left) * np.array([0.25, 0.5, 0.75])
-            vals = [linear_drive(p, ev, 0, float(q)) for q in qs]
+            vals = linear_drive(p, ev, 0, qs)
             assert max(vals) - min(vals) < 1e-12
 
 
@@ -156,21 +182,21 @@ class TestIntensity:
         basis = HistogramBasis(A, 1)
         p = HawkesParams.build([10.0], [[None]], basis)
         ev = _events([], 1.0)
-        assert intensity(p, ev, link, 0, 0.5) == pytest.approx(10.0)
+        assert link(linear_drive(p, ev, 0, [0.5])[0]) == pytest.approx(10.0)
 
     def test_relu_default(self):
         link = LinkFunction("relu", theta=1.0, alpha=1.0, eta=0.0, theta_base=0.001)
         basis = HistogramBasis(A, 1)
         p = HawkesParams.build([0.5], [[None]], basis)
         ev = _events([], 1.0)
-        assert intensity(p, ev, link, 0, 0.5) == pytest.approx(0.501)
+        assert link(linear_drive(p, ev, 0, [0.5])[0]) == pytest.approx(0.501)
 
     def test_sigmoid_derived_value(self):
         link = LinkFunction("sigmoid", theta=20.0, alpha=0.1, eta=10.0)
         basis = HistogramBasis(A, 1)
         p = HawkesParams.build([1.0], [[None]], basis)
         ev = _events([], 1.0)
-        assert intensity(p, ev, link, 0, 0.3) == pytest.approx(
+        assert link(linear_drive(p, ev, 0, [0.3])[0]) == pytest.approx(
             20.0 / (1.0 + math.exp(0.9)), rel=1e-12)
 
 
@@ -233,14 +259,13 @@ class TestBasisFeatures:
     def test_empty_window(self):
         basis = HistogramBasis(A, 4)
         ev = _events([], 1.0)
-        assert np.array_equal(basis_features(ev, basis, 0, 0.5), np.zeros(4))
+        assert np.array_equal(_features(ev, basis, 0, 0.5), np.zeros(4))
 
     def test_first_bin_membership(self):
         basis = HistogramBasis(A, 4)
         t = 0.7
         ev = _events([t - A / 8], 1.0)
-        np.testing.assert_allclose(basis_features(ev, basis, 0, t),
-                                   [4 / A, 0, 0, 0])
+        np.testing.assert_allclose(_features(ev, basis, 0, t), [4 / A, 0, 0, 0])
 
     def test_clustered_counts(self):
         rng = np.random.default_rng(2)
@@ -248,13 +273,8 @@ class TestBasisFeatures:
         times = np.sort(rng.uniform(0.4, 0.5, size=12))
         ev = _events(times, 1.0)
         t = 0.5 + 0.013
-        got = basis_features(ev, basis, 0, t)
-        want = np.zeros(4)
-        for s in times:
-            lag = t - s
-            if 0.0 < lag <= A:
-                want[min(int(math.ceil(lag * 4 / A)), 4) - 1] += 4 / A
-        np.testing.assert_allclose(got, want)
+        np.testing.assert_allclose(_features(ev, basis, 0, t),
+                                   _brute_features(times, basis, t))
 
     @given(st.lists(st.floats(0.0, 0.99), min_size=0, max_size=30),
            st.integers(1, 8), st.floats(0.05, 1.0))
@@ -263,7 +283,7 @@ class TestBasisFeatures:
         times = np.unique(np.asarray(raw, float))
         ev = EventData(dims_K=1, horizon_T=1.0, times=(times,))
         basis = HistogramBasis(A, j_bins)
-        feats = basis_features(ev, basis, 0, t)
+        feats = _features(ev, basis, 0, t)
         window = np.sum((times >= t - A) & (times < t))
         assert (A / j_bins) * feats.sum() == pytest.approx(float(window))
 
@@ -277,5 +297,5 @@ class TestBasisFeatures:
         assert mat.shape == (9, 5)
         for col, t in enumerate(ts):
             np.testing.assert_allclose(mat[0, col], 1.0)
-            np.testing.assert_allclose(mat[1:5, col], basis_features(ev, basis, 0, t))
-            np.testing.assert_allclose(mat[5:9, col], basis_features(ev, basis, 1, t))
+            np.testing.assert_allclose(mat[1:5, col], _brute_features(ev.times[0], basis, t))
+            np.testing.assert_allclose(mat[5:9, col], _brute_features(ev.times[1], basis, t))

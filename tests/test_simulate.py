@@ -9,7 +9,7 @@ from scipy import stats
 import _fixtures as fx
 from hawkes_vb import (EventData, HawkesParams, HistogramBasis, LinkFunction,
                        SimConfig, excursion_stats, simulate)
-from hawkes_vb.errors import SimulationDivergedError
+from hawkes_vb.errors import DomainError, SimulationDivergedError
 
 
 def _homogeneous(nu=10.0, theta=20.0, alpha=0.2, eta=10.0):
@@ -70,6 +70,12 @@ class TestSimulate:
         soft = LinkFunction("softplus", theta=1.0, alpha=1.0, eta=0.0)
         ev2 = simulate(SimConfig(params=params, link=soft, horizon_T=50.0, seed=8))
         assert ev2.total() > 0
+
+    def test_sequence_link_rejected(self):
+        # one link is shared by all dimensions
+        with pytest.raises(DomainError):
+            SimConfig(params=fx.sparse_truth(2), link=[fx.SIM_LINK, fx.SIM_LINK],
+                      horizon_T=10.0)
 
     def test_burn_in_keeps_initial_condition(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=fx.SIM_LINK,
