@@ -11,11 +11,14 @@ File formats
 events.csv   header ``dim,time``; 0-based dimension, time fixed to 6
              decimals, rows sorted by time.  Ingestion re-checks
              tie-freeness after rounding and jitters ties forward by 1e-9
-             (at least one ulp) with a warning.
+             (at least one ulp), or backward where forward would pass
+             horizon_T, with a warning.
 stats.json   event counts, excursion counts, seed.
 result.json  per-dimension posterior mean/cov (row-major), model weights,
              estimated graph, norm matrix, ELBO traces.  Byte-identical
-             for identical config+seed; wall-clock goes to timing.json.
+             for identical config+seed and any thread count.
+timing.json  wall-clock seconds, the task-pool size and whether BLAS was
+             held at one thread inside the fits.
 metrics.json risk, accuracies, per-edge L1 errors.
 h_{l}_{k}.csv plot data: grid x, posterior mean of h_lk, pointwise 2.5% and
              97.5% Gaussian quantiles.
@@ -32,12 +35,12 @@ import warnings
 import numpy as np
 import jsonschema
 
-from hawkes_vb import adaptive, metrics
+from hawkes_vb import _blas, adaptive, metrics
 from hawkes_vb.core import EventData, HawkesParams, HistogramBasis, LinkFunction
 from hawkes_vb.errors import ConfigError, DataError, HawkesVBError, NumericalError
 from hawkes_vb.gibbs import GibbsConfig, gibbs_sample
 from hawkes_vb.simulate import SimConfig, excursion_stats, simulate
-from hawkes_vb.vi import GaussianPrior, VIConfig
+from hawkes_vb.vi import GaussianPrior, VIConfig, usable_cores
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
@@ -216,17 +219,30 @@ def read_events_csv(path, dims_K, horizon_T):
                 times[d].append(t)
     except UnicodeDecodeError as exc:
         raise DataError(f"events file is not valid UTF-8: {exc}") from exc
-    seen = {}
+    seen = {}  # a dict: smaller than a set of the same floats
     for d in range(dims_K):
         for i, t in enumerate(times[d]):
-            while t in seen:
-                warnings.warn(f"tie at t={t:.6f} after rounding; jittering forward")
-                # 1e-9 is below half an ulp once |t| >= 2**24
-                t = max(t + 1e-9, math.nextafter(t, math.inf))
+            if t in seen:
+                t = _untie(t, seen, horizon_T)
             seen[t] = True
             times[d][i] = t
     arrays = tuple(np.sort(np.asarray(ts, dtype=np.float64)) for ts in times)
     return EventData(dims_K=dims_K, horizon_T=horizon_T, times=arrays)
+
+
+def _untie(t, seen, horizon_T):
+    """First free time stepping forward from a tie at t, or backward if that passes T."""
+    for sign, way in ((1.0, "forward"), (-1.0, "backward")):
+        u, steps = t, 0
+        while u in seen:
+            v = u + sign * 1e-9
+            # 1e-9 is below half an ulp once |t| >= 2**24
+            u = v if v != u else math.nextafter(u, sign * math.inf)
+            steps += 1
+        if u <= horizon_T or sign < 0:
+            for _ in range(steps):
+                warnings.warn(f"tie at t={t:.6f} after rounding; jittering {way}")
+            return u
 
 
 def _json_default(obj):
@@ -347,7 +363,8 @@ def cmd_fit(cfg):
     method = cfg.get("fit_method", "fixed")
     factory = _prior_factory(cfg)
     vic = VIConfig(max_iter=cfg["vi"]["max_iter"], tol=cfg["vi"]["tol"],
-                   n_quad=cfg["vi"]["n_quad"], threads=cfg.get("threads"))
+                   n_quad=cfg["vi"]["n_quad"],
+                   threads=cfg.get("threads") or usable_cores())
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
@@ -399,7 +416,11 @@ def cmd_fit(cfg):
         } for k in range(k_dims)]
     wall = time.perf_counter() - t_start
     _dump_json(os.path.join(out_dir, "result.json"), payload)
-    _dump_json(os.path.join(out_dir, "timing.json"), {"wall_clock_s": wall})
+    _dump_json(os.path.join(out_dir, "timing.json"), {
+        "wall_clock_s": wall,
+        "threads": 1 if method == "gibbs" else vic.threads,
+        "blas_threads_pinned": _blas.pinned(),
+    })
     return EXIT_OK
 
 
@@ -491,6 +512,8 @@ def main(argv=None):
             except ValueError as exc:
                 raise ConfigError("HAWKES_VB_THREADS must be an integer") from exc
         if threads is not None:
+            if threads < 1:
+                raise ConfigError(f"threads must be at least 1, got {threads}")
             cfg["threads"] = threads
         handler = {"simulate": cmd_simulate, "fit": cmd_fit, "eval": cmd_eval}
         return handler[args.command](cfg)

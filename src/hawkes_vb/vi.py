@@ -26,12 +26,14 @@ serves model comparison.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from hawkes_vb import _blas
 from hawkes_vb.core import SIGMOID, HistogramBasis, feature_matrix
 from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
 from hawkes_vb.pg import pg_mean
@@ -309,22 +311,38 @@ def _build_problem(cache, link, prior, memory_A, k, sources, j_bins):
                              cache.events.horizon_T)
 
 
+def usable_cores():
+    """Number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def fit_candidates(tasks, cache, link, prior, memory_A, max_iter, tol, threads=None):
     """Fit every task ``(k, sources, J)``; posteriors come back in task order.
 
     ``prior`` is a list of per-dimension GaussianPrior or a callable
-    ``prior(k, sources, J) -> GaussianPrior``.  The tasks are independent,
-    so with ``threads > 1`` they run in a thread pool; each fit is the same
-    computation either way, so results do not depend on the thread count.
+    ``prior(k, sources, J) -> GaussianPrior``.  The tasks are independent and
+    run in a pool of ``threads`` workers (default: the usable cores), never
+    more than there are tasks.  BLAS runs on one thread meanwhile, so
+    ``threads`` is the whole core budget, and each fit is the same
+    computation either way: results do not depend on any thread count.
     """
     def solve(task):
         problem = _build_problem(cache, link, prior, memory_A, *task)
         return _fit_dimension(problem, max_iter, tol)
 
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, tasks))
-    return [solve(task) for task in tasks]
+    if threads is None:
+        threads = usable_cores()
+    elif threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, len(tasks))
+    with _blas.single_threaded():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(solve, tasks))
+        return [solve(task) for task in tasks]
 
 
 def _model_tasks(model, dims):
@@ -355,7 +373,9 @@ def elbo(events, model, link, prior, posterior, quad, dims=None):
     if dims is None:
         dims = range(events.dims_K)
     total = 0.0
-    for task, post in zip(_model_tasks(model, dims), posterior):
-        problem = _build_problem(cache, link, prior, model.memory_A, *task)
-        total += problem.elbo(post.mean, post.cov, problem.moments(post.mean, post.cov))
+    with _blas.single_threaded():  # the BLAS the fits ran with, to the last bit
+        for task, post in zip(_model_tasks(model, dims), posterior):
+            problem = _build_problem(cache, link, prior, model.memory_A, *task)
+            total += problem.elbo(post.mean, post.cov,
+                                  problem.moments(post.mean, post.cov))
     return total

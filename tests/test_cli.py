@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import _fixtures as fx
-from hawkes_vb import cli, errors
+from hawkes_vb import _blas, cli, errors
 
 
 def _write(tmp_path, name, payload):
@@ -109,6 +109,66 @@ class TestConfigValidation:
                                      cli.EXIT_NUMERICAL)
 
 
+class TestThreads:
+    def _fit_config(self, tmp_path, T=10.0, **extra):
+        path = _sim_config(tmp_path, fx.sparse_truth(2), T, seed=4)
+        assert cli.main(["simulate", "--config", path]) == 0
+        cfg = {
+            "mode": "fit", "fit_method": "two-step",
+            "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
+            "memory_A": fx.MEMORY_A, "dims_K": 2, "horizon_T": T,
+            "events_csv": str(tmp_path / "out" / "events.csv"),
+            "adaptive": {"D_max": 1}, "out_dir": str(tmp_path / "fit"),
+        }
+        cfg.update(extra)
+        return _write(tmp_path, "fit.json", cfg)
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
+    def test_thread_count_below_one_is_exit_1(self, tmp_path, capsys, monkeypatch,
+                                              flag, env):
+        path = self._fit_config(tmp_path)
+        capsys.readouterr()
+        monkeypatch.delenv("HAWKES_VB_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("HAWKES_VB_THREADS", env)
+        argv = ["fit", "--config", path] + (["--threads", flag] if flag else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and "threads" in error["message"]
+        assert not (tmp_path / "fit" / "result.json").exists()
+
+    @pytest.mark.parametrize("threads", [None, 1, 2])
+    def test_timing_records_thread_settings(self, tmp_path, monkeypatch, threads):
+        monkeypatch.delenv("HAWKES_VB_THREADS", raising=False)
+        path = self._fit_config(tmp_path)
+        argv = ["fit", "--config", path] + (["--threads", str(threads)] if threads else [])
+        assert cli.main(argv) == 0
+        timing = json.loads((tmp_path / "fit" / "timing.json").read_text())
+        assert timing["threads"] == (threads or cli.usable_cores())
+        assert timing["blas_threads_pinned"] is _blas.pinned()
+        assert timing["wall_clock_s"] > 0.0
+
+    def test_result_independent_of_thread_settings(self, tmp_path):
+        # T=250 gives 12,500 quadrature nodes; OpenBLAS splits dot products
+        # longer than 10,000 across its threads, which changes their last bits
+        path = self._fit_config(tmp_path, T=250.0)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path_entries = [src, os.environ.get("PYTHONPATH")]
+        results = set()
+        for blas in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"fit_{blas}_{threads}"
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+                       "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+                done = subprocess.run(
+                    [sys.executable, "-W", "ignore", "-m", "hawkes_vb.cli", "fit",
+                     "--config", path, "--threads", threads, "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+                results.add((out / "result.json").read_bytes())
+        assert len(results) == 1
+
+
 class TestSimulateCommand:
     def test_writes_events_and_stats(self, tmp_path):
         path = _sim_config(tmp_path, fx.excitation_1d(), 20.0)
@@ -188,6 +248,23 @@ class TestEventsCsv:
         assert done.returncode == 0, done.stderr
         a, b = (float(x) for x in done.stdout.split())
         assert a == 2e7 and b > a
+
+
+    def test_tie_at_horizon_steps_backward(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("dim,time\n0,10.000000\n1,10.000000\n0,10.000000\n")
+        with pytest.warns(UserWarning, match="jittering backward"):
+            ev = cli.read_events_csv(str(path), 2, 10.0)
+        times = np.concatenate(ev.times)
+        assert np.unique(times).size == 3
+        assert times.max() == 10.0 and times.min() >= 10.0 - 1e-8
+
+    def test_tie_below_horizon_still_steps_forward(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("dim,time\n0,9.999999\n1,9.999999\n")
+        with pytest.warns(UserWarning, match="jittering forward"):
+            ev = cli.read_events_csv(str(path), 2, 10.0)
+        assert ev.times[1][0] == 9.999999 + 1e-9
 
 
 class TestFitCommand:
