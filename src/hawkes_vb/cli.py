@@ -186,12 +186,14 @@ def _truth_from(cfg):
 
 
 def write_events_csv(path, events):
+    """Write all events sorted by time, then dimension, one row each."""
+    times = np.concatenate(events.times)
+    dims = np.repeat(np.arange(events.dims_K), [t.size for t in events.times])
+    order = np.lexsort((dims, times))
+    rows = "".join(f"{k},{t:.6f}\n"
+                   for k, t in zip(dims[order].tolist(), times[order].tolist()))
     with open(path, "w") as fh:
-        fh.write("dim,time\n")
-        rows = [(t, k) for k in range(events.dims_K) for t in events.times[k]]
-        rows.sort()
-        for t, k in rows:
-            fh.write(f"{k},{t:.6f}\n")
+        fh.write("dim,time\n" + rows)
 
 
 def read_events_csv(path, dims_K, horizon_T):

@@ -9,6 +9,15 @@ from the largest positive kernel contribution each active event can still
 produce, which keeps the envelope valid until the next accepted event and
 the simulation exact.
 
+Both link kinds evaluate a candidate through one scalar drive: a table built
+once per run lists, for each source and refined kernel bin, only the nonzero
+(dimension, value) entries, and the drive starts from nu and adds those
+entries for every active event in window order.  That is the order of the
+dense column sum minus its ``+ 0.0`` adds, so the drive, and with it every
+accepted time, is bitwise the dense result.  Uniforms are drawn in blocks
+(``rng.random(n)`` yields the values of n successive ``rng.random()``
+calls), so the random stream is the scalar one.
+
 Also provides the renewal ("excursion") statistics of the generated data: a
 renewal happens at t when the window [t-A, t) contains an event but (t-A, t]
 does not, i.e. exactly A after an event followed by a gap longer than A.
@@ -71,6 +80,45 @@ def _refined_kernel_values(params):
     return vals, j_star
 
 
+def _sparse_columns(vals):
+    """cols[l][r] = [(k, h_lk on refined bin r+1) for every nonzero entry].
+
+    One extra entry repeats the last bin: a lag of at most A can round to
+    just past the last bin edge, and lands there without a clamp.
+    """
+    cols = []
+    for v in vals:
+        col = [[(k, float(x)) for k, x in enumerate(v[:, r]) if x != 0.0]
+               for r in range(v.shape[1])]
+        cols.append(col + col[-1:])
+    return cols
+
+
+def _drive(t, nu, windows, cols, a, bin_scale):
+    """Linear drive of every dimension at t, after pruning expired events.
+
+    Adds the nonzero entries in window order, so the result is bitwise the
+    dense column sum (see the module docstring).
+    """
+    ceil = math.ceil
+    drive = list(nu)
+    for win, col in zip(windows, cols):
+        while win and t - win[0] > a:
+            win.popleft()
+        for s in win:
+            lag = t - s
+            if lag > 0.0:
+                for k, x in col[ceil(lag * bin_scale) - 1]:
+                    drive[k] += x
+    return drive
+
+
+def _uniforms(rng):
+    """The stream of successive ``rng.random()`` values, drawn in blocks."""
+    while True:
+        yield from rng.random(4096).tolist()
+
+
 def simulate(config):
     """Draw one realisation; returns EventData on [-A, T]."""
     params = config.params
@@ -79,9 +127,10 @@ def simulate(config):
     a = params.memory_A
     horizon = float(config.horizon_T)
     burn_in = a if config.burn_in is None else float(config.burn_in)
-    rng = np.random.default_rng(config.seed)
+    uniforms = _uniforms(np.random.default_rng(config.seed))
 
     vals, j_star = _refined_kernel_values(params)
+    cols = _sparse_columns(vals)
     bounded = link.is_bounded
     if bounded:
         # summed term by term: K * theta can round differently and move every draw
@@ -92,7 +141,7 @@ def simulate(config):
         suffmax = [np.maximum.accumulate(np.maximum(v, 0.0)[:, ::-1], axis=1)[:, ::-1]
                    for v in vals]
 
-    nu = params.nu
+    nu = params.nu.astype(np.float64).tolist()
     windows = [deque() for _ in range(k_dims)]  # active events per source dim
     events = [[] for _ in range(k_dims)]
     n_accepted = 0
@@ -104,7 +153,7 @@ def simulate(config):
         if bounded:
             bound = const_bound
         else:
-            head = nu.astype(np.float64).copy()
+            head = np.array(nu)
             for l in range(k_dims):
                 win = windows[l]
                 while win and t - win[0] > a:
@@ -116,32 +165,19 @@ def simulate(config):
                     head += suffmax[l][:, r - 1]
             bound = max(sum(link(head[k]) for k in range(k_dims)), 1e-12)
 
-        t += -math.log(1.0 - rng.random()) / bound
+        t += -math.log(1.0 - next(uniforms)) / bound
         if t > horizon:
             break
 
-        lams = []
+        lams = [link(x) for x in _drive(t, nu, windows, cols, a, bin_scale)]
         lam_total = 0.0
-        for l in range(k_dims):
-            win = windows[l]
-            while win and t - win[0] > a:
-                win.popleft()
-        drive = nu.astype(np.float64).copy()
-        for l in range(k_dims):
-            cols = vals[l]
-            for s in windows[l]:
-                lag = t - s
-                if lag > 0.0:
-                    drive += cols[:, min(int(math.ceil(lag * bin_scale)), j_star) - 1]
-        for k in range(k_dims):
-            v = link(drive[k])
-            lams.append(v)
+        for v in lams:  # in order: sum() compensates on Python >= 3.12
             lam_total += v
         if lam_total > bound * (1.0 + 1e-9):
             raise SimulationDivergedError(
                 "dominating bound violated; thinning envelope is invalid")
 
-        u = rng.random() * bound
+        u = next(uniforms) * bound
         if u < lam_total:
             acc = 0.0
             for k in range(k_dims):

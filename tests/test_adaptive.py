@@ -160,7 +160,7 @@ class TestFullyAdaptive:
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=30.0, seed=7))
         subs = enumerate_submodels(2, 1)
         serial = fully_adaptive(ev, subs, LINK, _prior_factory,
-                                VIConfig(tol=1e-4), memory_A=fx.MEMORY_A)
+                                VIConfig(tol=1e-4, threads=1), memory_A=fx.MEMORY_A)
         threaded = fully_adaptive(ev, subs, LINK, _prior_factory,
                                   VIConfig(tol=1e-4, threads=2), memory_A=fx.MEMORY_A)
         for k in range(2):

@@ -231,6 +231,19 @@ class TestEventsCsv:
             ev = cli.read_events_csv(str(path), 2, 10.0)
         assert ev.times[0][0] != ev.times[1][0]
 
+    def test_writer_orders_rows_by_time_then_dimension(self, tmp_path):
+        # dim 1 at 0.9999999 precedes dim 0 at 1.0 though both print 1.000000
+        ev = cli.EventData(dims_K=3, horizon_T=5.0,
+                           times=(np.array([-0.05, 1.0, 2.0]),
+                                  np.array([0.9999999, 1.5]), np.array([])))
+        path = tmp_path / "e.csv"
+        cli.write_events_csv(str(path), ev)
+        assert path.read_text() == ("dim,time\n0,-0.050000\n1,1.000000\n"
+                                    "0,1.000000\n1,1.500000\n0,2.000000\n")
+        empty = cli.EventData(dims_K=2, horizon_T=5.0, times=(np.array([]),) * 2)
+        cli.write_events_csv(str(path), empty)
+        assert path.read_text() == "dim,time\n"
+
     def test_tie_jitter_terminates_at_large_times(self, tmp_path):
         # 1e-9 is below half an ulp at 2e7; the read runs in a child process
         # so that a hang fails the test instead of stalling the suite

@@ -1,6 +1,8 @@
 """Thinning simulator: homogeneous reduction, determinism, renewal counts."""
 
+import hashlib
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,6 +19,24 @@ def _homogeneous(nu=10.0, theta=20.0, alpha=0.2, eta=10.0):
     basis = HistogramBasis(fx.MEMORY_A, 1)
     params = HawkesParams.build([nu], [[None]], basis)
     return params, link, link(nu)
+
+
+def _unbounded_params():
+    basis = HistogramBasis(fx.MEMORY_A, 2)
+    return HawkesParams.build([1.0], [[np.array([0.02, 0.01])]], basis)
+
+
+_RELU = LinkFunction("relu", theta=1.0, alpha=1.0, eta=0.0, theta_base=0.001)
+_SOFTPLUS = LinkFunction("softplus", theta=1.0, alpha=1.0, eta=0.0)
+
+
+def _digest(events):
+    """SHA-256 over each dimension's event count and float64 time bytes."""
+    h = hashlib.sha256()
+    for arr in events.times:
+        h.update(np.int64(arr.size).tobytes())
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 class TestSimulate:
@@ -60,15 +80,12 @@ class TestSimulate:
 
     def test_unbounded_links_run(self):
         # lookahead bound keeps ReLU/softplus exact for stable parameters
-        basis = HistogramBasis(fx.MEMORY_A, 2)
-        params = HawkesParams.build([1.0], [[np.array([0.02, 0.01])]], basis)
-        relu = LinkFunction("relu", theta=1.0, alpha=1.0, eta=0.0, theta_base=0.001)
-        ev = simulate(SimConfig(params=params, link=relu, horizon_T=100.0, seed=8))
+        params = _unbounded_params()
+        ev = simulate(SimConfig(params=params, link=_RELU, horizon_T=100.0, seed=8))
         rate = ev.total() / 100.0
         # sub-critical linear Hawkes: mean rate ~ nu / (1 - ||h||_1)
         assert 0.6 < rate < 1.6
-        soft = LinkFunction("softplus", theta=1.0, alpha=1.0, eta=0.0)
-        ev2 = simulate(SimConfig(params=params, link=soft, horizon_T=50.0, seed=8))
+        ev2 = simulate(SimConfig(params=params, link=_SOFTPLUS, horizon_T=50.0, seed=8))
         assert ev2.total() > 0
 
     def test_sequence_link_rejected(self):
@@ -82,6 +99,92 @@ class TestSimulate:
                                 horizon_T=30.0, seed=21, burn_in=1.0))
         assert np.all(ev.times[0] >= -fx.MEMORY_A)
         assert np.any(ev.times[0] < 0.0)
+
+
+def _generic_params():
+    # per-target bin counts 2, 3, 4 (refined grid of 12), signed weights
+    # whose partial sums round differently in different orders
+    bases = [HistogramBasis(fx.MEMORY_A, j) for j in (2, 3, 4)]
+    w = [[np.array([0.213, -0.071]), np.array([0.117, 0.093, -0.041]), None],
+         [np.array([0.061, 0.029]), None, np.array([0.137, 0.089, 0.053, -0.027])],
+         [None, np.array([-0.083, 0.151, 0.067]), np.array([0.191, 0.113, 0.047, 0.019])]]
+    return HawkesParams.build([3.3, 2.7, 4.1], w, bases)
+
+
+def _dense_drive(t, params, windows):
+    """Reference: nu plus one dense refined-kernel column per active event."""
+    from hawkes_vb.simulate import _refined_kernel_values
+
+    vals, j_star = _refined_kernel_values(params)
+    a = params.memory_A
+    bin_scale = j_star / a
+    drive = params.nu.astype(np.float64).copy()
+    for l, win in enumerate(windows):
+        for s in win:
+            lag = t - s
+            if 0.0 < lag and not lag > a:
+                drive += vals[l][:, min(int(math.ceil(lag * bin_scale)), j_star) - 1]
+    return drive
+
+
+def _edge_params():
+    # at A = 0.3 and J = 7, a lag of exactly A times J / A rounds above 7
+    basis = HistogramBasis(0.3, 7)
+    return HawkesParams.build(
+        [1.3], [[np.array([0.31, 0.17, 0.13, 0.11, 0.07, 0.05, 0.03])]], basis)
+
+
+@pytest.mark.parametrize("make_params", [_generic_params, _edge_params],
+                         ids=["generic_k3", "lag_a_past_last_edge"])
+def test_sparse_drive_is_bitwise_the_dense_sum(make_params):
+    from hawkes_vb.simulate import _drive, _refined_kernel_values, _sparse_columns
+
+    params = make_params()
+    a = params.memory_A
+    vals, j_star = _refined_kernel_values(params)
+    cols = _sparse_columns(vals)
+    rng = np.random.default_rng(11)
+    for i in range(500):
+        t = 0.0 if i == 0 else rng.uniform(1.0, 2.0)
+        # events up to 1.5 A back, so the drive prunes some; lags 0 and A exact
+        windows = [sorted(rng.uniform(t - 1.5 * a, t, rng.integers(0, 15)).tolist())
+                   for _ in range(params.dims_K)]
+        windows[0] = sorted(windows[0] + [t - a, t])
+        got = _drive(t, params.nu.tolist(), [deque(w) for w in windows], cols,
+                     a, j_star / a)
+        np.testing.assert_array_equal(got, _dense_drive(t, params, windows))
+
+
+# Pinned output bytes: a change to the thinning loop must reproduce the
+# random stream and every floating-point add of the drive exactly.
+_GOLDEN = {
+    "sparse_k10": (
+        lambda: SimConfig(params=fx.sparse_truth(10), link=fx.SIM_LINK,
+                          horizon_T=20.0, seed=1),
+        "cd2a307f27e8956bf4a393e73db98be41de33c585ee3a5b7e6af4f317250a45c"),
+    "mixed_1d": (
+        lambda: SimConfig(params=fx.mixed_1d(), link=fx.SIM_LINK,
+                          horizon_T=50.0, seed=1),
+        "0b1c802b8dfda2569c7aa511a3fb00d3e4b1ff284c661b0746f6fada2ca77977"),
+    "burn_in": (
+        lambda: SimConfig(params=fx.excitation_1d(), link=fx.SIM_LINK,
+                          horizon_T=20.0, seed=21, burn_in=1.0),
+        "dcdbacdda947390ad4a25a2c51bcdbdc1cafa6363f36a9c71a391fdf7f981e9c"),
+    "relu": (
+        lambda: SimConfig(params=_unbounded_params(), link=_RELU,
+                          horizon_T=100.0, seed=8),
+        "16f37e459634849840f573c05e33f22479295e70d4cc88630e2e4cc4c2a322f3"),
+    "softplus": (
+        lambda: SimConfig(params=_unbounded_params(), link=_SOFTPLUS,
+                          horizon_T=50.0, seed=8),
+        "c977a7400435119cc1236175771c402d3ecf280dfa84adca28ec88f4808e7b18"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_golden_output_bytes(case):
+    make_config, expected = _GOLDEN[case]
+    assert _digest(simulate(make_config())) == expected
 
 
 class TestPaperScaleCounts:

@@ -134,7 +134,7 @@ class TestCaviFixedModel:
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=30.0, seed=7))
         quad = QuadratureGrid.default(30.0, fx.MEMORY_A)
         priors = [GaussianPrior.isotropic(5, 5.0)] * 2
-        serial = cavi_fixed_model(ev, _model(2, 2), LINK, priors, quad)
+        serial = cavi_fixed_model(ev, _model(2, 2), LINK, priors, quad, threads=1)
         threaded = cavi_fixed_model(ev, _model(2, 2), LINK, priors, quad, threads=2)
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.mean, b.mean)
