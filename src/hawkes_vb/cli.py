@@ -21,13 +21,18 @@ timing.json  wall-clock seconds, the task-pool size and whether BLAS was
              held at one thread inside the fits.
 metrics.json risk, accuracies, per-edge L1 errors.
 h_{l}_{k}.csv plot data: grid x, posterior mean of h_lk, pointwise 2.5% and
-             97.5% Gaussian quantiles.
+             97.5% Gaussian quantiles.  A fit removes the plot files of
+             edges it did not select (a Gibbs fit removes them all).
+
+Output files are overwritten in place: the old file is cut to the new
+length, never truncated to zero, replaced or unlinked first.
 """
 
 import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -127,6 +132,8 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 _DEFAULTS = {
     "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.1, "eta": 10.0,
              "theta_base": 0.001},
@@ -145,10 +152,9 @@ def load_config(path):
             raw = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     cfg = {}
     for key, val in _DEFAULTS.items():
         if isinstance(val, dict):
@@ -192,8 +198,7 @@ def write_events_csv(path, events):
     order = np.lexsort((dims, times))
     rows = "".join(f"{k},{t:.6f}\n"
                    for k, t in zip(dims[order].tolist(), times[order].tolist()))
-    with open(path, "w") as fh:
-        fh.write("dim,time\n" + rows)
+    _write_text(path, "dim,time\n" + rows)
 
 
 def read_events_csv(path, dims_K, horizon_T):
@@ -255,10 +260,22 @@ def _json_default(obj):
     raise TypeError(f"not serialisable: {type(obj)}")
 
 
+def _write_text(path, text):
+    """Write text to path as UTF-8, overwriting an existing file in place.
+
+    The file is opened without O_TRUNC and cut at the end of the new text, so
+    a rewrite of the same or a longer text frees no disk blocks.  On a
+    filesystem that discards freed blocks, truncating, replacing or unlinking
+    a written-back file blocks the caller for tens of milliseconds.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def _dump_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                 default=_json_default) + "\n")
 
 
 def _simulate_truth(cfg):
@@ -332,9 +349,14 @@ def _posterior_payload(result):
     return dims
 
 
+_PLOT_CSV = re.compile(r"h_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)\.csv")
+
+
 def _write_plot_csvs(out_dir, result, memory_A, n_grid=101):
+    """Write h_{l}_{k}.csv for every selected edge and remove the others."""
     k_dims = len(result.per_dim)
     grid = np.linspace(0.0, memory_A, n_grid)
+    written = set()
     for k in range(k_dims):
         sm = result.selected_submodel(k)
         post = result.selected_posterior(k)
@@ -348,11 +370,19 @@ def _write_plot_csvs(out_dir, result, memory_A, n_grid=101):
             sd_h = np.sqrt(np.maximum(np.diag(post.cov)[rows][idx], 0.0)) * height
             lo = mean_h - 1.959963984540054 * sd_h
             hi = mean_h + 1.959963984540054 * sd_h
-            path = os.path.join(out_dir, f"h_{l}_{k}.csv")
-            with open(path, "w") as fh:
-                fh.write("x,mean,lo,hi\n")
-                for x, m, a, b in zip(grid, mean_h, lo, hi):
-                    fh.write(f"{x:.6f},{float(m)!r},{float(a)!r},{float(b)!r}\n")
+            name = f"h_{l}_{k}.csv"
+            _write_text(os.path.join(out_dir, name), "x,mean,lo,hi\n" + "".join(
+                f"{x:.6f},{float(m)!r},{float(a)!r},{float(b)!r}\n"
+                for x, m, a, b in zip(grid, mean_h, lo, hi)))
+            written.add(name)
+    _remove_plot_csvs(out_dir, keep=written)
+
+
+def _remove_plot_csvs(out_dir, keep=frozenset()):
+    """Delete the plot CSVs in out_dir whose names are not in keep."""
+    for name in os.listdir(out_dir):
+        if _PLOT_CSV.fullmatch(name) and name not in keep:
+            os.unlink(os.path.join(out_dir, name))
 
 
 def cmd_fit(cfg):
@@ -409,6 +439,7 @@ def cmd_fit(cfg):
         chain = gibbs_sample(events, gc, link, model,
                              [factory(k, list(range(k_dims)), j)
                               for k in range(k_dims)])
+        _remove_plot_csvs(out_dir)
         payload["delta_hat"] = model.graph_delta.tolist()
         payload["bins_J"] = list(model.bins_J)
         payload["dimensions"] = [{

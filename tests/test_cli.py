@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -96,6 +97,10 @@ class TestConfigValidation:
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
         error = _error_of(capsys)
         assert error["type"] == "ConfigError" and "weights" in error["message"]
+
+    def test_config_schema_is_a_valid_schema(self):
+        # load_config validates with a prebuilt validator, which skips this check
+        jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
 
     def test_every_package_error_has_a_documented_code(self):
         pending, seen = [errors.HawkesVBError], []
@@ -419,6 +424,111 @@ class TestFitCommand:
         assert error == {"code": cli.EXIT_CONFIG, "type": "ConfigError",
                          "message": error["message"]}
         assert not (tmp_path / "g" / "result.json").exists()
+
+
+def _fixed_fit_config(tmp_path, depth, name="fit.json", **extra):
+    """A fixed-depth K=1 fit of a simulated excitation_1d file on [0, 30]."""
+    sim = _sim_config(tmp_path, fx.excitation_1d(), 30.0)
+    assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "data")]) == 0
+    cfg = {
+        "mode": "fit", "fit_method": "fixed",
+        "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
+        "memory_A": fx.MEMORY_A, "dims_K": 1, "horizon_T": 30.0,
+        "events_csv": str(tmp_path / "data" / "events.csv"),
+        "basis": {"D": depth}, "out_dir": str(tmp_path / "fit"),
+    }
+    cfg.update(extra)
+    return _write(tmp_path, name, cfg)
+
+
+def _plot_csvs(out_dir):
+    return {p.name for p in out_dir.glob("h_*.csv")}
+
+
+class TestOutputFiles:
+    def test_write_text_creates_and_cuts_a_longer_tail(self, tmp_path):
+        path = tmp_path / "x.txt"
+        cli._write_text(str(path), "a longer first text\n" * 50)
+        inode = os.stat(path).st_ino
+        cli._write_text(str(path), "short\n")
+        assert path.read_bytes() == b"short\n"
+        cli._write_text(str(path), "")
+        assert path.read_bytes() == b""
+        cli._write_text(str(path), "caf\u00e9\n")
+        assert path.read_bytes() == "caf\u00e9\n".encode("utf-8")
+        assert os.stat(path).st_ino == inode
+
+    def test_shorter_simulation_overwrites_in_place(self, tmp_path):
+        params = fx.excitation_1d()
+        path = _sim_config(tmp_path, params, 20.0)
+        assert cli.main(["simulate", "--config", path]) == 0
+        events = tmp_path / "out" / "events.csv"
+        inode = os.stat(events).st_ino
+        longer = events.read_bytes()
+        path = _sim_config(tmp_path, params, 10.0)
+        assert cli.main(["simulate", "--config", path]) == 0
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "fresh")]) == 0
+        fresh = (tmp_path / "fresh" / "events.csv").read_bytes()
+        assert len(fresh) < len(longer) and events.read_bytes() == fresh
+        assert os.stat(events).st_ino == inode
+
+    def test_shrinking_result_overwrites_in_place(self, tmp_path):
+        assert cli.main(["fit", "--config", _fixed_fit_config(tmp_path, 2)]) == 0
+        out = tmp_path / "fit"
+        inodes = {name: os.stat(out / name).st_ino
+                  for name in ("result.json", "h_0_0.csv")}
+        larger = (out / "result.json").read_bytes()
+        path = _fixed_fit_config(tmp_path, 0)
+        assert cli.main(["fit", "--config", path]) == 0
+        assert cli.main(["fit", "--config", path, "--out", str(tmp_path / "fresh")]) == 0
+        for name in ("result.json", "h_0_0.csv"):
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (out / name).read_bytes() == fresh
+            assert os.stat(out / name).st_ino == inodes[name]
+        assert len((out / "result.json").read_bytes()) < len(larger)
+
+    def test_result_path_that_is_a_directory_is_exit_2(self, tmp_path, capsys):
+        path = _fixed_fit_config(tmp_path, 1)
+        (tmp_path / "fit" / "result.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_IO
+        error = _error_of(capsys)
+        assert error["code"] == cli.EXIT_IO and error["type"] == "IsADirectoryError"
+
+    def test_refit_removes_plot_csvs_of_dropped_edges(self, tmp_path):
+        sim = _sim_config(tmp_path, fx.sparse_truth(2), 20.0, seed=4)
+        assert cli.main(["simulate", "--config", sim]) == 0
+        cfg = {
+            "mode": "fit", "fit_method": "two-step",
+            "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
+            "memory_A": fx.MEMORY_A, "dims_K": 2, "horizon_T": 20.0,
+            "events_csv": str(tmp_path / "out" / "events.csv"),
+            "adaptive": {"D_max": 1, "threshold": -1.0},
+            "out_dir": str(tmp_path / "fit"),
+        }
+        out = tmp_path / "fit"
+        out.mkdir()
+        for keep in ("h_01_0.csv", "h_0_x.csv", "notes.txt"):
+            (out / keep).write_text("not a plot of this fit\n")
+        assert cli.main(["fit", "--config", _write(tmp_path, "a.json", cfg)]) == 0
+        complete = {"h_0_0.csv", "h_0_1.csv", "h_1_0.csv", "h_1_1.csv"}
+        assert _plot_csvs(out) == complete | {"h_01_0.csv", "h_0_x.csv"}
+
+        s_hat = json.loads((out / "result.json").read_text())["s_hat"]
+        cfg["adaptive"]["threshold"] = sorted(np.ravel(s_hat))[1]
+        assert cli.main(["fit", "--config", _write(tmp_path, "b.json", cfg)]) == 0
+        delta = json.loads((out / "result.json").read_text())["delta_hat"]
+        selected = {f"h_{l}_{k}.csv" for l in range(2) for k in range(2)
+                    if delta[l][k]}
+        assert 0 < len(selected) < len(complete)
+        assert _plot_csvs(out) == selected | {"h_01_0.csv", "h_0_x.csv"}
+
+        cfg.update(fit_method="gibbs", basis={"D": 1},
+                   gibbs={"n_iter": 4, "burn_in": 1})
+        assert cli.main(["fit", "--config", _write(tmp_path, "c.json", cfg)]) == 0
+        assert _plot_csvs(out) == {"h_01_0.csv", "h_0_x.csv"}
+        assert (out / "notes.txt").exists()
 
 
 class TestEvalCommand:
