@@ -5,8 +5,9 @@ dimension; since the posterior factorises over receiving dimensions, the
 candidate grid is enumerated per dimension as all pairs (column in {0,1}^K,
 depth D in 0..D_max), with the empty column listed once.  Each sub-model is
 fitted by coordinate-ascent VI and scored by its evidence lower bound; model
-weights are softmax(log prior + ELBO) per dimension and are reported, while
-the fit goes on with the selected (highest-bound) candidate.
+weights are softmax(log prior + ELBO) per dimension under a uniform prior over
+the candidates and are reported, while the fit goes on with the selected
+(highest-bound) candidate.
 
 The two-step procedure avoids the exponential column enumeration: step one
 fits depth-adaptive models under the complete graph, thresholds the
@@ -90,31 +91,12 @@ def enumerate_submodels(dims_K, max_depth, column=None):
     return out
 
 
-def uniform_log_prior(submodels):
-    """Uniform prior over the per-dimension candidate list."""
-    return np.full(len(submodels), -math.log(len(submodels)))
-
-
-def bernoulli_log_prior(submodels, p=0.5, max_depth=None):
-    """Independent Bernoulli(p) edges times a uniform depth prior."""
-    depths = {s.depth for s in submodels}
-    n_depth = (max_depth + 1) if max_depth is not None else len(depths)
-    out = np.empty(len(submodels))
-    for i, s in enumerate(submodels):
-        n_on = sum(s.column)
-        out[i] = (n_on * math.log(p)
-                  + (len(s.column) - n_on) * math.log1p(-p)
-                  - math.log(n_depth))
-    return out
-
-
 @dataclass(frozen=True)
 class DimensionWeights:
     """Scored candidates of one dimension (ModelWeights entry)."""
 
     submodels: tuple
     elbos: np.ndarray
-    log_priors: np.ndarray
     weights: np.ndarray
     selected: int
 
@@ -199,7 +181,7 @@ def _log_sum_exp_weights(scores):
 
 
 def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
-                   memory_A=None, log_prior=None, quad=None, cache=None):
+                   memory_A=None, quad=None, cache=None):
     """Fit every candidate sub-model of every dimension and score by ELBO.
 
     ``model_set`` is one candidate list shared by all dimensions or a
@@ -219,7 +201,7 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
     if memory_A is None:
         raise DomainError("memory_A is required")
     if quad is None:
-        quad = QuadratureGrid.default(events.horizon_T, memory_A, vi_config.n_quad)
+        quad = QuadratureGrid.default(events.horizon_T, memory_A)
     if cache is None:
         cache = FeatureCache(events, quad)
 
@@ -234,14 +216,11 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
         subs = tuple(per_dim_sets[k])
         posts = tuple(next(fits) for _ in subs)
         elbos = np.array([p.elbo for p in posts])
-        lp = (log_prior(subs) if callable(log_prior)
-              else uniform_log_prior(subs) if log_prior is None
-              else np.asarray(log_prior[k]))
-        weights = _log_sum_exp_weights(elbos + lp)
+        log_prior = np.full(len(subs), -math.log(len(subs)))  # uniform
+        weights = _log_sum_exp_weights(elbos + log_prior)
         sel = _select_index(elbos, subs)
         dim_results.append(DimensionWeights(submodels=subs, elbos=elbos,
-                                            log_priors=lp, weights=weights,
-                                            selected=sel))
+                                            weights=weights, selected=sel))
         dim_posteriors.append(posts)
     return AdaptiveResult(per_dim=tuple(dim_results),
                           posteriors=tuple(dim_posteriors), memory_A=memory_A)
@@ -290,7 +269,7 @@ def two_step(events, link, max_depth, prior_factory, vi_config=None,
     if vi_config is None:
         vi_config = VIConfig()
     k_dims = events.dims_K
-    quad = QuadratureGrid.default(events.horizon_T, memory_A, vi_config.n_quad)
+    quad = QuadratureGrid.default(events.horizon_T, memory_A)
     cache = FeatureCache(events, quad)
 
     complete = enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)

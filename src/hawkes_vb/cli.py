@@ -4,7 +4,11 @@ Subcommands: ``hawkes-vb simulate|fit|eval --config cfg.json [--seed N]
 [--out DIR] [--threads N]``.  Exit codes: 0 success, 1 config error, 2 I/O
 error, 3 data error, 4 numerical failure; every package error carries its
 code (see ``hawkes_vb.errors``), and failures additionally emit a
-machine-readable ``{"error": {...}}`` object on stderr.
+machine-readable ``{"error": {...}}`` object on stderr.  A ``truth`` section
+that does not fit its ``bins_J`` or ``dims_K`` is a config error, and so is a
+fit depth (``basis.D`` or ``adaptive.D_max``) whose bins memory_A/2^D are
+finer than the 1e-6 resolution of event times; the depth is checked before
+any event is read or simulated.
 
 File formats
 ------------
@@ -18,8 +22,10 @@ result.json  per-dimension posterior mean/cov (row-major), model weights,
              estimated graph, norm matrix, ELBO traces.  Byte-identical
              for identical config+seed and any thread count.
 timing.json  wall-clock seconds, the task-pool size and whether BLAS was
-             held at one thread inside the fits.
-metrics.json risk, accuracies, per-edge L1 errors.
+             held at one thread inside the fits and the Gibbs sweeps.
+metrics.json risk, accuracies, per-edge L1 errors (``metrics.evaluate``;
+             a Gibbs result is scored with the diagonal covariance of its
+             marginal sds).
 h_{l}_{k}.csv plot data: grid x, posterior mean of h_lk, pointwise 2.5% and
              97.5% Gaussian quantiles.  A fit removes the plot files of
              edges it did not select (a Gibbs fit removes them all).
@@ -29,6 +35,7 @@ length, never truncated to zero, replaced or unlinked first.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,6 +43,7 @@ import re
 import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import jsonschema
@@ -52,6 +60,8 @@ EXIT_CONFIG = ConfigError.exit_code
 EXIT_IO = 2
 EXIT_DATA = DataError.exit_code
 EXIT_NUMERICAL = NumericalError.exit_code
+
+_TIME_RESOLUTION = 1e-6  # events.csv stores times to 6 decimals
 
 _LINK_SCHEMA = {
     "type": "object",
@@ -104,8 +114,7 @@ CONFIG_SCHEMA = {
         "vi": {
             "type": "object",
             "properties": {"max_iter": {"type": "integer", "minimum": 1},
-                           "tol": {"type": "number", "exclusiveMinimum": 0},
-                           "n_quad": {"type": ["integer", "null"], "minimum": 1}},
+                           "tol": {"type": "number", "exclusiveMinimum": 0}},
             "additionalProperties": False,
         },
         "adaptive": {
@@ -138,7 +147,7 @@ _DEFAULTS = {
     "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.1, "eta": 10.0,
              "theta_base": 0.001},
     "prior": {"mu": 0.0, "sigma": 5.0},
-    "vi": {"max_iter": 100, "tol": 1e-3, "n_quad": None},
+    "vi": {"max_iter": 100, "tol": 1e-3},
     "adaptive": {"D_max": 3, "threshold": "auto"},
     "gibbs": {"n_iter": 3000, "burn_in": 500, "thin": 1},
     "seed": 0,
@@ -175,20 +184,13 @@ def _truth_from(cfg):
     t = cfg.get("truth")
     if t is None:
         raise ConfigError("this mode requires a 'truth' section")
-    k = cfg["dims_K"]
-    if len(t["nu"]) != k:
+    if len(t["nu"]) != cfg["dims_K"]:
         raise ConfigError("truth.nu length must equal dims_K")
-    if len(t["weights"]) != k or any(len(row) != k for row in t["weights"]):
-        raise ConfigError("truth.weights must be a dims_K x dims_K table")
-    basis = HistogramBasis(cfg["memory_A"], t["bins_J"])
-    weights = []
-    for l in range(k):
-        row = []
-        for kk in range(k):
-            w = t["weights"][l][kk]
-            row.append(None if w is None else np.asarray(w, dtype=np.float64))
-        weights.append(row)
-    return HawkesParams.build(t["nu"], weights, basis)
+    try:
+        return HawkesParams.build(t["nu"], t["weights"],
+                                  HistogramBasis(cfg["memory_A"], t["bins_J"]))
+    except DataError as exc:
+        raise ConfigError(f"truth: {exc}") from exc
 
 
 def write_events_csv(path, events):
@@ -385,17 +387,31 @@ def _remove_plot_csvs(out_dir, keep=frozenset()):
             os.unlink(os.path.join(out_dir, name))
 
 
+def _fit_depth(cfg, method):
+    """Deepest histogram the fit uses; bins must not be finer than event times."""
+    if method in ("fixed", "gibbs"):
+        if "D" not in cfg.get("basis", {}):
+            raise ConfigError(f"{method} fit requires basis.D")
+        depth, key = cfg["basis"]["D"], "basis.D"
+    else:
+        depth, key = cfg["adaptive"]["D_max"], "adaptive.D_max"
+    if math.ldexp(cfg["memory_A"], -depth) < _TIME_RESOLUTION:
+        raise ConfigError(f"{key}={depth} makes bins of memory_A/2^{depth}, finer than "
+                          f"the {_TIME_RESOLUTION:g} resolution of event times")
+    return depth
+
+
 def cmd_fit(cfg):
+    method = cfg.get("fit_method", "fixed")
+    depth = _fit_depth(cfg, method)
     events = _load_events(cfg)
     link = _link_from(cfg)
     if link.kind != "sigmoid":
         raise ConfigError("fitting requires the sigmoid link")
     memory_A = cfg["memory_A"]
     k_dims = cfg["dims_K"]
-    method = cfg.get("fit_method", "fixed")
     factory = _prior_factory(cfg)
     vic = VIConfig(max_iter=cfg["vi"]["max_iter"], tol=cfg["vi"]["tol"],
-                   n_quad=cfg["vi"]["n_quad"],
                    threads=cfg.get("threads") or usable_cores())
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -405,21 +421,16 @@ def cmd_fit(cfg):
                "memory_A": memory_A}
     if method in ("fixed", "adaptive", "two-step"):
         if method == "fixed":
-            if "basis" not in cfg:
-                raise ConfigError("fixed fit requires basis.D")
-            subs = [adaptive.SubModel(column=(1,) * k_dims,
-                                      depth=cfg["basis"]["D"])]
+            subs = [adaptive.SubModel(column=(1,) * k_dims, depth=depth)]
             result = adaptive.fully_adaptive(events, subs, link, factory, vic,
                                              memory_A=memory_A)
         elif method == "adaptive":
-            subs = adaptive.enumerate_submodels(k_dims, cfg["adaptive"]["D_max"])
+            subs = adaptive.enumerate_submodels(k_dims, depth)
             result = adaptive.fully_adaptive(events, subs, link, factory, vic,
                                              memory_A=memory_A)
         else:
-            thr = cfg["adaptive"]["threshold"]
-            two = adaptive.two_step(events, link, cfg["adaptive"]["D_max"],
-                                    factory, vic, memory_A=memory_A,
-                                    threshold="auto" if thr == "auto" else thr)
+            two = adaptive.two_step(events, link, depth, factory, vic, memory_A=memory_A,
+                                    threshold=cfg["adaptive"]["threshold"])
             result = two.step2
             payload["s_hat"] = two.graph.s_hat.tolist()
             payload["threshold"] = two.graph.threshold
@@ -428,9 +439,7 @@ def cmd_fit(cfg):
         payload["dimensions"] = _posterior_payload(result)
         _write_plot_csvs(out_dir, result, memory_A)
     elif method == "gibbs":
-        if "basis" not in cfg:
-            raise ConfigError("gibbs fit requires basis.D")
-        j = 2 ** cfg["basis"]["D"]
+        j = 2 ** depth
         model = adaptive.Model(graph_delta=np.ones((k_dims, k_dims), dtype=np.int8),
                                bins_J=(j,) * k_dims, memory_A=memory_A)
         gc = GibbsConfig(n_iter=cfg["gibbs"]["n_iter"],
@@ -485,32 +494,15 @@ def cmd_eval(cfg):
             sm = adaptive.SubModel(column=column, depth=depth)
             if mean.size != sm.param_dim:
                 raise DataError("posterior size inconsistent with its model")
-            posts.append(_CovView(mean, cov))
+            posts.append(SimpleNamespace(mean=mean, cov=cov))
             subs.append(sm)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DataError(f"result file missing fields: {exc}") from exc
-    risk, per_edge = metrics.l1_risk(posts, subs, truth,
-                                     memory_A=cfg["memory_A"])
-    acc_g = metrics.graph_accuracy(delta_hat, truth.graph())
-    acc_d = metrics.dim_accuracy([sm.num_bins for sm in subs],
-                                 [truth.basis[k].num_bins_J for k in range(k_dims)])
+    report = metrics.evaluate(posts, subs, delta_hat, truth)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    _dump_json(os.path.join(out_dir, "metrics.json"), {
-        "risk_l1": risk,
-        "acc_graph": acc_g,
-        "acc_dim": acc_d,
-        "per_edge_l1": per_edge.tolist(),
-    })
+    _dump_json(os.path.join(out_dir, "metrics.json"), dataclasses.asdict(report))
     return EXIT_OK
-
-
-class _CovView:
-    """Minimal (mean, cov) carrier for metrics input."""
-
-    def __init__(self, mean, cov):
-        self.mean = mean
-        self.cov = cov
 
 
 def build_parser():

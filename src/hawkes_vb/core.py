@@ -59,10 +59,6 @@ class LinkFunction:
     def is_bounded(self):
         return self.kind == SIGMOID
 
-    def bound(self):
-        """Least upper bound of phi, +inf for unbounded kinds."""
-        return self.theta if self.kind == SIGMOID else math.inf
-
     def __call__(self, x):
         """phi(x) for one scalar drive x; no exp overflows for any finite x."""
         z = self.alpha * (x - self.eta)

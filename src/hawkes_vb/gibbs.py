@@ -23,8 +23,10 @@ are passed as absolute values.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.special import expit
 
+from hawkes_vb import _blas
 from hawkes_vb.core import SIGMOID, HawkesParams, HistogramBasis, feature_matrix
 from hawkes_vb.errors import ConfigError, UnsupportedLinkError
 from hawkes_vb.pg import pg_sample_arr
@@ -62,10 +64,6 @@ class GibbsResult:
     def sd(self, k):
         return self.samples[k].std(axis=0, ddof=1)
 
-    @property
-    def n_kept(self):
-        return self.samples[0].shape[0]
-
     def params_at(self, i):
         """Draw i of the chain assembled into a HawkesParams."""
         k_dims = len(self.samples)
@@ -93,11 +91,10 @@ def conjugate_update(feats, marks, is_event, alpha, eta, prior):
     ``marks`` the PG draws, ``is_event`` flags observed events (+1/2 in v).
     Returns (mean, chol_of_precision).
     """
-    prior_prec_chol = cho_factor(prior.cov, lower=True)
-    prior_prec = cho_solve(prior_prec_chol, np.eye(prior.dim))
+    prior_prec, prior_prec_mean, _ = prior.factors()
     prec = prior_prec + alpha**2 * (feats * marks) @ feats.T
     v = np.where(is_event, 0.5, -0.5)
-    rhs = feats @ (alpha * v + alpha**2 * eta * marks) + prior_prec @ prior.mean
+    rhs = feats @ (alpha * v + alpha**2 * eta * marks) + prior_prec_mean
     cf = _chol_with_jitter(prec)
     return cho_solve(cf, rhs), cf
 
@@ -112,7 +109,8 @@ def gibbs_sample(events, config, link, model, prior):
     """Run the sampler; returns one chain of parameter draws per dimension.
 
     ``prior`` is a per-dimension list of GaussianPrior or a callable
-    ``prior(k, sources, J)``.  Reproducible for a fixed seed.
+    ``prior(k, sources, J)``.  Reproducible for a fixed seed.  BLAS runs on
+    one thread meanwhile, as in the variational fits.
     """
     if link.kind != SIGMOID:
         raise UnsupportedLinkError("the Gibbs sampler requires the sigmoid link")
@@ -138,38 +136,35 @@ def gibbs_sample(events, config, link, model, prior):
     state = [pk.mean.copy() for _, _, _, pk in dims]
 
     kept = [[] for _ in range(k_dims)]
-    for sweep in range(config.n_iter):
-        for k in range(k_dims):
-            sources, basis, feats_ev, pk = dims[k]
-            f = state[k]
-
-            tilt_ev = alpha * (feats_ev.T @ f - eta)
-            marks_ev = pg_sample_arr(np.abs(tilt_ev), rng)
-
-            # latent Poisson with rate theta * sigmoid(-lam~) by thinning
-            n_cand = rng.poisson(theta * horizon)
-            cand = np.sort(rng.random(n_cand) * horizon)
-            feats_cand = feature_matrix(events, basis, sources, cand)
-            tilt_cand = alpha * (feats_cand.T @ f - eta)
-            accept = rng.random(n_cand) < _sigmoid_np(-tilt_cand)
-            feats_lat = feats_cand[:, accept]
-            marks_lat = pg_sample_arr(np.abs(tilt_cand[accept]), rng)
-
-            feats = np.concatenate([feats_ev, feats_lat], axis=1)
-            marks = np.concatenate([marks_ev, marks_lat])
-            is_event = np.concatenate([np.ones(marks_ev.size, dtype=bool),
-                                       np.zeros(marks_lat.size, dtype=bool)])
-            mean, cf = conjugate_update(feats, marks, is_event, alpha, eta, pk)
-            state[k] = _draw_gaussian(mean, cf, rng)
-
-        if sweep >= config.burn_in and (sweep - config.burn_in) % config.thin == 0:
+    with _blas.single_threaded():  # small products; see hawkes_vb._blas
+        for sweep in range(config.n_iter):
             for k in range(k_dims):
-                kept[k].append(state[k].copy())
+                sources, basis, feats_ev, pk = dims[k]
+                f = state[k]
+
+                tilt_ev = alpha * (feats_ev.T @ f - eta)
+                marks_ev = pg_sample_arr(np.abs(tilt_ev), rng)
+
+                # latent Poisson with rate theta * sigmoid(-lam~) by thinning
+                n_cand = rng.poisson(theta * horizon)
+                cand = np.sort(rng.random(n_cand) * horizon)
+                feats_cand = feature_matrix(events, basis, sources, cand)
+                tilt_cand = alpha * (feats_cand.T @ f - eta)
+                accept = rng.random(n_cand) < expit(-tilt_cand)
+                feats_lat = feats_cand[:, accept]
+                marks_lat = pg_sample_arr(np.abs(tilt_cand[accept]), rng)
+
+                feats = np.concatenate([feats_ev, feats_lat], axis=1)
+                marks = np.concatenate([marks_ev, marks_lat])
+                is_event = np.concatenate([np.ones(marks_ev.size, dtype=bool),
+                                           np.zeros(marks_lat.size, dtype=bool)])
+                mean, cf = conjugate_update(feats, marks, is_event, alpha, eta, pk)
+                state[k] = _draw_gaussian(mean, cf, rng)
+
+            if sweep >= config.burn_in and (sweep - config.burn_in) % config.thin == 0:
+                for k in range(k_dims):
+                    kept[k].append(state[k].copy())
 
     return GibbsResult(samples=tuple(np.asarray(c) for c in kept),
                        n_iter=config.n_iter, burn_in=config.burn_in,
                        thin=config.thin, model=model)
-
-
-def _sigmoid_np(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))

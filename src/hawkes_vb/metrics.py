@@ -96,16 +96,15 @@ def dim_accuracy(j_hat, j_true):
     return float(np.mean(a == b))
 
 
-def evaluate(result, truth):
-    """EvalReport for a fitted AdaptiveResult against a known truth."""
-    k_dims = truth.dims_K
-    submodels = [result.selected_submodel(k) for k in range(k_dims)]
-    posts = [result.selected_posterior(k) for k in range(k_dims)]
-    risk, per_edge = l1_risk(posts, submodels, truth, memory_A=result.memory_A)
-    delta_hat = result.selected_model().graph_delta
-    acc_g = graph_accuracy(delta_hat, truth.graph())
-    j_hat = [sm.num_bins for sm in submodels]
-    j_true = [truth.basis[k].num_bins_J for k in range(k_dims)]
-    acc_d = dim_accuracy(j_hat, j_true)
-    return EvalReport(risk_l1=risk, acc_graph=acc_g, acc_dim=acc_d,
+def evaluate(posteriors, submodels, delta_hat, truth):
+    """EvalReport of a fit against a known truth.
+
+    ``posteriors[k]`` (anything with ``mean`` and ``cov``) is the factor of
+    dimension k under ``submodels[k]``; ``delta_hat`` is the fitted graph.
+    """
+    risk, per_edge = l1_risk(posteriors, submodels, truth)
+    return EvalReport(risk_l1=risk,
+                      acc_graph=graph_accuracy(delta_hat, truth.graph()),
+                      acc_dim=dim_accuracy([sm.num_bins for sm in submodels],
+                                           [b.num_bins_J for b in truth.basis]),
                       per_edge_l1=per_edge)

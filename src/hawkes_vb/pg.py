@@ -21,14 +21,13 @@ all pending entries at once in NumPy.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, log_ndtr
 
 from hawkes_vb.errors import DomainError
 
-__all__ = ["BACKEND", "TiltedPG", "pg_mean", "pg_sample", "pg_sample_arr", "log_g"]
+__all__ = ["BACKEND", "pg_mean", "pg_sample_arr", "log_g"]
 
 BACKEND = "numpy"
 
@@ -151,44 +150,8 @@ def pg_sample_arr(c, rng):
     return out.reshape(c.shape)
 
 
-def pg_sample(c, rng):
-    """One exact draw from PG(1, c)."""
-    return float(pg_sample_arr([c], rng)[0])
-
-
 def log_g(omega, x):
     """Exponent of the sigmoid mixture representation: -w x^2/2 + x/2 - log 2."""
     if np.ndim(omega) == 0 and omega <= 0.0:
         raise DomainError("log_g requires omega > 0")
     return -0.5 * np.asarray(omega) * x * x + 0.5 * x - math.log(2.0)
-
-
-@dataclass(frozen=True)
-class TiltedPG:
-    """PG(1, c): the exponentially tilted distribution with
-
-    p(w; 1, c) = cosh(c/2) * exp(-c^2 w / 2) * p(w; 1, 0).
-    """
-
-    c: float
-
-    def __post_init__(self):
-        if self.c < 0.0:
-            raise DomainError("the tilt c must be nonnegative")
-
-    @property
-    def b(self):
-        return 1
-
-    def mean(self):
-        return pg_mean(self.c)
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return pg_sample(self.c, rng)
-        return pg_sample_arr(np.full(size, self.c), rng)
-
-    def log_tilt(self, omega):
-        """log p(w;1,c) - log p(w;1,0); integrates to one against PG(1,0)."""
-        omega = np.asarray(omega, dtype=np.float64)
-        return np.log(np.cosh(0.5 * self.c)) - 0.5 * self.c**2 * omega

@@ -113,6 +113,15 @@ def _drive(t, nu, windows, cols, a, bin_scale):
     return drive
 
 
+def _sum_in_order(values):
+    """Left-to-right float sum: ``sum()`` compensates from Python 3.12 on,
+    which would change the last bits and with them every later draw."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _uniforms(rng):
     """The stream of successive ``rng.random()`` values, drawn in blocks."""
     while True:
@@ -134,7 +143,7 @@ def simulate(config):
     bounded = link.is_bounded
     if bounded:
         # summed term by term: K * theta can round differently and move every draw
-        const_bound = float(sum(link.theta for _ in range(k_dims)))
+        const_bound = _sum_in_order(link.theta for _ in range(k_dims))
     else:
         # largest positive contribution an event sitting in bin r can still
         # make at any later lag (0 once it leaves the support)
@@ -163,16 +172,14 @@ def simulate(config):
                     # after, so its future maximum starts at bin 1
                     r = max(min(int(math.ceil((t - s) * bin_scale)), j_star), 1)
                     head += suffmax[l][:, r - 1]
-            bound = max(sum(link(head[k]) for k in range(k_dims)), 1e-12)
+            bound = max(_sum_in_order(link(head[k]) for k in range(k_dims)), 1e-12)
 
         t += -math.log(1.0 - next(uniforms)) / bound
         if t > horizon:
             break
 
         lams = [link(x) for x in _drive(t, nu, windows, cols, a, bin_scale)]
-        lam_total = 0.0
-        for v in lams:  # in order: sum() compensates on Python >= 3.12
-            lam_total += v
+        lam_total = _sum_in_order(lams)
         if lam_total > bound * (1.0 + 1e-9):
             raise SimulationDivergedError(
                 "dominating bound violated; thinning envelope is invalid")

@@ -28,7 +28,7 @@ serves model comparison.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -39,6 +39,24 @@ from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
 from hawkes_vb.pg import pg_mean
 
 _JITTER = 1e-8
+_PANEL_ORDER = 10  # Gauss-Legendre order of one panel of the composite rule
+
+
+def _chol_with_jitter(a):
+    """Cholesky factor of a, retrying once with a diagonal jitter."""
+    try:
+        return cho_factor(a, lower=True)
+    except np.linalg.LinAlgError:
+        pass
+    bump = _JITTER * float(np.mean(np.diag(a)))
+    try:
+        return cho_factor(a + bump * np.eye(a.shape[0]), lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("update matrix not positive definite after jitter") from exc
+
+
+def _logdet_from_chol(cf):
+    return 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,7 @@ class GaussianPrior:
 
     mean: np.ndarray
     cov: np.ndarray
+    _factors: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=np.float64)
@@ -59,6 +78,20 @@ class GaussianPrior:
     @property
     def dim(self):
         return self.mean.size
+
+    def factors(self):
+        """(precision, precision @ mean, log|cov|), computed on first use.
+
+        Concurrent first uses compute the same values; either result is kept.
+        A covariance that is not positive definite raises NumericalError here,
+        not at construction.
+        """
+        if self._factors is None:
+            cf = _chol_with_jitter(self.cov)
+            prec = cho_solve(cf, np.eye(self.dim))
+            object.__setattr__(self, "_factors",
+                               (prec, prec @ self.mean, _logdet_from_chol(cf)))
+        return self._factors
 
     @classmethod
     def isotropic(cls, dim, sigma=5.0, mean=0.0):
@@ -90,21 +123,21 @@ class QuadratureGrid:
         return self.points.size
 
     @classmethod
-    def build(cls, horizon_T, n_gq, panel_order=10):
+    def build(cls, horizon_T, n_gq):
         """Gauss-Legendre nodes on [0, T].
 
-        Above ``panel_order`` the rule is composite (equal panels of that
-        order), which keeps node generation cheap for the large grids the
+        Above ``_PANEL_ORDER`` nodes the rule is composite (equal panels of
+        that order), which keeps node generation cheap for the large grids the
         default rule requests.
         """
         if horizon_T <= 0 or n_gq <= 0:
             return cls(points=np.empty(0), weights=np.empty(0))
-        if n_gq <= panel_order:
+        if n_gq <= _PANEL_ORDER:
             x, w = np.polynomial.legendre.leggauss(n_gq)
             return cls(points=(x + 1.0) * (horizon_T / 2.0),
                        weights=w * (horizon_T / 2.0))
-        n_panels = int(math.ceil(n_gq / panel_order))
-        x, w = np.polynomial.legendre.leggauss(panel_order)
+        n_panels = int(math.ceil(n_gq / _PANEL_ORDER))
+        x, w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
         width = horizon_T / n_panels
         starts = np.arange(n_panels) * width
         pts = (starts[:, None] + (x[None, :] + 1.0) * (width / 2.0)).ravel()
@@ -112,36 +145,16 @@ class QuadratureGrid:
         return cls(points=pts, weights=wts)
 
     @classmethod
-    def default(cls, horizon_T, memory_A, n_gq=None):
+    def default(cls, horizon_T, memory_A):
         """Default resolution: about five nodes per memory length."""
-        if n_gq is None:
-            n_gq = max(100, int(math.ceil(5.0 * horizon_T / memory_A)))
-        return cls.build(horizon_T, n_gq)
+        return cls.build(horizon_T, max(100, int(math.ceil(5.0 * horizon_T / memory_A))))
 
 
 @dataclass(frozen=True)
 class VIConfig:
     max_iter: int = 100
     tol: float = 1e-3
-    n_quad: int = None
     threads: int = None
-
-
-def _chol_with_jitter(a):
-    """Cholesky factor of a, retrying once with a diagonal jitter."""
-    try:
-        return cho_factor(a, lower=True)
-    except np.linalg.LinAlgError:
-        pass
-    bump = _JITTER * float(np.mean(np.diag(a)))
-    try:
-        return cho_factor(a + bump * np.eye(a.shape[0]), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("update matrix not positive definite after jitter") from exc
-
-
-def _logdet_from_chol(cf):
-    return 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
 
 
 class _DimensionProblem:
@@ -154,11 +167,7 @@ class _DimensionProblem:
         self.link = link
         self.prior = prior
         self.horizon_T = horizon_T
-        cf = _chol_with_jitter(prior.cov)
-        eye = np.eye(prior.dim)
-        self.prior_prec = cho_solve(cf, eye)
-        self.prior_logdet = _logdet_from_chol(cf)
-        self.prior_prec_mean = self.prior_prec @ prior.mean
+        self.prior_prec, self.prior_prec_mean, self.prior_logdet = prior.factors()
 
     def second_moment_stats(self, mean, cov, feats):
         """(c, m) with c = sqrt(E[lam~^2]) and m = E[lam~] at the columns."""
@@ -352,19 +361,17 @@ def _model_tasks(model, dims):
 
 
 def cavi_fixed_model(events, model, link, prior, quad, max_iter=100, tol=1e-3,
-                     cache=None, dims=None, threads=None):
+                     dims=None, threads=None):
     """Coordinate-ascent VI in a fixed model; returns one posterior per dim.
 
     ``prior`` is either a list of per-dimension GaussianPrior or a callable
     ``prior(k, sources, J) -> GaussianPrior``.  Dimensions are independent
     and run as parallel tasks; the result order is deterministic.
     """
-    if cache is None:
-        cache = FeatureCache(events, quad)
     if dims is None:
         dims = range(events.dims_K)
-    return fit_candidates(_model_tasks(model, dims), cache, link, prior,
-                          model.memory_A, max_iter, tol, threads)
+    return fit_candidates(_model_tasks(model, dims), FeatureCache(events, quad), link,
+                          prior, model.memory_A, max_iter, tol, threads)
 
 
 def elbo(events, model, link, prior, posterior, quad, dims=None):

@@ -38,6 +38,13 @@ def _prior_factory(k, sources, j_bins):
     return GaussianPrior.isotropic(1 + len(sources) * j_bins, 5.0)
 
 
+def _evaluate(result, truth):
+    ks = range(truth.dims_K)
+    return evaluate([result.selected_posterior(k) for k in ks],
+                    [result.selected_submodel(k) for k in ks],
+                    result.selected_model().graph_delta, truth)
+
+
 def _collect_traces(label, result):
     for k, posts in enumerate(result.posteriors):
         for i, p in enumerate(posts):
@@ -83,7 +90,7 @@ def two_step_runs():
             res = two_step(ev, LINK, 2, _prior_factory,
                            VIConfig(tol=1e-4, threads=2), memory_A=A)
             wall = time.perf_counter() - t0
-            runs.append((res, evaluate(res.step2, truth), wall))
+            runs.append((res, _evaluate(res.step2, truth), wall))
             _collect_traces(f"k4-{'exc' if exc else 'inh'}-s{seed}", res.step1)
             _collect_traces(f"k4-{'exc' if exc else 'inh'}-s{seed}b", res.step2)
         out[exc] = (truth, runs)
@@ -250,7 +257,7 @@ def test_criterion_10_risk_decreases_with_horizon():
                                     seed=seed))
             res = two_step(ev, LINK, 2, _prior_factory,
                            VIConfig(tol=1e-4, threads=2), memory_A=A)
-            risks[horizon] = evaluate(res.step2, truth).risk_l1
+            risks[horizon] = _evaluate(res.step2, truth).risk_l1
         ok &= risks[800.0] < risks[50.0]
         details.append(f"seed{seed}: {risks[50.0]:.2f} -> {risks[800.0]:.2f}")
     _report(10, ok, f"K=10 risk strictly decreases from T=50 to T=800 on "

@@ -12,7 +12,7 @@ from hawkes_vb import SimConfig, simulate
 from hawkes_vb.adaptive import (Model, SubModel, detect_gap_threshold,
                                 enumerate_submodels, expected_l1_norm,
                                 folded_normal_mean, fully_adaptive, norm_matrix,
-                                two_step, bernoulli_log_prior,
+                                two_step,
                                 _log_sum_exp_weights, _select_index)
 from hawkes_vb.errors import ConfigError, DomainError, NoGapError
 from hawkes_vb.vi import GaussianPrior, QuadratureGrid, VIConfig, cavi_fixed_model
@@ -126,16 +126,6 @@ class TestWeights:
         elbos = np.array([5.0, 5.0])
         assert _select_index(elbos, subs) == 1  # fewer parameters wins the tie
         assert _select_index(elbos + 123.4, subs) == 1
-
-    def test_bernoulli_prior_edge_odds(self):
-        subs = enumerate_submodels(2, 1)
-        lp = bernoulli_log_prior(subs, p=0.3, max_depth=1)
-        assert len(lp) == len(subs)
-        assert np.all(np.isfinite(lp))
-        by_key = {(s.column, s.depth): v for s, v in zip(subs, lp)}
-        # adding one edge multiplies the prior by p / (1 - p)
-        assert by_key[((1, 1), 1)] - by_key[((0, 1), 1)] == pytest.approx(
-            math.log(0.3 / 0.7), rel=1e-12)
 
 
 class TestFullyAdaptive:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import _fixtures as fx
-from hawkes_vb import SimConfig, _blas, simulate, vi
+from hawkes_vb import SimConfig, _blas, gibbs, simulate, vi
 from hawkes_vb.adaptive import Model
 from hawkes_vb.errors import ConfigError
 from hawkes_vb.vi import GaussianPrior, QuadratureGrid, cavi_fixed_model
@@ -110,6 +110,26 @@ def test_fits_run_on_one_blas_thread(monkeypatch, two_threads, threads):
     cavi_fixed_model(ev, model, LINK, [GaussianPrior.isotropic(5, 5.0)] * 2,
                      QuadratureGrid.default(10.0, fx.MEMORY_A), threads=threads)
     assert seen == [[1] * len(_blas._controls())] * 2
+    assert _counts() == [2] * len(_blas._controls())
+
+
+@needs_setters
+def test_gibbs_sweeps_run_on_one_blas_thread(monkeypatch, two_threads):
+    seen = []
+    update = gibbs.conjugate_update
+
+    def recording(*args):
+        seen.append(_counts())
+        return update(*args)
+
+    monkeypatch.setattr(gibbs, "conjugate_update", recording)
+    ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK, horizon_T=10.0,
+                            seed=7))
+    model = Model(graph_delta=np.ones((1, 1), dtype=np.int8), bins_J=(2,),
+                  memory_A=fx.MEMORY_A)
+    gibbs.gibbs_sample(ev, gibbs.GibbsConfig(n_iter=3, burn_in=1), LINK, model,
+                       [GaussianPrior.isotropic(3, 5.0)])
+    assert seen == [[1] * len(_blas._controls())] * 3
     assert _counts() == [2] * len(_blas._controls())
 
 

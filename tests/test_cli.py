@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 import _fixtures as fx
 from hawkes_vb import _blas, cli, errors
+from hawkes_vb.adaptive import SubModel
+from hawkes_vb.metrics import l1_risk
 
 
 def _write(tmp_path, name, payload):
@@ -82,6 +85,14 @@ class TestConfigValidation:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ConfigError" and "schema" in error["message"]
 
+    def test_vi_n_quad_key_rejected(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.json",
+                      {"mode": "fit", "memory_A": 0.1, "dims_K": 1,
+                       "vi": {"n_quad": 500}})
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and "schema" in error["message"]
+
     def test_non_utf8_config_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_bytes(b'{"mode": "simulate", "memory_A": 0.1, "dims_K": 1, "x": "\xff"}')
@@ -97,6 +108,17 @@ class TestConfigValidation:
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
         error = _error_of(capsys)
         assert error["type"] == "ConfigError" and "weights" in error["message"]
+
+    def test_truth_weights_of_the_wrong_length_is_exit_1(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.json", {
+            "mode": "simulate", "memory_A": fx.MEMORY_A, "dims_K": 1,
+            "horizon_T": 5.0, "out_dir": str(tmp_path / "out"),
+            "truth": {"nu": [7.5], "weights": [[[0.1, 0.1, 0.1]]], "bins_J": 4}})
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["code"] == cli.EXIT_CONFIG and error["type"] == "ConfigError"
+        assert "length" in error["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_config_schema_is_a_valid_schema(self):
         # load_config validates with a prebuilt validator, which skips this check
@@ -353,6 +375,18 @@ class TestFitCommand:
         error = _error_of(capsys)
         assert error["type"] == "ConfigError" and "horizon_T" in error["message"]
 
+    def test_basis_finer_than_event_times_is_exit_1(self, tmp_path, capsys):
+        # rejected before the events file is read: it does not exist
+        path = _write(tmp_path, "fit.json", {
+            "mode": "fit", "fit_method": "fixed", "memory_A": fx.MEMORY_A,
+            "dims_K": 1, "horizon_T": 10.0, "basis": {"D": 40},
+            "events_csv": str(tmp_path / "missing.csv"),
+            "out_dir": str(tmp_path / "fit")})
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and "basis.D=40" in error["message"]
+        assert not (tmp_path / "fit").exists()
+
     def test_fit_deterministic_byte_identical(self, tmp_path):
         path = _sim_config(tmp_path, fx.excitation_1d(), 30.0)
         cli.main(["simulate", "--config", path])
@@ -566,6 +600,34 @@ class TestEvalCommand:
         assert metrics["risk_l1"] == pytest.approx(0.0, abs=1e-12)
         assert metrics["acc_graph"] == 1.0
         assert metrics["acc_dim"] == 1.0
+
+    def test_gibbs_result_scores_its_marginal_sds(self, tmp_path):
+        # a Gibbs result.json has per-dimension sd and no column
+        path = _sim_config(tmp_path, fx.excitation_1d(), 10.0)
+        assert cli.main(["simulate", "--config", path]) == 0
+        fit = _write(tmp_path, "g.json", {
+            "mode": "fit", "fit_method": "gibbs",
+            "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
+            "memory_A": fx.MEMORY_A, "dims_K": 1, "horizon_T": 10.0,
+            "events_csv": str(tmp_path / "out" / "events.csv"),
+            "basis": {"D": 2}, "gibbs": {"n_iter": 30, "burn_in": 10},
+            "out_dir": str(tmp_path / "g"), "seed": 2})
+        assert cli.main(["fit", "--config", fit]) == 0
+        res_path = tmp_path / "g" / "result.json"
+        dim = json.loads(res_path.read_text())["dimensions"][0]
+        assert "column" not in dim and "cov_row_major" not in dim
+        truth = fx.excitation_1d()
+        cfg = _write(tmp_path, "eval.json", {
+            "mode": "eval", "memory_A": fx.MEMORY_A, "dims_K": 1,
+            "truth": _truth_section(truth), "result_json": str(res_path),
+            "out_dir": str(tmp_path / "m")})
+        assert cli.main(["eval", "--config", cfg]) == 0
+        scores = json.loads((tmp_path / "m" / "metrics.json").read_text())
+        post = SimpleNamespace(mean=np.asarray(dim["mean"]),
+                               cov=np.diag(np.asarray(dim["sd"]) ** 2))
+        risk, per_edge = l1_risk([post], [SubModel(column=(1,), depth=2)], truth)
+        assert scores == {"risk_l1": risk, "acc_graph": 1.0, "acc_dim": 1.0,
+                          "per_edge_l1": per_edge.tolist()}
 
     def test_malformed_result_is_exit_3(self, tmp_path):
         bad = tmp_path / "result.json"

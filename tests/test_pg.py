@@ -64,12 +64,6 @@ class TestPgSample:
         se = draws.std(ddof=1) / math.sqrt(n)
         assert abs(draws.mean() - pg.pg_mean(c)) < 4.0 * se
 
-    def test_scalar_draw_matches_array_stream(self):
-        for c in (0.0, 1.5, 10.0):
-            a = pg.pg_sample(c, np.random.default_rng(3))
-            b = pg.pg_sample_arr([c], np.random.default_rng(3))[0]
-            assert a == b
-
     def test_empty_and_shaped_input(self):
         # gibbs_sample passes an empty array when no latent point is accepted
         rng = np.random.default_rng(4)
@@ -83,7 +77,7 @@ class TestPgSample:
         rng = np.random.default_rng(0)
         for c in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
-                pg.pg_sample(c, rng)
+                pg.pg_sample_arr([c], rng)
 
     def test_distribution_against_series_construction(self):
         # independent construction: truncated sum of Gamma(1,1)/rates with
@@ -125,28 +119,6 @@ class TestLogG:
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         sig = 1.0 / (1.0 + math.exp(-x))
         assert abs(vals.mean() - sig) < 5.0 * se
-
-
-class TestTiltedPG:
-    def test_mean_and_sample_agree(self):
-        rng = np.random.default_rng(5)
-        dist = pg.TiltedPG(c=2.0)
-        assert dist.b == 1
-        draws = dist.sample(rng, size=100_000)
-        se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - dist.mean()) < 4 * se
-
-    def test_tilt_normalises_against_base(self):
-        # E_{PG(1,0)}[ p(w;1,c)/p(w;1,0) ] = 1
-        rng = np.random.default_rng(6)
-        base = pg.pg_sample_arr(np.zeros(100_000), rng)
-        ratio = np.exp(pg.TiltedPG(c=1.5).log_tilt(base))
-        se = ratio.std(ddof=1) / math.sqrt(ratio.size)
-        assert abs(ratio.mean() - 1.0) < 5 * se
-
-    def test_negative_tilt_rejected(self):
-        with pytest.raises(DomainError):
-            pg.TiltedPG(c=-1.0)
 
 
 class TestBackends:

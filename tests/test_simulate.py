@@ -178,6 +178,13 @@ _GOLDEN = {
         lambda: SimConfig(params=_unbounded_params(), link=_SOFTPLUS,
                           horizon_T=50.0, seed=8),
         "c977a7400435119cc1236175771c402d3ecf280dfa84adca28ec88f4808e7b18"),
+    # K=3 sums three link values per envelope: the bytes pin the in-order
+    # sum on every Python version
+    "softplus_k3": (
+        lambda: SimConfig(params=fx.sparse_truth(3),
+                          link=LinkFunction("softplus", theta=1.0, alpha=0.5, eta=0.0),
+                          horizon_T=60.0, seed=2),
+        "0d764eeb9799c71e56a93a4c8a7ded22f96a51111eb435507984f741358068f7"),
 }
 
 

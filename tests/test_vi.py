@@ -1,6 +1,8 @@
 """Fixed-model variational inference: updates, ELBO, quadrature, oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -144,6 +146,40 @@ class TestCaviFixedModel:
         with pytest.raises(NumericalError):
             cavi_fixed_model(_empty_events(), _model(1, 1), LINK, [bad],
                              QuadratureGrid.build(0.0, 0))
+
+
+class TestGaussianPrior:
+    def test_factors_are_computed_once_and_shared_by_threads(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 6))
+        mean, cov = rng.standard_normal(6), a @ a.T + 6.0 * np.eye(6)
+        ref = GaussianPrior(mean=mean, cov=cov).factors()
+        np.testing.assert_allclose(ref[0], np.linalg.inv(cov), rtol=1e-10)
+        np.testing.assert_allclose(ref[1], np.linalg.solve(cov, mean), rtol=1e-10)
+        assert ref[2] == pytest.approx(np.linalg.slogdet(cov)[1], rel=1e-12)
+
+        # racing first uses may each compute; every caller gets the same bits
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                prior = GaussianPrior(mean=mean, cov=cov)
+                pool = [threading.Thread(target=lambda p=prior: seen.append(p.factors()))
+                        for _ in range(4)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in pool)
+                assert prior.factors() is prior.factors()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 200
+        for got in seen:
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])
+            assert got[2] == ref[2]
 
 
 class TestElbo:
