@@ -44,10 +44,19 @@ class Model:
             if j < 1 or (j & (j - 1)):
                 raise DomainError("bins_J entries must be powers of two")
 
+    def submodel(self, k):
+        """Sub-model of receiving dimension k: column delta[:, k], depth log2 J_k."""
+        return SubModel(column=tuple(int(c) for c in self.graph_delta[:, k]),
+                        depth=self.bins_J[k].bit_length() - 1)
+
 
 @dataclass(frozen=True)
 class SubModel:
-    """Per-dimension candidate: incoming column and histogram depth."""
+    """Per-dimension candidate: incoming column and histogram depth.
+
+    Owns the layout of the stacked parameter [nu, w_{l_1}, w_{l_2}, ...] of
+    its dimension: ``param_dim`` entries, source l at rows ``block(l)``.
+    """
 
     column: tuple
     depth: int
@@ -180,40 +189,31 @@ def _log_sum_exp_weights(scores):
     return w / w.sum()
 
 
-def fully_adaptive(events, model_set, link, prior_factory, vi_config=None,
-                   memory_A=None, quad=None, cache=None):
+def fully_adaptive(events, model_set, link, prior_factory, vi_config=VIConfig(), *,
+                   memory_A, quad=None, cache=None):
     """Fit every candidate sub-model of every dimension and score by ELBO.
 
-    ``model_set`` is one candidate list shared by all dimensions or a
-    per-dimension list of lists.  ``prior_factory(k, sources, J)`` supplies
-    the Gaussian prior of each fit.  Candidates run as independent tasks;
-    the reduction is ordered, so results are reproducible.
+    ``model_set[k]`` is the candidate list of dimension k, and
+    ``prior_factory(k, submodel)`` supplies the Gaussian prior of each fit.
+    Candidates run as independent tasks; the reduction is ordered, so results
+    are reproducible.
     """
-    if vi_config is None:
-        vi_config = VIConfig()
     k_dims = events.dims_K
-    if not len(model_set):
-        raise DomainError("empty candidate set")
-    per_dim_sets = model_set if isinstance(model_set[0], (list, tuple)) \
-        else [list(model_set)] * k_dims
-    if any(len(s) == 0 for s in per_dim_sets):
-        raise DomainError("empty candidate set")
-    if memory_A is None:
-        raise DomainError("memory_A is required")
+    if len(model_set) != k_dims or any(len(s) == 0 for s in model_set):
+        raise DomainError("need one non-empty candidate list per dimension")
     if quad is None:
         quad = QuadratureGrid.default(events.horizon_T, memory_A)
     if cache is None:
         cache = FeatureCache(events, quad)
 
-    tasks = [(k, sm.active_sources, sm.num_bins)
-             for k in range(k_dims) for sm in per_dim_sets[k]]
-    fits = iter(fit_candidates(tasks, cache, link, prior_factory, memory_A,
-                               vi_config.max_iter, vi_config.tol, vi_config.threads))
+    tasks = [(k, sm, prior_factory(k, sm)) for k in range(k_dims) for sm in model_set[k]]
+    fits = iter(fit_candidates(tasks, cache, link, memory_A, vi_config.max_iter,
+                               vi_config.tol, vi_config.threads))
 
     dim_results = []
     dim_posteriors = []
     for k in range(k_dims):
-        subs = tuple(per_dim_sets[k])
+        subs = tuple(model_set[k])
         posts = tuple(next(fits) for _ in subs)
         elbos = np.array([p.elbo for p in posts])
         log_prior = np.full(len(subs), -math.log(len(subs)))  # uniform
@@ -263,16 +263,17 @@ def norm_matrix(result):
     return s
 
 
-def two_step(events, link, max_depth, prior_factory, vi_config=None,
-             memory_A=None, threshold="auto"):
-    """Complete-graph VI, norm thresholding, then graph-restricted VI."""
-    if vi_config is None:
-        vi_config = VIConfig()
+def two_step(events, link, max_depth, prior_factory, vi_config=VIConfig(), *,
+             memory_A, threshold="auto"):
+    """Complete-graph VI, norm thresholding, then graph-restricted VI.
+
+    ``prior_factory(k, submodel)`` supplies the prior of every fit of both steps.
+    """
     k_dims = events.dims_K
     quad = QuadratureGrid.default(events.horizon_T, memory_A)
     cache = FeatureCache(events, quad)
 
-    complete = enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)
+    complete = [enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)] * k_dims
     step1 = fully_adaptive(events, complete, link, prior_factory, vi_config,
                            memory_A=memory_A, quad=quad, cache=cache)
     s_hat = norm_matrix(step1)

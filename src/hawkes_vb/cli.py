@@ -7,8 +7,11 @@ code (see ``hawkes_vb.errors``), and failures additionally emit a
 machine-readable ``{"error": {...}}`` object on stderr.  A ``truth`` section
 that does not fit its ``bins_J`` or ``dims_K`` is a config error, and so is a
 fit depth (``basis.D`` or ``adaptive.D_max``) whose bins memory_A/2^D are
-finer than the 1e-6 resolution of event times; the depth is checked before
-any event is read or simulated.
+finer than the 1e-6 resolution of event times, or a fit link other than
+the sigmoid; both are checked before any event is read or simulated.
+``eval`` scores ``result.json`` against the truth; a result whose
+``memory_A`` differs from the config's, whose ``bins_J`` is not a power of
+two or whose column does not have ``dims_K`` entries is a data error.
 
 File formats
 ------------
@@ -143,13 +146,10 @@ CONFIG_SCHEMA = {
 
 _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
+# link, vi and gibbs take their defaults from LinkFunction, VIConfig, GibbsConfig
 _DEFAULTS = {
-    "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.1, "eta": 10.0,
-             "theta_base": 0.001},
     "prior": {"mu": 0.0, "sigma": 5.0},
-    "vi": {"max_iter": 100, "tol": 1e-3},
     "adaptive": {"D_max": 3, "threshold": "auto"},
-    "gibbs": {"n_iter": 3000, "burn_in": 500, "thin": 1},
     "seed": 0,
     "out_dir": ".",
 }
@@ -177,7 +177,7 @@ def load_config(path):
 
 
 def _link_from(cfg):
-    return LinkFunction(**cfg["link"])
+    return LinkFunction(**cfg.get("link", {}))
 
 
 def _truth_from(cfg):
@@ -320,9 +320,8 @@ def _prior_factory(cfg):
     mu = cfg["prior"]["mu"]
     sigma = cfg["prior"]["sigma"]
 
-    def factory(k, sources, j_bins):
-        dim = 1 + len(sources) * j_bins
-        return GaussianPrior.isotropic(dim, sigma=sigma, mean=mu)
+    def factory(k, submodel):
+        return GaussianPrior.isotropic(submodel.param_dim, sigma=sigma, mean=mu)
 
     return factory
 
@@ -404,58 +403,49 @@ def _fit_depth(cfg, method):
 def cmd_fit(cfg):
     method = cfg.get("fit_method", "fixed")
     depth = _fit_depth(cfg, method)
-    events = _load_events(cfg)
     link = _link_from(cfg)
     if link.kind != "sigmoid":
         raise ConfigError("fitting requires the sigmoid link")
+    events = _load_events(cfg)
     memory_A = cfg["memory_A"]
     k_dims = cfg["dims_K"]
     factory = _prior_factory(cfg)
-    vic = VIConfig(max_iter=cfg["vi"]["max_iter"], tol=cfg["vi"]["tol"],
-                   threads=cfg.get("threads") or usable_cores())
+    vic = VIConfig(**cfg.get("vi", {}), threads=cfg.get("threads") or usable_cores())
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
 
     payload = {"method": method, "seed": cfg["seed"], "dims_K": k_dims,
                "memory_A": memory_A}
-    if method in ("fixed", "adaptive", "two-step"):
-        if method == "fixed":
-            subs = [adaptive.SubModel(column=(1,) * k_dims, depth=depth)]
-            result = adaptive.fully_adaptive(events, subs, link, factory, vic,
-                                             memory_A=memory_A)
-        elif method == "adaptive":
-            subs = adaptive.enumerate_submodels(k_dims, depth)
-            result = adaptive.fully_adaptive(events, subs, link, factory, vic,
-                                             memory_A=memory_A)
-        else:
-            two = adaptive.two_step(events, link, depth, factory, vic, memory_A=memory_A,
-                                    threshold=cfg["adaptive"]["threshold"])
-            result = two.step2
-            payload["s_hat"] = two.graph.s_hat.tolist()
-            payload["threshold"] = two.graph.threshold
-        payload["delta_hat"] = result.selected_model().graph_delta.tolist()
-        payload["bins_J"] = list(result.selected_model().bins_J)
-        payload["dimensions"] = _posterior_payload(result)
-        _write_plot_csvs(out_dir, result, memory_A)
-    elif method == "gibbs":
-        j = 2 ** depth
+    if method == "gibbs":
         model = adaptive.Model(graph_delta=np.ones((k_dims, k_dims), dtype=np.int8),
-                               bins_J=(j,) * k_dims, memory_A=memory_A)
-        gc = GibbsConfig(n_iter=cfg["gibbs"]["n_iter"],
-                         burn_in=cfg["gibbs"]["burn_in"],
-                         thin=cfg["gibbs"]["thin"], seed=cfg["seed"])
+                               bins_J=(2 ** depth,) * k_dims, memory_A=memory_A)
+        gc = GibbsConfig(**cfg.get("gibbs", {}), seed=cfg["seed"])
         chain = gibbs_sample(events, gc, link, model,
-                             [factory(k, list(range(k_dims)), j)
-                              for k in range(k_dims)])
+                             [factory(k, model.submodel(k)) for k in range(k_dims)])
         _remove_plot_csvs(out_dir)
-        payload["delta_hat"] = model.graph_delta.tolist()
-        payload["bins_J"] = list(model.bins_J)
         payload["dimensions"] = [{
             "mean": chain.mean(k).tolist(),
             "sd": chain.sd(k).tolist(),
             "n_kept": int(chain.samples[k].shape[0]),
         } for k in range(k_dims)]
+    else:
+        if method == "two-step":
+            two = adaptive.two_step(events, link, depth, factory, vic, memory_A=memory_A,
+                                    threshold=cfg["adaptive"]["threshold"])
+            result = two.step2
+            payload["s_hat"] = two.graph.s_hat.tolist()
+            payload["threshold"] = two.graph.threshold
+        else:
+            subs = ([adaptive.SubModel(column=(1,) * k_dims, depth=depth)]
+                    if method == "fixed" else adaptive.enumerate_submodels(k_dims, depth))
+            result = adaptive.fully_adaptive(events, [subs] * k_dims, link, factory, vic,
+                                             memory_A=memory_A)
+        model = result.selected_model()
+        payload["dimensions"] = _posterior_payload(result)
+        _write_plot_csvs(out_dir, result, memory_A)
+    payload["delta_hat"] = model.graph_delta.tolist()
+    payload["bins_J"] = list(model.bins_J)
     wall = time.perf_counter() - t_start
     _dump_json(os.path.join(out_dir, "result.json"), payload)
     _dump_json(os.path.join(out_dir, "timing.json"), {
@@ -481,6 +471,7 @@ def cmd_eval(cfg):
         delta_hat = np.asarray(result["delta_hat"], dtype=np.int8)
         bins = result["bins_J"]
         dims = result["dimensions"]
+        memory_A = float(result.get("memory_A", cfg["memory_A"]))
         posts, subs = [], []
         for k in range(k_dims):
             dd = dims[k]
@@ -490,15 +481,17 @@ def cmd_eval(cfg):
             else:  # gibbs summaries carry marginal sds only
                 cov = np.diag(np.asarray(dd["sd"]) ** 2)
             column = tuple(dd.get("column", delta_hat[:, k].tolist()))
-            depth = int(math.log2(dd.get("bins_J", bins[k])))
-            sm = adaptive.SubModel(column=column, depth=depth)
-            if mean.size != sm.param_dim:
-                raise DataError("posterior size inconsistent with its model")
+            j = dd.get("bins_J", bins[k])
+            if not isinstance(j, int) or j < 1 or j & (j - 1):
+                raise DataError(f"bins_J {j} of dimension {k} is not a power of two")
+            sm = adaptive.SubModel(column=column, depth=j.bit_length() - 1)
+            if len(column) != k_dims or mean.size != sm.param_dim:
+                raise DataError("posterior size or column inconsistent with its model")
             posts.append(SimpleNamespace(mean=mean, cov=cov))
             subs.append(sm)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DataError(f"result file missing fields: {exc}") from exc
-    report = metrics.evaluate(posts, subs, delta_hat, truth)
+    report = metrics.evaluate(posts, subs, delta_hat, truth, memory_A=memory_A)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     _dump_json(os.path.join(out_dir, "metrics.json"), dataclasses.asdict(report))

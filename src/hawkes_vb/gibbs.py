@@ -27,10 +27,10 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import expit
 
 from hawkes_vb import _blas
-from hawkes_vb.core import SIGMOID, HawkesParams, HistogramBasis, feature_matrix
+from hawkes_vb.core import SIGMOID, HistogramBasis, feature_matrix
 from hawkes_vb.errors import ConfigError, UnsupportedLinkError
 from hawkes_vb.pg import pg_sample_arr
-from hawkes_vb.vi import _chol_with_jitter, _resolve_prior
+from hawkes_vb.vi import _checked_prior, _chol_with_jitter
 
 
 @dataclass(frozen=True)
@@ -56,32 +56,12 @@ class GibbsResult:
     n_iter: int
     burn_in: int
     thin: int
-    model: object = None
 
     def mean(self, k):
         return self.samples[k].mean(axis=0)
 
     def sd(self, k):
         return self.samples[k].std(axis=0, ddof=1)
-
-    def params_at(self, i):
-        """Draw i of the chain assembled into a HawkesParams."""
-        k_dims = len(self.samples)
-        delta = self.model.graph_delta
-        nu = np.empty(k_dims)
-        weights = [[None] * k_dims for _ in range(k_dims)]
-        for k in range(k_dims):
-            draw = self.samples[k][i]
-            nu[k] = draw[0]
-            j = int(self.model.bins_J[k])
-            pos = 0
-            for l in range(k_dims):
-                if delta[l, k]:
-                    weights[l][k] = draw[1 + pos * j: 1 + (pos + 1) * j].copy()
-                    pos += 1
-        basis = tuple(HistogramBasis(self.model.memory_A, int(j))
-                      for j in self.model.bins_J)
-        return HawkesParams.build(nu, weights, basis)
 
 
 def conjugate_update(feats, marks, is_event, alpha, eta, prior):
@@ -108,9 +88,9 @@ def _draw_gaussian(mean, prec_chol, rng):
 def gibbs_sample(events, config, link, model, prior):
     """Run the sampler; returns one chain of parameter draws per dimension.
 
-    ``prior`` is a per-dimension list of GaussianPrior or a callable
-    ``prior(k, sources, J)``.  Reproducible for a fixed seed.  BLAS runs on
-    one thread meanwhile, as in the variational fits.
+    ``model.submodel(k)`` fixes the column and depth of dimension k, and
+    ``prior[k]`` is its GaussianPrior.  Reproducible for a fixed seed.  BLAS
+    runs on one thread meanwhile, as in the variational fits.
     """
     if link.kind != SIGMOID:
         raise UnsupportedLinkError("the Gibbs sampler requires the sigmoid link")
@@ -121,13 +101,13 @@ def gibbs_sample(events, config, link, model, prior):
 
     dims = []
     for k in range(k_dims):
-        sources = [l for l in range(k_dims) if model.graph_delta[l, k]]
-        basis = HistogramBasis(model.memory_A, int(model.bins_J[k]))
+        sm = model.submodel(k)
+        pk = _checked_prior(prior[k], k, sm)
+        basis = HistogramBasis(model.memory_A, sm.num_bins)
         own = events.times[k]
         own = own[own >= 0.0]
-        feats_ev = feature_matrix(events, basis, sources, own)
-        pk = _resolve_prior(prior, k, sources, basis.num_bins_J, feats_ev.shape[0])
-        dims.append((sources, basis, feats_ev, pk))
+        feats_ev = feature_matrix(events, basis, sm.active_sources, own)
+        dims.append((sm.active_sources, basis, feats_ev, pk))
 
     # A wide draw from the prior (sigma = 5) can start the chain inside the
     # saturated phase of the sigmoid, where the latent-point rate collapses
@@ -167,4 +147,4 @@ def gibbs_sample(events, config, link, model, prior):
 
     return GibbsResult(samples=tuple(np.asarray(c) for c in kept),
                        n_iter=config.n_iter, burn_in=config.burn_in,
-                       thin=config.thin, model=model)
+                       thin=config.thin)

@@ -96,13 +96,14 @@ def dim_accuracy(j_hat, j_true):
     return float(np.mean(a == b))
 
 
-def evaluate(posteriors, submodels, delta_hat, truth):
+def evaluate(posteriors, submodels, delta_hat, truth, memory_A=None):
     """EvalReport of a fit against a known truth.
 
     ``posteriors[k]`` (anything with ``mean`` and ``cov``) is the factor of
-    dimension k under ``submodels[k]``; ``delta_hat`` is the fitted graph.
+    dimension k under ``submodels[k]``; ``delta_hat`` is the fitted graph and
+    ``memory_A`` the fit's memory length (default: the truth's).
     """
-    risk, per_edge = l1_risk(posteriors, submodels, truth)
+    risk, per_edge = l1_risk(posteriors, submodels, truth, memory_A=memory_A)
     return EvalReport(risk_l1=risk,
                       acc_graph=graph_accuracy(delta_hat, truth.graph()),
                       acc_dim=dim_accuracy([sm.num_bins for sm in submodels],

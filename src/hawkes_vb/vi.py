@@ -284,39 +284,39 @@ class FeatureCache:
             cache[key] = mat[1:]
         return cache[key]
 
-    def stack(self, basis, sources, k):
-        """(events_matrix, quad_matrix) for receiving dimension k."""
+    def stack(self, submodel, memory_A, k):
+        """(events_matrix, quad_matrix) of ``submodel`` for receiving dimension k."""
         own = self.events.times[k]
         own = own[own >= 0.0]
-        d = 1 + len(sources) * basis.num_bins_J
+        d = submodel.param_dim
         e = np.empty((d, own.size))
         q = np.empty((d, self.quad.points.size))
         e[0] = 1.0
         q[0] = 1.0
-        j = basis.num_bins_J
-        for pos, l in enumerate(sources):
-            rows = slice(1 + pos * j, 1 + (pos + 1) * j)
+        j = submodel.num_bins
+        basis = HistogramBasis(memory_A, j)
+        for l in submodel.active_sources:
+            rows = submodel.block(l)
             e[rows] = self._rows(self._ev, (l, j, k), basis, l, own)
             q[rows] = self._rows(self._quad, (l, j), basis, l, self.quad.points)
         return e, q
 
 
-def _resolve_prior(prior, k, sources, j_bins, dim):
-    """Prior of dimension k: ``prior[k]`` from a list, or ``prior(k, sources, J)``."""
-    pk = prior(k, sources, j_bins) if callable(prior) else prior[k]
-    if pk.dim != dim:
-        raise ConfigError(f"prior dimension {pk.dim} of dimension {k} does not "
-                          f"match the model's {dim} parameters")
-    return pk
+def _checked_prior(prior, k, submodel):
+    """``prior`` if its dimension is the sub-model's parameter count, else ConfigError."""
+    if prior.dim != submodel.param_dim:
+        raise ConfigError(f"prior dimension {prior.dim} of dimension {k} does not "
+                          f"match the model's {submodel.param_dim} parameters")
+    return prior
 
 
-def _build_problem(cache, link, prior, memory_A, k, sources, j_bins):
-    """The CAVI problem of receiving dimension k with the given column and J."""
+def _build_problem(cache, link, memory_A, k, submodel, prior):
+    """The CAVI problem of receiving dimension k under ``submodel``."""
     if link.kind != SIGMOID:
         raise UnsupportedLinkError("variational inference requires the sigmoid link")
-    e, q = cache.stack(HistogramBasis(memory_A, j_bins), sources, k)
-    pk = _resolve_prior(prior, k, sources, j_bins, e.shape[0])
-    return _DimensionProblem(e, q, cache.quad.weights, link, pk,
+    prior = _checked_prior(prior, k, submodel)
+    e, q = cache.stack(submodel, memory_A, k)
+    return _DimensionProblem(e, q, cache.quad.weights, link, prior,
                              cache.events.horizon_T)
 
 
@@ -328,18 +328,17 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
-def fit_candidates(tasks, cache, link, prior, memory_A, max_iter, tol, threads=None):
-    """Fit every task ``(k, sources, J)``; posteriors come back in task order.
+def fit_candidates(tasks, cache, link, memory_A, max_iter, tol, threads=None):
+    """Fit every task ``(k, submodel, prior)``; posteriors come back in task order.
 
-    ``prior`` is a list of per-dimension GaussianPrior or a callable
-    ``prior(k, sources, J) -> GaussianPrior``.  The tasks are independent and
-    run in a pool of ``threads`` workers (default: the usable cores), never
-    more than there are tasks.  BLAS runs on one thread meanwhile, so
-    ``threads`` is the whole core budget, and each fit is the same
-    computation either way: results do not depend on any thread count.
+    The tasks are independent and run in a pool of ``threads`` workers
+    (default: the usable cores), never more than there are tasks.  BLAS runs
+    on one thread meanwhile, so ``threads`` is the whole core budget, and
+    each fit is the same computation either way: results do not depend on
+    any thread count.
     """
     def solve(task):
-        problem = _build_problem(cache, link, prior, memory_A, *task)
+        problem = _build_problem(cache, link, memory_A, *task)
         return _fit_dimension(problem, max_iter, tol)
 
     if threads is None:
@@ -354,35 +353,15 @@ def fit_candidates(tasks, cache, link, prior, memory_A, max_iter, tol, threads=N
         return [solve(task) for task in tasks]
 
 
-def _model_tasks(model, dims):
-    """One task ``(k, sources, J)`` per receiving dimension k of a fixed model."""
-    return [(k, [l for l in range(model.graph_delta.shape[0]) if model.graph_delta[l, k]],
-             int(model.bins_J[k])) for k in dims]
-
-
 def cavi_fixed_model(events, model, link, prior, quad, max_iter=100, tol=1e-3,
                      dims=None, threads=None):
     """Coordinate-ascent VI in a fixed model; returns one posterior per dim.
 
-    ``prior`` is either a list of per-dimension GaussianPrior or a callable
-    ``prior(k, sources, J) -> GaussianPrior``.  Dimensions are independent
-    and run as parallel tasks; the result order is deterministic.
+    ``prior[k]`` is the GaussianPrior of dimension k.  Dimensions are
+    independent and run as parallel tasks; the result order is deterministic.
     """
     if dims is None:
         dims = range(events.dims_K)
-    return fit_candidates(_model_tasks(model, dims), FeatureCache(events, quad), link,
-                          prior, model.memory_A, max_iter, tol, threads)
-
-
-def elbo(events, model, link, prior, posterior, quad, dims=None):
-    """Evidence lower bound of a per-dimension Gaussian factor list (summed)."""
-    cache = FeatureCache(events, quad)
-    if dims is None:
-        dims = range(events.dims_K)
-    total = 0.0
-    with _blas.single_threaded():  # the BLAS the fits ran with, to the last bit
-        for task, post in zip(_model_tasks(model, dims), posterior):
-            problem = _build_problem(cache, link, prior, model.memory_A, *task)
-            total += problem.elbo(post.mean, post.cov,
-                                  problem.moments(post.mean, post.cov))
-    return total
+    tasks = [(k, model.submodel(k), prior[k]) for k in dims]
+    return fit_candidates(tasks, FeatureCache(events, quad), link, model.memory_A,
+                          max_iter, tol, threads)

@@ -16,8 +16,8 @@ from scipy.optimize import minimize
 import _fixtures as fx
 from hawkes_vb import (EventData, HawkesParams, HistogramBasis, SimConfig,
                        excursion_stats, pg, simulate)
-from hawkes_vb.adaptive import (Model, enumerate_submodels, expected_l1_norm,
-                                fully_adaptive, two_step)
+from hawkes_vb.adaptive import (Model, SubModel, enumerate_submodels,
+                                expected_l1_norm, fully_adaptive, two_step)
 from hawkes_vb.gibbs import GibbsConfig, conjugate_update, gibbs_sample
 from hawkes_vb.metrics import evaluate
 from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, VIConfig,
@@ -34,8 +34,8 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _prior_factory(k, sources, j_bins):
-    return GaussianPrior.isotropic(1 + len(sources) * j_bins, 5.0)
+def _prior_factory(k, sm):
+    return GaussianPrior.isotropic(sm.param_dim, 5.0)
 
 
 def _evaluate(result, truth):
@@ -195,7 +195,7 @@ def adaptive_runs():
     for seed in range(5):
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=2000.0,
                                 seed=seed))
-        res = fully_adaptive(ev, subs, LINK, _prior_factory,
+        res = fully_adaptive(ev, [subs], LINK, _prior_factory,
                              VIConfig(tol=1e-4, threads=2), memory_A=A)
         _collect_traces(f"sel-s{seed}", res)
         runs.append(res)
@@ -270,7 +270,7 @@ def test_criterion_11_oracle_equivalence():
     quad = QuadratureGrid.default(3.0, A)
     prior = GaussianPrior.isotropic(2, 5.0)
     cache = FeatureCache(ev, quad)
-    e, q = cache.stack(HistogramBasis(A, 1), [0], 0)
+    e, q = cache.stack(SubModel(column=(1,), depth=0), A, 0)
     problem = _DimensionProblem(e, q, quad.weights, LINK, prior, 3.0)
     model = Model(graph_delta=np.ones((1, 1), dtype=np.int8), bins_J=(1,),
                   memory_A=A)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import _fixtures as fx
 from hawkes_vb import SimConfig, simulate
-from hawkes_vb.adaptive import (Model, SubModel, detect_gap_threshold,
-                                enumerate_submodels, expected_l1_norm,
-                                folded_normal_mean, fully_adaptive, norm_matrix,
-                                two_step,
+from hawkes_vb.adaptive import (AdaptiveResult, DimensionWeights, Model, SubModel,
+                                detect_gap_threshold, enumerate_submodels,
+                                expected_l1_norm, folded_normal_mean, fully_adaptive,
+                                norm_matrix, two_step,
                                 _log_sum_exp_weights, _select_index)
 from hawkes_vb.errors import ConfigError, DomainError, NoGapError
 from hawkes_vb.vi import GaussianPrior, QuadratureGrid, VIConfig, cavi_fixed_model
@@ -20,8 +20,8 @@ from hawkes_vb.vi import GaussianPrior, QuadratureGrid, VIConfig, cavi_fixed_mod
 LINK = fx.SIM_LINK
 
 
-def _prior_factory(k, sources, j_bins):
-    return GaussianPrior.isotropic(1 + len(sources) * j_bins, 5.0)
+def _prior_factory(k, sm):
+    return GaussianPrior.isotropic(sm.param_dim, 5.0)
 
 
 class TestEnumeration:
@@ -47,6 +47,25 @@ class TestEnumeration:
         assert sm.param_dim == 5
         assert sm.block(0) == slice(1, 3)
         assert sm.block(2) == slice(3, 5)
+
+    def test_model_submodel_reads_column_and_depth(self):
+        delta = np.array([[1, 0, 0], [0, 0, 1], [1, 0, 1]])
+        model = Model(graph_delta=delta, bins_J=(4, 1, 2), memory_A=fx.MEMORY_A)
+        assert model.submodel(0) == SubModel(column=(1, 0, 1), depth=2)
+        assert model.submodel(1) == SubModel(column=(0, 0, 0), depth=0)
+        assert model.submodel(2) == SubModel(column=(0, 1, 1), depth=1)
+
+    def test_selected_model_gives_back_the_selected_submodels(self):
+        picks = [SubModel(column=(1, 0, 1), depth=2), SubModel(column=(0, 0, 0), depth=0),
+                 SubModel(column=(0, 1, 1), depth=1)]
+        other = SubModel(column=(1, 1, 1), depth=0)
+        per_dim = tuple(DimensionWeights(submodels=(other, sm), elbos=np.zeros(2),
+                                         weights=np.full(2, 0.5), selected=1)
+                        for sm in picks)
+        res = AdaptiveResult(per_dim=per_dim, posteriors=((None, None),) * 3,
+                             memory_A=fx.MEMORY_A)
+        for k in range(3):
+            assert res.selected_model().submodel(k) == res.selected_submodel(k) == picks[k]
 
 
 class TestExpectedL1Norm:
@@ -133,7 +152,7 @@ class TestFullyAdaptive:
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
                                 horizon_T=30.0, seed=3))
         sub = SubModel(column=(1,), depth=2)
-        res = fully_adaptive(ev, [sub], LINK, _prior_factory,
+        res = fully_adaptive(ev, [[sub]], LINK, _prior_factory,
                              VIConfig(tol=1e-6), memory_A=fx.MEMORY_A)
         np.testing.assert_allclose(res.per_dim[0].weights, [1.0])
         quad = QuadratureGrid.default(30.0, fx.MEMORY_A)
@@ -149,9 +168,9 @@ class TestFullyAdaptive:
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=30.0, seed=7))
         subs = enumerate_submodels(2, 1)
-        serial = fully_adaptive(ev, subs, LINK, _prior_factory,
+        serial = fully_adaptive(ev, [subs] * 2, LINK, _prior_factory,
                                 VIConfig(tol=1e-4, threads=1), memory_A=fx.MEMORY_A)
-        threaded = fully_adaptive(ev, subs, LINK, _prior_factory,
+        threaded = fully_adaptive(ev, [subs] * 2, LINK, _prior_factory,
                                   VIConfig(tol=1e-4, threads=2), memory_A=fx.MEMORY_A)
         for k in range(2):
             np.testing.assert_array_equal(serial.per_dim[k].elbos,
@@ -166,8 +185,8 @@ class TestFullyAdaptive:
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
                                 horizon_T=5.0, seed=3))
         with pytest.raises(ConfigError):
-            fully_adaptive(ev, [SubModel(column=(1,), depth=1)], LINK,
-                           lambda k, sources, j: GaussianPrior.isotropic(2, 5.0),
+            fully_adaptive(ev, [[SubModel(column=(1,), depth=1)]], LINK,
+                           lambda k, sm: GaussianPrior.isotropic(2, 5.0),
                            memory_A=fx.MEMORY_A)
 
     def test_empty_model_set_rejected(self):
@@ -180,7 +199,7 @@ class TestFullyAdaptive:
         truth = fx.selection_1d()
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=400.0, seed=0))
         subs = enumerate_submodels(1, 3)
-        res = fully_adaptive(ev, subs, LINK, _prior_factory,
+        res = fully_adaptive(ev, [subs], LINK, _prior_factory,
                              VIConfig(tol=1e-5), memory_A=fx.MEMORY_A)
         sm = res.selected_submodel(0)
         assert sm.column == (1,)
@@ -199,7 +218,7 @@ class TestFullyAdaptive:
         basis = fx.HistogramBasis(fx.MEMORY_A, 2)
         truth = fx.HawkesParams.build([6.0], [[np.array([-0.28, -0.12])]], basis)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=400.0, seed=1))
-        res = fully_adaptive(ev, enumerate_submodels(1, 3), LINK,
+        res = fully_adaptive(ev, [enumerate_submodels(1, 3)], LINK,
                              _prior_factory, VIConfig(tol=1e-5),
                              memory_A=fx.MEMORY_A)
         w = np.sort(res.per_dim[0].weights)[::-1]

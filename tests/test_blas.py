@@ -8,7 +8,7 @@ import pytest
 
 import _fixtures as fx
 from hawkes_vb import SimConfig, _blas, gibbs, simulate, vi
-from hawkes_vb.adaptive import Model
+from hawkes_vb.adaptive import Model, SubModel
 from hawkes_vb.errors import ConfigError
 from hawkes_vb.vi import GaussianPrior, QuadratureGrid, cavi_fixed_model
 
@@ -136,6 +136,6 @@ def test_gibbs_sweeps_run_on_one_blas_thread(monkeypatch, two_threads):
 @pytest.mark.parametrize("threads", [0, -3])
 def test_thread_count_below_one_rejected(threads):
     with pytest.raises(ConfigError):
-        vi.fit_candidates([(0, [0], 1)], None, LINK, None, fx.MEMORY_A, 10, 1e-3,
-                          threads=threads)
+        task = (0, SubModel(column=(1,), depth=0), GaussianPrior.isotropic(2))
+        vi.fit_candidates([task], None, LINK, fx.MEMORY_A, 10, 1e-3, threads=threads)
 

@@ -387,6 +387,37 @@ class TestFitCommand:
         assert error["type"] == "ConfigError" and "basis.D=40" in error["message"]
         assert not (tmp_path / "fit").exists()
 
+    def test_non_sigmoid_fit_is_exit_1_before_events_are_read(self, tmp_path, capsys):
+        path = _write(tmp_path, "fit.json", {
+            "mode": "fit", "fit_method": "fixed", "memory_A": fx.MEMORY_A,
+            "dims_K": 1, "horizon_T": 10.0, "basis": {"D": 1},
+            "link": {"kind": "relu", "theta": 1.0, "alpha": 1.0, "eta": 0.0},
+            "events_csv": str(tmp_path / "missing.csv"),
+            "out_dir": str(tmp_path / "fit")})
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and "sigmoid" in error["message"]
+        assert not (tmp_path / "fit").exists()
+
+    def test_adaptive_fit_scores_every_candidate(self, tmp_path):
+        path = _sim_config(tmp_path, fx.sparse_truth(2), 10.0)
+        assert cli.main(["simulate", "--config", path]) == 0
+        cfg = _write(tmp_path, "fit.json", {
+            "mode": "fit", "fit_method": "adaptive",
+            "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
+            "memory_A": fx.MEMORY_A, "dims_K": 2, "horizon_T": 10.0,
+            "events_csv": str(tmp_path / "out" / "events.csv"),
+            "adaptive": {"D_max": 1}, "vi": {"tol": 1e-3},
+            "out_dir": str(tmp_path / "fit")})
+        assert cli.main(["fit", "--config", cfg]) == 0
+        result = json.loads((tmp_path / "fit" / "result.json").read_text())
+        for dim in result["dimensions"]:
+            # the empty column once, then three columns at depths 0 and 1
+            assert [(c["column"], c["bins_J"]) for c in dim["candidates"]] == [
+                ([0, 0], 1), ([0, 1], 1), ([0, 1], 2), ([1, 0], 1), ([1, 0], 2),
+                ([1, 1], 1), ([1, 1], 2)]
+            assert sum(dim["weights"]) == pytest.approx(1.0)
+
     def test_fit_deterministic_byte_identical(self, tmp_path):
         path = _sim_config(tmp_path, fx.excitation_1d(), 30.0)
         cli.main(["simulate", "--config", path])
@@ -566,7 +597,7 @@ class TestOutputFiles:
 
 
 class TestEvalCommand:
-    def _result_from_truth(self, tmp_path, truth):
+    def _result_from_truth(self, tmp_path, truth, **extra):
         k = truth.dims_K
         j = truth.basis[0].num_bins_J
         delta = truth.graph()
@@ -581,12 +612,13 @@ class TestEvalCommand:
                          "bins_J": j, "mean": mean,
                          "cov_row_major": [0.0] * (d * d)})
         payload = {"delta_hat": delta.tolist(), "bins_J": [j] * k,
-                   "dimensions": dims}
+                   "dimensions": dims, **extra}
         path = tmp_path / "result.json"
         path.write_text(json.dumps(payload))
         return str(path)
 
     def test_result_from_truth_scores_perfectly(self, tmp_path):
+        # a result without memory_A is scored at the eval config's
         truth = fx.sparse_truth(2)
         res_path = self._result_from_truth(tmp_path, truth)
         cfg = {
@@ -600,6 +632,60 @@ class TestEvalCommand:
         assert metrics["risk_l1"] == pytest.approx(0.0, abs=1e-12)
         assert metrics["acc_graph"] == 1.0
         assert metrics["acc_dim"] == 1.0
+
+    @pytest.mark.parametrize("memory_A, code", [(fx.MEMORY_A, 0),
+                                                (2 * fx.MEMORY_A, cli.EXIT_DATA)])
+    def test_result_memory_A_must_match_the_config(self, tmp_path, capsys, memory_A,
+                                                   code):
+        # the kernel L1 norms do not depend on A, so only the check tells a
+        # fit of another memory length from a perfect one
+        truth = fx.sparse_truth(2)
+        res_path = self._result_from_truth(tmp_path, truth, memory_A=memory_A)
+        p = _write(tmp_path, "eval.json", {
+            "mode": "eval", "memory_A": fx.MEMORY_A, "dims_K": 2,
+            "truth": _truth_section(truth), "result_json": res_path,
+            "out_dir": str(tmp_path / "m")})
+        assert cli.main(["eval", "--config", p]) == code
+        if code:
+            error = _error_of(capsys)
+            assert error["type"] == "DataError" and "memory" in error["message"]
+            assert not (tmp_path / "m" / "metrics.json").exists()
+        else:
+            metrics = json.loads((tmp_path / "m" / "metrics.json").read_text())
+            assert metrics["risk_l1"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bins, n_weights", [(3, 3), (0, 0), (2.5, 2)])
+    def test_bins_J_not_a_power_of_two_is_exit_3(self, tmp_path, capsys, bins, n_weights):
+        truth = fx.sparse_truth(1)  # J=2
+        mean = [4.0] + [0.1] * n_weights
+        res = _write(tmp_path, "result.json", {
+            "delta_hat": [[1]], "bins_J": [bins],
+            "dimensions": [{"column": [1], "bins_J": bins, "mean": mean,
+                            "cov_row_major": [0.0] * len(mean) ** 2}]})
+        p = _write(tmp_path, "eval.json", {
+            "mode": "eval", "memory_A": fx.MEMORY_A, "dims_K": 1,
+            "truth": _truth_section(truth), "result_json": res,
+            "out_dir": str(tmp_path / "m")})
+        assert cli.main(["eval", "--config", p]) == cli.EXIT_DATA
+        error = _error_of(capsys)
+        assert error["type"] == "DataError" and "power of two" in error["message"]
+
+    def test_column_of_the_wrong_length_is_exit_3(self, tmp_path, capsys):
+        # a block for a source that does not exist must not go unscored
+        truth = fx.sparse_truth(2)
+        res_path = self._result_from_truth(tmp_path, truth)
+        result = json.loads(open(res_path).read())
+        dim = result["dimensions"][0]
+        dim["column"] = dim["column"] + [1]
+        dim["mean"] = dim["mean"] + [9.0, 9.0]
+        dim["cov_row_major"] = [0.0] * len(dim["mean"]) ** 2
+        _write(tmp_path, "result.json", result)
+        p = _write(tmp_path, "eval.json", {
+            "mode": "eval", "memory_A": fx.MEMORY_A, "dims_K": 2,
+            "truth": _truth_section(truth), "result_json": res_path,
+            "out_dir": str(tmp_path / "m")})
+        assert cli.main(["eval", "--config", p]) == cli.EXIT_DATA
+        assert "column" in _error_of(capsys)["message"]
 
     def test_gibbs_result_scores_its_marginal_sds(self, tmp_path):
         # a Gibbs result.json has per-dimension sd and no column

@@ -9,7 +9,7 @@ import _fixtures as fx
 from hawkes_vb import (EventData, HawkesParams, HistogramBasis, LinkFunction,
                        SimConfig, log_likelihood, simulate)
 from hawkes_vb.adaptive import Model
-from hawkes_vb.errors import UnsupportedLinkError
+from hawkes_vb.errors import ConfigError, UnsupportedLinkError
 from hawkes_vb.gibbs import GibbsConfig, conjugate_update, gibbs_sample
 from hawkes_vb.vi import GaussianPrior
 
@@ -74,21 +74,21 @@ class TestGibbsSample:
                            LINK, _model(1, 1), [GaussianPrior.isotropic(2)])
         assert res.samples[0].shape[0] == 20
 
-    def test_params_at_reassembles_draws(self):
+    def test_draws_are_sized_by_each_submodel(self):
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=10.0, seed=1))
-        model = Model(graph_delta=truth.graph(), bins_J=(2, 2),
-                      memory_A=fx.MEMORY_A)
-        prior = [GaussianPrior.isotropic(1 + int(truth.graph()[:, k].sum()) * 2, 5.0)
+        model = Model(graph_delta=truth.graph(), bins_J=(2, 4), memory_A=fx.MEMORY_A)
+        prior = [GaussianPrior.isotropic(model.submodel(k).param_dim, 5.0)
                  for k in range(2)]
         res = gibbs_sample(ev, GibbsConfig(n_iter=20, burn_in=5, seed=0),
                            LINK, model, prior)
-        p = res.params_at(3)
-        assert p.dims_K == 2
-        np.testing.assert_array_equal(p.graph() != 0, truth.graph() != 0)
-        np.testing.assert_array_equal(p.nu, [res.samples[0][3][0],
-                                             res.samples[1][3][0]])
-        np.testing.assert_array_equal(p.weights[0][0], res.samples[0][3][1:3])
+        assert [res.samples[k].shape for k in range(2)] == [(15, 3), (15, 9)]
+
+    def test_prior_of_the_wrong_size_is_config_error(self):
+        ev = EventData(dims_K=1, horizon_T=0.0, times=(np.array([]),))
+        with pytest.raises(ConfigError, match="prior dimension 2"):
+            gibbs_sample(ev, GibbsConfig(n_iter=2, burn_in=0, seed=0), LINK,
+                         _model(1, 2), [GaussianPrior.isotropic(2)])
 
     def test_matches_grid_posterior_on_toy(self):
         # decisive oracle: exact 2-d quadrature of the posterior

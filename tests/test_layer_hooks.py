@@ -6,23 +6,38 @@ calls, the wrapper is never entered and its metric silently reads 0; these
 tests catch that from the ordinary suite.
 """
 
+import dataclasses
+import json
+
+import numpy as np
+
 import _fixtures as fx
 from hawkes_vb import SimConfig, simulate
-from hawkes_vb import adaptive, vi
+from hawkes_vb import adaptive, cli, gibbs, metrics, vi
 from hawkes_vb.vi import GaussianPrior, VIConfig
 
 LINK = fx.SIM_LINK
 
+# every (module, attribute) pair perfbench/layers.py wraps
+TRACED = (
+    (cli, ("load_config", "read_events_csv", "write_events_csv", "simulate",
+           "excursion_stats", "gibbs_sample")),
+    (adaptive, ("fully_adaptive", "norm_matrix", "detect_gap_threshold")),
+    (vi, ("feature_matrix", "pg_mean")),
+    (gibbs, ("pg_sample_arr", "feature_matrix", "conjugate_update")),
+    (metrics, ("l1_risk",)),
+)
 
-def _prior_factory(k, sources, j_bins):
-    return GaussianPrior.isotropic(1 + len(sources) * j_bins, 5.0)
+
+def _prior_factory(k, sm):
+    return GaussianPrior.isotropic(sm.param_dim, 5.0)
 
 
 def _counting(monkeypatch, module, attr, calls):
     inner = getattr(module, attr)
 
     def wrapper(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append((args, kwargs))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, attr, wrapper)
@@ -42,5 +57,44 @@ def test_two_step_calls_every_traced_attribute(monkeypatch):
     assert calls["feature_matrix"]
     assert calls["pg_mean"]
     assert len(calls["fully_adaptive"]) == 2
-    for kwargs in calls["fully_adaptive"]:
+    for _, kwargs in calls["fully_adaptive"]:
+        assert kwargs.get("quad") is not None
+
+
+def test_cli_pipeline_calls_every_traced_attribute(monkeypatch, tmp_path):
+    calls = {}
+    for module, attrs in TRACED:
+        for attr in attrs:
+            calls[f"{module.__name__}.{attr}"] = []
+            _counting(monkeypatch, module, attr, calls[f"{module.__name__}.{attr}"])
+
+    truth = fx.sparse_truth(2)
+    base = {"memory_A": fx.MEMORY_A, "dims_K": 2, "horizon_T": 10.0, "seed": 1,
+            "link": dataclasses.asdict(LINK)}
+    events = str(tmp_path / "sim" / "events.csv")
+    configs = {
+        "simulate": {"mode": "simulate", "out_dir": str(tmp_path / "sim"),
+                     "truth": {"nu": truth.nu.tolist(), "bins_J": 2, "weights": [
+                         [None if w is None else w.tolist() for w in row]
+                         for row in truth.weights]}},
+        "gibbs": {"mode": "fit", "fit_method": "gibbs", "events_csv": events,
+                  "basis": {"D": 1}, "gibbs": {"n_iter": 3, "burn_in": 1},
+                  "out_dir": str(tmp_path / "gibbs")},
+        "two-step": {"mode": "fit", "fit_method": "two-step", "events_csv": events,
+                     "adaptive": {"D_max": 1, "threshold": 0.1}, "vi": {"tol": 1e-3},
+                     "out_dir": str(tmp_path / "fit")},
+    }
+    configs["eval"] = {"mode": "eval", "truth": configs["simulate"]["truth"],
+                       "result_json": str(tmp_path / "fit" / "result.json"),
+                       "out_dir": str(tmp_path / "eval")}
+    for name, cfg in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, **cfg}))
+        assert cli.main([cfg["mode"], "--config", str(path)]) == 0, name
+
+    assert [name for name, seen in calls.items() if not seen] == []
+    for args, _ in calls["hawkes_vb.gibbs.conjugate_update"]:
+        marks, is_event = args[1], args[2]
+        assert is_event.dtype == bool and is_event.shape == marks.shape
+    for _, kwargs in calls["hawkes_vb.adaptive.fully_adaptive"]:
         assert kwargs.get("quad") is not None

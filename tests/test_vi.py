@@ -10,10 +10,11 @@ from scipy.optimize import minimize
 
 import _fixtures as fx
 from hawkes_vb import EventData, HistogramBasis, LinkFunction, SimConfig, simulate
-from hawkes_vb.adaptive import Model
-from hawkes_vb.errors import NumericalError, UnsupportedLinkError
-from hawkes_vb.vi import (FeatureCache, GaussianPrior, GaussianPosterior,
-                          QuadratureGrid, _DimensionProblem, cavi_fixed_model, elbo)
+from hawkes_vb.adaptive import Model, SubModel
+from hawkes_vb.core import feature_matrix
+from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
+from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, _DimensionProblem,
+                          cavi_fixed_model)
 
 LINK = fx.SIM_LINK
 
@@ -67,6 +68,11 @@ class TestCaviFixedModel:
                              [GaussianPrior.isotropic(2)],
                              QuadratureGrid.build(0.0, 0))
 
+    def test_prior_of_the_wrong_size_is_config_error(self):
+        with pytest.raises(ConfigError, match="prior dimension 3"):
+            cavi_fixed_model(_empty_events(), _model(1, 1), LINK,
+                             [GaussianPrior.isotropic(3)], QuadratureGrid.build(0.0, 0))
+
     def test_fixed_point_self_consistency(self):
         # three events, two parameters: polish to a parameter-level fixed
         # point, then one extra update moves the factor by less than 1e-8
@@ -77,7 +83,7 @@ class TestCaviFixedModel:
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, prior, quad,
                                  max_iter=500, tol=1e-14)
         cache = FeatureCache(ev, quad)
-        e, q = cache.stack(HistogramBasis(fx.MEMORY_A, 1), [0], 0)
+        e, q = cache.stack(_model(1, 1).submodel(0), fx.MEMORY_A, 0)
         problem = _DimensionProblem(e, q, quad.weights, LINK, prior[0], 2.0)
         mean, cov = posts[0].mean, posts[0].cov
         for _ in range(5000):
@@ -148,6 +154,25 @@ class TestCaviFixedModel:
                              QuadratureGrid.build(0.0, 0))
 
 
+class TestFeatureCache:
+    def test_stack_places_each_source_at_its_block(self):
+        ev = simulate(SimConfig(params=fx.sparse_truth(3), link=LINK, horizon_T=5.0,
+                                seed=1))
+        quad = QuadratureGrid.build(5.0, 30)
+        sm = SubModel(column=(1, 0, 1), depth=1)
+        e, q = FeatureCache(ev, quad).stack(sm, fx.MEMORY_A, 2)
+        basis = HistogramBasis(fx.MEMORY_A, 2)
+        own = ev.times[2][ev.times[2] >= 0.0]
+        assert own.size > 0
+        for feats, times in ((e, own), (q, quad.points)):
+            assert feats.shape == (sm.param_dim, times.size)
+            np.testing.assert_array_equal(feats[0], 1.0)
+            for l in sm.active_sources:
+                np.testing.assert_array_equal(
+                    feats[sm.block(l)], feature_matrix(ev, basis, [l], times)[1:])
+            np.testing.assert_array_equal(feats, feature_matrix(ev, basis, [0, 2], times))
+
+
 class TestGaussianPrior:
     def test_factors_are_computed_once_and_shared_by_threads(self):
         rng = np.random.default_rng(5)
@@ -182,25 +207,6 @@ class TestGaussianPrior:
             assert got[2] == ref[2]
 
 
-class TestElbo:
-    def test_zero_for_prior_at_no_data(self):
-        prior = [GaussianPrior.isotropic(3, 5.0)]
-        post = [GaussianPosterior(mean=prior[0].mean, cov=prior[0].cov,
-                                  elbo=0.0, iterations=0, converged=True)]
-        val = elbo(_empty_events(), _model(1, 2), LINK, prior, post,
-                   QuadratureGrid.build(0.0, 0))
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_posterior_report(self):
-        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
-                                horizon_T=25.0, seed=9))
-        quad = QuadratureGrid.default(25.0, fx.MEMORY_A)
-        prior = [GaussianPrior.isotropic(5, 5.0)]
-        posts = cavi_fixed_model(ev, _model(1, 4), LINK, prior, quad)
-        val = elbo(ev, _model(1, 4), LINK, prior, posts, quad)
-        assert val == posts[0].elbo
-
-
 class TestBruteForceOracle:
     def test_cavi_matches_direct_elbo_maximisation(self):
         # two-parameter toy: direct numerical maximisation over
@@ -210,7 +216,7 @@ class TestBruteForceOracle:
         quad = QuadratureGrid.default(3.0, fx.MEMORY_A)
         prior = GaussianPrior.isotropic(2, 5.0)
         cache = FeatureCache(ev, quad)
-        e, q = cache.stack(HistogramBasis(fx.MEMORY_A, 1), [0], 0)
+        e, q = cache.stack(_model(1, 1).submodel(0), fx.MEMORY_A, 0)
         problem = _DimensionProblem(e, q, quad.weights, LINK, prior, 3.0)
 
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, [prior], quad,
