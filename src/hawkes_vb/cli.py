@@ -46,6 +46,7 @@ import re
 import sys
 import time
 import warnings
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,10 +156,27 @@ _DEFAULTS = {
 }
 
 
+def _finite_float(text):
+    """JSON number parser that rejects NaN, Infinity and overflowing literals."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
+def _float_range_int(text):
+    """JSON integer parser that rejects integers past the float range."""
+    # more than 309 digits is past it, and int() refuses very long texts
+    if len(text.lstrip("-")) > 309 or abs(int(text)) > sys.float_info.max:
+        raise ConfigError(f"config integer {text[:12]}... is past the float range")
+    return int(text)
+
+
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_float, parse_int=_float_range_int,
+                            parse_constant=_finite_float)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
@@ -205,38 +223,68 @@ def write_events_csv(path, events):
 
 def read_events_csv(path, dims_K, horizon_T):
     """Ingest an event file, re-checking tie-freeness at 1e-6 resolution."""
-    times = [[] for _ in range(dims_K)]
+    dims, times = [], []
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "dim,time":
                 raise DataError(f"bad events header {header!r}; expected 'dim,time'")
-            for ln, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    d, t = line.split(",")
-                    d = int(d)
-                    t = float(t)
-                except ValueError as exc:
-                    raise DataError(f"malformed event row {ln}: {line!r}") from exc
-                if not math.isfinite(t):
-                    raise DataError(f"event row {ln}: time {t} is not finite")
-                if not 0 <= d < dims_K:
-                    raise DataError(f"event row {ln}: dimension {d} out of range")
-                times[d].append(t)
+            first_row = 2
+            # blocks of about 64 KiB keep the parse in bulk and its memory small
+            while lines := fh.readlines(1 << 16):
+                block_dims, block_times = _parse_rows(lines, first_row, dims_K)
+                dims += block_dims
+                times += block_times
+                first_row += len(lines)
     except UnicodeDecodeError as exc:
         raise DataError(f"events file is not valid UTF-8: {exc}") from exc
+    by_dim = [[] for _ in range(dims_K)]
+    for d, t in zip(dims, times):
+        by_dim[d].append(t)
     seen = {}  # a dict: smaller than a set of the same floats
-    for d in range(dims_K):
-        for i, t in enumerate(times[d]):
+    for ts in by_dim:
+        for i, t in enumerate(ts):
             if t in seen:
                 t = _untie(t, seen, horizon_T)
             seen[t] = True
-            times[d][i] = t
-    arrays = tuple(np.sort(np.asarray(ts, dtype=np.float64)) for ts in times)
+            ts[i] = t
+    arrays = tuple(np.sort(np.asarray(ts, dtype=np.float64)) for ts in by_dim)
     return EventData(dims_K=dims_K, horizon_T=horizon_T, times=arrays)
+
+
+def _parse_rows(lines, first_row, dims_K):
+    """Dimensions and times of the nonblank lines, parsed in bulk.
+
+    Lines with a bad row go through one by one instead, which raises the
+    DataError of the first; rows count from ``first_row``, blank lines too.
+    """
+    rows = list(filter(None, map(str.strip, lines)))
+    # one comma per row, so the joined fields alternate dimension and time
+    if {1}.issuperset(map(str.count, rows, repeat(","))):
+        fields = ",".join(rows).split(",") if rows else []
+        try:
+            dims = list(map(int, fields[0::2]))
+            times = list(map(float, fields[1::2]))
+        except ValueError:
+            pass
+        else:
+            if all(map(math.isfinite, times)) and (
+                    not dims or (min(dims) >= 0 and max(dims) < dims_K)):
+                return dims, times
+    for ln, line in enumerate(lines, start=first_row):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            d, t = line.split(",")
+            d = int(d)
+            t = float(t)
+        except ValueError as exc:
+            raise DataError(f"malformed event row {ln}: {line!r}") from exc
+        if not math.isfinite(t):
+            raise DataError(f"event row {ln}: time {t} is not finite")
+        if not 0 <= d < dims_K:
+            raise DataError(f"event row {ln}: dimension {d} out of range")
 
 
 def _untie(t, seen, horizon_T):

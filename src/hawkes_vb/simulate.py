@@ -9,14 +9,24 @@ from the largest positive kernel contribution each active event can still
 produce, which keeps the envelope valid until the next accepted event and
 the simulation exact.
 
-Both link kinds evaluate a candidate through one scalar drive: a table built
-once per run lists, for each source and refined kernel bin, only the nonzero
-(dimension, value) entries, and the drive starts from nu and adds those
-entries for every active event in window order.  That is the order of the
-dense column sum minus its ``+ 0.0`` adds, so the drive, and with it every
-accepted time, is bitwise the dense result.  Uniforms are drawn in blocks
-(``rng.random(n)`` yields the values of n successive ``rng.random()``
-calls), so the random stream is the scalar one.
+Both the drive of a candidate and the envelope's head are one sparse pass
+(``_drive``) over a table built once per run.  For each source dimension the
+table has one slot per value of ``ceil(lag * bin_scale)``, listing only the
+nonzero (dimension, value) entries: slot 0 holds the lag-0 entry, slot r the
+refined kernel bin r, and a trailing copy of the last bin catches a lag of A
+that rounds just past the last edge.  The drive's table holds the kernel
+values (slot 0 empty); the envelope's holds the suffix maxima of the clipped
+kernel (slot 0 = bin 1, which a just-accepted event enters next).  The pass
+starts from nu and adds the entries of every active event in window order.
+That is the order of the dense column sum minus its ``+ 0.0`` adds, so the
+drive, and with it every accepted time, is bitwise the dense result.
+
+A memo keeps each dimension's last link argument and value, shared by drive
+and head.  The link runs only for a dimension whose argument differs from
+the last one, and the total is re-summed in order only when a value changed,
+so every intensity and bound is the value a full evaluation would give.
+Uniforms are drawn in blocks (``rng.random(n)`` yields the values of n
+successive ``rng.random()`` calls), so the random stream is the scalar one.
 
 Also provides the renewal ("excursion") statistics of the generated data: a
 renewal happens at t when the window [t-A, t) contains an event but (t-A, t]
@@ -46,10 +56,11 @@ class SimConfig:
     max_events: int = 10**7
 
     def __post_init__(self):
-        if self.horizon_T <= 0:
-            raise DomainError("horizon_T must be positive")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise DomainError("burn_in must be nonnegative")
+        if not (math.isfinite(self.horizon_T) and self.horizon_T > 0):
+            raise DomainError("horizon_T must be positive and finite")
+        if self.burn_in is not None and not (math.isfinite(self.burn_in)
+                                             and self.burn_in >= 0):
+            raise DomainError("burn_in must be nonnegative and finite")
         if not isinstance(self.link, LinkFunction):
             raise DomainError("link must be one LinkFunction shared by all dimensions")
 
@@ -81,21 +92,40 @@ def _refined_kernel_values(params):
 
 
 def _sparse_columns(vals):
-    """cols[l][r] = [(k, h_lk on refined bin r+1) for every nonzero entry].
+    """cols[l][r] = [(k, h_lk on refined bin r) for every nonzero entry].
 
-    One extra entry repeats the last bin: a lag of at most A can round to
-    just past the last bin edge, and lands there without a clamp.
+    Slot r is ``ceil(lag * bin_scale)``.  Slot 0, the lag-0 entry, is empty:
+    an event adds nothing at its own time.  One extra entry repeats the last
+    bin: a lag of at most A can round to just past the last bin edge, and
+    lands there without a clamp.
     """
     cols = []
     for v in vals:
         col = [[(k, float(x)) for k, x in enumerate(v[:, r]) if x != 0.0]
                for r in range(v.shape[1])]
-        cols.append(col + col[-1:])
+        cols.append([[]] + col + col[-1:])
+    return cols
+
+
+def _envelope_columns(vals):
+    """The drive's table for the largest positive contribution still to come.
+
+    Slot r holds the suffix maxima of the clipped kernel from bin r on, the
+    most an event now in bin r can still add at any later lag.  A
+    just-accepted event (slot 0) enters bin 1 immediately after, so slot 0
+    holds the bin-1 maxima.
+    """
+    suffmax = [np.maximum.accumulate(np.maximum(v, 0.0)[:, ::-1], axis=1)[:, ::-1]
+               for v in vals]
+    cols = _sparse_columns(suffmax)
+    for col in cols:
+        col[0] = col[1]
     return cols
 
 
 def _drive(t, nu, windows, cols, a, bin_scale):
-    """Linear drive of every dimension at t, after pruning expired events.
+    """Sum of nu and the table entries of every active event at t, after
+    pruning expired events.
 
     Adds the nonzero entries in window order, so the result is bitwise the
     dense column sum (see the module docstring).
@@ -106,10 +136,8 @@ def _drive(t, nu, windows, cols, a, bin_scale):
         while win and t - win[0] > a:
             win.popleft()
         for s in win:
-            lag = t - s
-            if lag > 0.0:
-                for k, x in col[ceil(lag * bin_scale) - 1]:
-                    drive[k] += x
+            for k, x in col[ceil((t - s) * bin_scale)]:
+                drive[k] += x
     return drive
 
 
@@ -143,12 +171,9 @@ def simulate(config):
     bounded = link.is_bounded
     if bounded:
         # summed term by term: K * theta can round differently and move every draw
-        const_bound = _sum_in_order(link.theta for _ in range(k_dims))
+        bound = _sum_in_order(link.theta for _ in range(k_dims))
     else:
-        # largest positive contribution an event sitting in bin r can still
-        # make at any later lag (0 once it leaves the support)
-        suffmax = [np.maximum.accumulate(np.maximum(v, 0.0)[:, ::-1], axis=1)[:, ::-1]
-                   for v in vals]
+        env_cols = _envelope_columns(vals)
 
     nu = params.nu.astype(np.float64).tolist()
     windows = [deque() for _ in range(k_dims)]  # active events per source dim
@@ -156,30 +181,33 @@ def simulate(config):
     n_accepted = 0
     t = -burn_in
     bin_scale = j_star / a
+    # phi memo: the last argument and value of each dimension's link, and
+    # the in-order sum of the values
+    last = [math.nan] * k_dims
+    phi = [0.0] * k_dims
+    total = 0.0
+
+    def phi_total(args):
+        nonlocal total
+        if args != last:
+            for k, x in enumerate(args):
+                if x != last[k]:
+                    last[k] = x
+                    phi[k] = link(x)
+            total = _sum_in_order(phi)
+        return total
 
     while True:
-        # envelope valid from the current position until the next acceptance
-        if bounded:
-            bound = const_bound
-        else:
-            head = np.array(nu)
-            for l in range(k_dims):
-                win = windows[l]
-                while win and t - win[0] > a:
-                    win.popleft()
-                for s in win:
-                    # a just-accepted event (lag 0) enters bin 1 immediately
-                    # after, so its future maximum starts at bin 1
-                    r = max(min(int(math.ceil((t - s) * bin_scale)), j_star), 1)
-                    head += suffmax[l][:, r - 1]
-            bound = max(_sum_in_order(link(head[k]) for k in range(k_dims)), 1e-12)
+        if not bounded:
+            # envelope valid from the current position until the next acceptance
+            bound = max(phi_total(_drive(t, nu, windows, env_cols, a, bin_scale)),
+                        1e-12)
 
         t += -math.log(1.0 - next(uniforms)) / bound
         if t > horizon:
             break
 
-        lams = [link(x) for x in _drive(t, nu, windows, cols, a, bin_scale)]
-        lam_total = _sum_in_order(lams)
+        lam_total = phi_total(_drive(t, nu, windows, cols, a, bin_scale))
         if lam_total > bound * (1.0 + 1e-9):
             raise SimulationDivergedError(
                 "dominating bound violated; thinning envelope is invalid")
@@ -188,7 +216,7 @@ def simulate(config):
         if u < lam_total:
             acc = 0.0
             for k in range(k_dims):
-                acc += lams[k]
+                acc += phi[k]
                 if u < acc:
                     events[k].append(t)
                     windows[k].append(t)

@@ -1,6 +1,7 @@
 """Experiment harness: config validation, file round-trips, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,32 @@ class TestConfigValidation:
         error = _error_of(capsys)
         assert error["code"] == cli.EXIT_CONFIG and error["type"] == "ConfigError"
         assert "length" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, entry, literal", [
+        ("fit", {"horizon_T": math.nan}, "NaN"),
+        ("fit", {"prior": {"sigma": math.inf}}, "Infinity"),
+        ("fit", {"link": {"kind": "sigmoid", "theta": math.nan}}, "NaN"),
+        ("simulate", {"horizon_T": math.inf}, "Infinity"),
+        ("simulate", {"horizon_T": 10**400}, "10000000"),
+    ], ids=["fit_horizon_nan", "fit_prior_sigma_inf", "fit_link_theta_nan",
+            "simulate_horizon_inf", "simulate_horizon_past_float_range"])
+    def test_non_finite_number_is_exit_1(self, tmp_path, capsys, monkeypatch, mode,
+                                         entry, literal):
+        # an infinite horizon would simulate until the event cap: fail at once instead
+        monkeypatch.setattr(cli, "simulate", lambda *a: pytest.fail("simulation started"))
+        if mode == "fit":
+            path = _write(tmp_path, "c.json", {
+                "mode": "fit", "fit_method": "fixed", "memory_A": fx.MEMORY_A,
+                "dims_K": 1, "horizon_T": 10.0, "basis": {"D": 1},
+                "events_csv": str(tmp_path / "missing.csv"),
+                "out_dir": str(tmp_path / "out"), **entry})
+        else:
+            path = _sim_config(tmp_path, fx.excitation_1d(), 10.0, **entry)
+        assert literal in open(path).read()
+        assert cli.main([mode, "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and literal in error["message"]
         assert not (tmp_path / "out").exists()
 
     def test_config_schema_is_a_valid_schema(self):
@@ -250,6 +277,40 @@ class TestEventsCsv:
         path.write_text("dim,time\n0,abc\n")
         with pytest.raises(cli.DataError):
             cli.read_events_csv(str(path), 1, 10.0)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,1.0\n\n  \n5\n1,2,3\n", "malformed event row 5: '5'"),
+        ("0,1.0\n\n1,2.0,\n", "malformed event row 4: '1,2.0,'"),
+        ("0,1.0\n\n1,inf\n7,1.5\n", "event row 4: time inf is not finite"),
+        ("\n0,1.0\n2,1.5\n", "event row 4: dimension 2 out of range"),
+        ("0,1.0\n99999999999999999999,1.5\n",
+         "event row 3: dimension 99999999999999999999 out of range"),
+    ], ids=["missing_comma", "extra_comma", "infinite_time", "dimension_too_large",
+            "dimension_past_int64"])
+    def test_first_bad_row_is_named_with_blank_lines_counted(self, tmp_path, body,
+                                                             message):
+        path = tmp_path / "e.csv"
+        path.write_text("dim,time\n" + body)
+        with pytest.raises(cli.DataError) as info:
+            cli.read_events_csv(str(path), 2, 10.0)
+        assert str(info.value) == message
+
+    def test_bad_row_past_the_first_block_keeps_its_file_row_number(self, tmp_path):
+        # the reader parses blocks of about 64 KiB: 20,000 rows span several
+        rows = [f"0,{i / 1000:.6f}" for i in range(20000)]
+        rows[5000] = ""
+        rows[15000] = "1,nan"
+        path = tmp_path / "e.csv"
+        path.write_text("dim,time\n" + "\n".join(rows) + "\n")
+        with pytest.raises(cli.DataError,
+                           match="^event row 15002: time nan is not finite$"):
+            cli.read_events_csv(str(path), 2, 30.0)
+
+    def test_rows_with_spaces_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_bytes(b"dim,time\r\n 1 , 2.5 \r\n\r\n \t\n0,\t1.25\n1,0.1")
+        ev = cli.read_events_csv(str(path), 2, 10.0)
+        assert ev.times[0].tolist() == [1.25] and ev.times[1].tolist() == [0.1, 2.5]
 
     def test_tie_jitter_with_warning(self, tmp_path):
         path = tmp_path / "e.csv"

@@ -1,8 +1,10 @@
 """Thinning simulator: homogeneous reduction, determinism, renewal counts."""
 
 import hashlib
+import importlib
 import math
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -94,6 +96,15 @@ class TestSimulate:
             SimConfig(params=fx.sparse_truth(2), link=[fx.SIM_LINK, fx.SIM_LINK],
                       horizon_T=10.0)
 
+    @pytest.mark.parametrize("field_, value", [
+        ("horizon_T", math.inf), ("horizon_T", math.nan),
+        ("burn_in", math.inf), ("burn_in", math.nan)])
+    def test_non_finite_horizon_or_burn_in_rejected(self, field_, value):
+        # an infinite horizon would run the thinning loop to the event cap
+        kwargs = {"horizon_T": 10.0, field_: value}
+        with pytest.raises(DomainError, match=field_):
+            SimConfig(params=fx.excitation_1d(), link=fx.SIM_LINK, **kwargs)
+
     def test_burn_in_keeps_initial_condition(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=fx.SIM_LINK,
                                 horizon_T=30.0, seed=21, burn_in=1.0))
@@ -155,6 +166,86 @@ def test_sparse_drive_is_bitwise_the_dense_sum(make_params):
         np.testing.assert_array_equal(got, _dense_drive(t, params, windows))
 
 
+def _dense_head(t, params, windows):
+    """Reference envelope head: nu plus, per active event, the dense column of
+    clipped suffix maxima from the event's bin on (bin 1 at lag 0)."""
+    from hawkes_vb.simulate import _refined_kernel_values
+
+    vals, j_star = _refined_kernel_values(params)
+    suffmax = [np.maximum.accumulate(np.maximum(v, 0.0)[:, ::-1], axis=1)[:, ::-1]
+               for v in vals]
+    a = params.memory_A
+    bin_scale = j_star / a
+    head = params.nu.astype(np.float64).copy()
+    for l, win in enumerate(windows):
+        for s in win:
+            if not t - s > a:
+                r = max(min(int(math.ceil((t - s) * bin_scale)), j_star), 1)
+                head += suffmax[l][:, r - 1]
+    return head
+
+
+@pytest.mark.parametrize("make_params", [_generic_params, _edge_params],
+                         ids=["generic_k3", "lag_a_past_last_edge"])
+def test_sparse_envelope_is_bitwise_the_dense_head(make_params):
+    from hawkes_vb.simulate import _drive, _envelope_columns, _refined_kernel_values
+
+    params = make_params()
+    a = params.memory_A
+    vals, j_star = _refined_kernel_values(params)
+    cols = _envelope_columns(vals)
+    rng = np.random.default_rng(12)
+    for i in range(500):
+        t = 0.0 if i == 0 else rng.uniform(1.0, 2.0)
+        windows = [sorted(rng.uniform(t - 1.5 * a, t, rng.integers(0, 15)).tolist())
+                   for _ in range(params.dims_K)]
+        windows[0] = sorted(windows[0] + [t - a, t])
+        got = _drive(t, params.nu.tolist(), [deque(w) for w in windows], cols,
+                     a, j_star / a)
+        assert np.array(got).tobytes() == _dense_head(t, params, windows).tobytes()
+
+
+@dataclass(frozen=True)
+class _LoggedLink(LinkFunction):
+    """A link that appends every argument it is evaluated at to ``log``."""
+
+    log: list = field(default_factory=list, compare=False)
+
+    def __call__(self, x):
+        self.log.append(x)
+        return super().__call__(x)
+
+
+@pytest.mark.parametrize("link_args", [
+    ("sigmoid", 20.0, 0.2, 10.0), ("softplus", 1.0, 0.5, 0.0)],
+    ids=["sigmoid", "softplus"])
+def test_link_is_evaluated_only_where_its_argument_moved(link_args, monkeypatch):
+    # every drive and envelope head goes through _drive; per dimension the
+    # link must run exactly when its argument differs from the last one
+    # hawkes_vb.simulate is also the name of the function the package exports
+    sim = importlib.import_module("hawkes_vb.simulate")
+    args = []
+    real_drive = sim._drive
+
+    def logged_drive(*a):
+        x = real_drive(*a)
+        args.append(x)
+        return x
+
+    monkeypatch.setattr(sim, "_drive", logged_drive)
+    link = _LoggedLink(*link_args)
+    simulate(SimConfig(params=fx.sparse_truth(3), link=link, horizon_T=20.0, seed=4))
+    expected = []
+    last = [None] * 3
+    for x in args:
+        for k in range(3):
+            if x[k] != last[k]:
+                expected.append(x[k])
+                last[k] = x[k]
+    assert link.log == expected
+    assert len(link.log) < 3 * len(args) / 2  # of 3 per evaluation without the memo
+
+
 # Pinned output bytes: a change to the thinning loop must reproduce the
 # random stream and every floating-point add of the drive exactly.
 _GOLDEN = {
@@ -185,6 +276,14 @@ _GOLDEN = {
                           link=LinkFunction("softplus", theta=1.0, alpha=0.5, eta=0.0),
                           horizon_T=60.0, seed=2),
         "0d764eeb9799c71e56a93a4c8a7ded22f96a51111eb435507984f741358068f7"),
+    "relu_k10": (
+        lambda: SimConfig(params=fx.sparse_truth(10), link=_RELU,
+                          horizon_T=100.0, seed=1),
+        "7cc49244387f844a06b7ce038b9cf8ee84452abe91251d3059a6390f765737ac"),
+    "softplus_k10": (
+        lambda: SimConfig(params=fx.sparse_truth(10), link=_SOFTPLUS,
+                          horizon_T=100.0, seed=1),
+        "5b3c76c6c8ff859f4dc3a9efbbcf0dd13d4d1ebb81851d5787f5dc4414f44d2d"),
 }
 
 
