@@ -226,18 +226,15 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=VIConfig(),
                           posteriors=tuple(dim_posteriors), memory_A=memory_A)
 
 
-def detect_gap_threshold(s_values, override=None):
+def detect_gap_threshold(s_values):
     """Threshold from the largest gap of the sorted norm estimates.
 
     At the widest gap between consecutive sorted values vals[i] < vals[i+1]
     the threshold satisfies ``vals[i] <= thr < vals[i+1]``, so ``s > thr``
     keeps exactly the values above the gap.  It is the midpoint, or the
     largest double below vals[i+1] when the midpoint rounds up to it.
-    ``override`` is returned unchanged when supplied.  All-equal values have
-    no gap and raise NoGapError.
+    All-equal values have no gap and raise NoGapError.
     """
-    if override is not None:
-        return float(override)
     vals = np.sort(np.asarray(s_values, dtype=np.float64).ravel())
     if vals.size < 2:
         raise DomainError("need at least two values to detect a gap")
@@ -268,6 +265,7 @@ def two_step(events, link, max_depth, prior_factory, vi_config=VIConfig(), *,
     """Complete-graph VI, norm thresholding, then graph-restricted VI.
 
     ``prior_factory(k, submodel)`` supplies the prior of every fit of both steps.
+    ``threshold`` is a number, or "auto" for the largest-gap rule.
     """
     k_dims = events.dims_K
     quad = QuadratureGrid.default(events.horizon_T, memory_A)
@@ -277,14 +275,14 @@ def two_step(events, link, max_depth, prior_factory, vi_config=VIConfig(), *,
     step1 = fully_adaptive(events, complete, link, prior_factory, vi_config,
                            memory_A=memory_A, quad=quad, cache=cache)
     s_hat = norm_matrix(step1)
-    values = s_hat.ravel()
-    if values.size == 1:
-        # single kernel: the only meaningful gap is against zero
-        values = np.concatenate([[0.0], values])
-    eta0 = detect_gap_threshold(values,
-                                None if threshold == "auto" else threshold)
-    delta_hat = (s_hat > eta0).astype(np.int8)
-    graph = GraphEstimate(s_hat=s_hat, threshold=eta0, delta_hat=delta_hat)
+    if threshold == "auto":
+        values = s_hat.ravel()
+        if values.size == 1:
+            # single kernel: the only meaningful gap is against zero
+            values = np.concatenate([[0.0], values])
+        threshold = detect_gap_threshold(values)
+    delta_hat = (s_hat > threshold).astype(np.int8)
+    graph = GraphEstimate(s_hat=s_hat, threshold=float(threshold), delta_hat=delta_hat)
 
     restricted = [enumerate_submodels(k_dims, max_depth,
                                       column=tuple(delta_hat[:, k]))

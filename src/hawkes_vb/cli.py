@@ -11,7 +11,9 @@ finer than the 1e-6 resolution of event times, or a fit link other than
 the sigmoid; both are checked before any event is read or simulated.
 ``eval`` scores ``result.json`` against the truth; a result whose
 ``memory_A`` differs from the config's, whose ``bins_J`` is not a power of
-two or whose column does not have ``dims_K`` entries is a data error.
+two, whose column does not have ``dims_K`` entries or that holds a NaN or
+Infinity is a data error.  A fit with non-finite results writes no
+``result.json`` and ends as a numerical failure.
 
 File formats
 ------------
@@ -160,7 +162,7 @@ def _finite_float(text):
     """JSON number parser that rejects NaN, Infinity and overflowing literals."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config number {text} is not finite")
+        raise ValueError(f"number {text} is not finite")
     return value
 
 
@@ -168,17 +170,22 @@ def _float_range_int(text):
     """JSON integer parser that rejects integers past the float range."""
     # more than 309 digits is past it, and int() refuses very long texts
     if len(text.lstrip("-")) > 309 or abs(int(text)) > sys.float_info.max:
-        raise ConfigError(f"config integer {text[:12]}... is past the float range")
+        raise ValueError(f"integer {text[:12]}... is past the float range")
     return int(text)
 
 
-def load_config(path):
+def _read_json(path, error):
+    """The JSON at path; bad UTF-8, bad JSON or a non-finite number raises error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_finite_float, parse_int=_float_range_int,
-                            parse_constant=_finite_float)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
+            return json.load(fh, parse_float=_finite_float, parse_int=_float_range_int,
+                             parse_constant=_finite_float)
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+        raise error(f"{path} is not UTF-8 JSON of finite numbers: {exc}") from exc
+
+
+def load_config(path):
+    raw = _read_json(path, ConfigError)
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
     if error is not None:
         raise ConfigError(f"config schema violation: {error.message}")
@@ -302,14 +309,6 @@ def _untie(t, seen, horizon_T):
             return u
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not serialisable: {type(obj)}")
-
-
 def _write_text(path, text):
     """Write text to path as UTF-8, overwriting an existing file in place.
 
@@ -324,8 +323,12 @@ def _write_text(path, text):
 
 
 def _dump_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                 default=_json_default) + "\n")
+    """Write payload as JSON; a NaN or infinity in it is a NumericalError."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{os.path.basename(path)} not written: {exc}") from exc
+    _write_text(path, text + "\n")
 
 
 def _simulate_truth(cfg):
@@ -508,11 +511,7 @@ def cmd_eval(cfg):
     path = cfg.get("result_json")
     if path is None:
         raise ConfigError("eval requires result_json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            result = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"malformed result file: {exc}") from exc
+    result = _read_json(path, DataError)
     truth = _truth_from(cfg)
     k_dims = cfg["dims_K"]
     try:
@@ -542,7 +541,8 @@ def cmd_eval(cfg):
     report = metrics.evaluate(posts, subs, delta_hat, truth, memory_A=memory_A)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    _dump_json(os.path.join(out_dir, "metrics.json"), dataclasses.asdict(report))
+    _dump_json(os.path.join(out_dir, "metrics.json"),
+               {**dataclasses.asdict(report), "per_edge_l1": report.per_edge_l1.tolist()})
     return EXIT_OK
 
 
@@ -571,16 +571,10 @@ def main(argv=None):
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["out_dir"] = args.out
-        threads = args.threads
-        if threads is None and os.environ.get("HAWKES_VB_THREADS"):
-            try:
-                threads = int(os.environ["HAWKES_VB_THREADS"])
-            except ValueError as exc:
-                raise ConfigError("HAWKES_VB_THREADS must be an integer") from exc
-        if threads is not None:
-            if threads < 1:
-                raise ConfigError(f"threads must be at least 1, got {threads}")
-            cfg["threads"] = threads
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError(f"threads must be at least 1, got {args.threads}")
+            cfg["threads"] = args.threads
         handler = {"simulate": cmd_simulate, "fit": cmd_fit, "eval": cmd_eval}
         return handler[args.command](cfg)
     except HawkesVBError as exc:

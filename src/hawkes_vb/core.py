@@ -50,6 +50,8 @@ class LinkFunction:
     def __post_init__(self):
         if self.kind not in _LINK_KINDS:
             raise DomainError(f"unknown link kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.theta, self.alpha, self.eta, self.theta_base))):
+            raise DomainError("link parameters must be finite")
         if self.theta <= 0 or self.alpha <= 0:
             raise DomainError("link scale theta and slope alpha must be positive")
         if self.theta_base < 0:
@@ -82,8 +84,8 @@ class HistogramBasis:
     num_bins_J: int
 
     def __post_init__(self):
-        if self.memory_A <= 0:
-            raise DomainError("memory_A must be positive")
+        if not 0 < self.memory_A < math.inf:
+            raise DomainError("memory_A must be positive and finite")
         if self.num_bins_J < 1 or self.num_bins_J != int(self.num_bins_J):
             raise DomainError("num_bins_J must be a positive integer")
 
@@ -117,6 +119,8 @@ class HawkesParams:
         object.__setattr__(self, "nu", nu)
         if nu.shape != (k,):
             raise DataError("nu must have one entry per dimension")
+        if not np.all(np.isfinite(nu)):
+            raise DataError("nu must be finite")
         if len(self.basis) != k:
             raise DataError("basis must have one entry per dimension")
         a0 = self.basis[0].memory_A
@@ -138,6 +142,8 @@ class HawkesParams:
                         f"weights[{l}][{kk}] must have length J_{kk}"
                         f"={self.basis[kk].num_bins_J}"
                     )
+                if not np.all(np.isfinite(w)):
+                    raise DataError(f"weights[{l}][{kk}] must be finite")
                 row.append(w)
             rows.append(tuple(row))
         object.__setattr__(self, "weights", tuple(rows))
@@ -181,8 +187,8 @@ class EventData:
     times: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.horizon_T < 0:
-            raise DataError("horizon_T must be nonnegative")
+        if not 0 <= self.horizon_T < math.inf:
+            raise DataError("horizon_T must be nonnegative and finite")
         if len(self.times) != self.dims_K:
             raise DataError("times must have one array per dimension")
         arrays = []

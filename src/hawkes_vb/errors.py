@@ -51,6 +51,6 @@ class UnsupportedLinkError(HawkesVBError):
 
 
 class NoGapError(HawkesVBError):
-    """Norm values show no gap; a threshold override is required."""
+    """Norm values show no gap; a numeric threshold is required."""
 
     exit_code = 3

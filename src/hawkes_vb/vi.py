@@ -61,36 +61,36 @@ def _logdet_from_chol(cf):
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Gaussian prior on the stacked per-dimension parameter (nu first)."""
+    """Gaussian prior on the stacked per-dimension parameter (nu first).
+
+    The covariance is factorised once, at construction, so a non-finite mean
+    or covariance (ConfigError) or one that is not positive definite
+    (NumericalError) fails here, before any fit starts.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
-    _factors: tuple = field(default=None, init=False, repr=False, compare=False)
+    _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=np.float64)
         c = np.asarray(self.cov, dtype=np.float64)
         if c.shape != (m.size, m.size):
             raise ConfigError("prior covariance shape must match the mean")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+            raise ConfigError("prior mean and covariance must be finite")
+        cf = _chol_with_jitter(c)
+        prec = cho_solve(cf, np.eye(m.size))
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", c)
+        object.__setattr__(self, "_factors", (prec, prec @ m, _logdet_from_chol(cf)))
 
     @property
     def dim(self):
         return self.mean.size
 
     def factors(self):
-        """(precision, precision @ mean, log|cov|), computed on first use.
-
-        Concurrent first uses compute the same values; either result is kept.
-        A covariance that is not positive definite raises NumericalError here,
-        not at construction.
-        """
-        if self._factors is None:
-            cf = _chol_with_jitter(self.cov)
-            prec = cho_solve(cf, np.eye(self.dim))
-            object.__setattr__(self, "_factors",
-                               (prec, prec @ self.mean, _logdet_from_chol(cf)))
+        """(precision, precision @ mean, log|cov|)."""
         return self._factors
 
     @classmethod
@@ -124,18 +124,10 @@ class QuadratureGrid:
 
     @classmethod
     def build(cls, horizon_T, n_gq):
-        """Gauss-Legendre nodes on [0, T].
-
-        Above ``_PANEL_ORDER`` nodes the rule is composite (equal panels of
-        that order), which keeps node generation cheap for the large grids the
-        default rule requests.
-        """
+        """Composite Gauss-Legendre rule on [0, T]: ceil(n_gq / 10) equal panels
+        of ``_PANEL_ORDER`` (10) nodes each; empty when T or n_gq is not positive."""
         if horizon_T <= 0 or n_gq <= 0:
             return cls(points=np.empty(0), weights=np.empty(0))
-        if n_gq <= _PANEL_ORDER:
-            x, w = np.polynomial.legendre.leggauss(n_gq)
-            return cls(points=(x + 1.0) * (horizon_T / 2.0),
-                       weights=w * (horizon_T / 2.0))
         n_panels = int(math.ceil(n_gq / _PANEL_ORDER))
         x, w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
         width = horizon_T / n_panels
@@ -199,15 +191,11 @@ class _DimensionProblem:
         rate_q = self.latent_rate(c_q, m_q)
 
         prec = self.prior_prec.copy()
-        if self.e.shape[1]:
-            prec += alpha**2 * (self.e * w_e) @ self.e.T
-        if self.q.shape[1]:
-            prec += alpha**2 * (self.q * (self.v * w_q * rate_q)) @ self.q.T
+        prec += alpha**2 * (self.e * w_e) @ self.e.T
+        prec += alpha**2 * (self.q * (self.v * w_q * rate_q)) @ self.q.T
         rhs = 2.0 * self.prior_prec_mean
-        if self.e.shape[1]:
-            rhs += alpha * self.e @ (2.0 * w_e * alpha * eta + 1.0)
-        if self.q.shape[1]:
-            rhs += alpha * self.q @ (self.v * (2.0 * w_q * alpha * eta - 1.0) * rate_q)
+        rhs += alpha * self.e @ (2.0 * w_e * alpha * eta + 1.0)
+        rhs += alpha * self.q @ (self.v * (2.0 * w_q * alpha * eta - 1.0) * rate_q)
 
         cf = _chol_with_jitter(prec)
         new_cov = cho_solve(cf, np.eye(prec.shape[0]))
@@ -226,13 +214,11 @@ class _DimensionProblem:
         val -= 0.5 * float(diff @ self.prior_prec @ diff)
         val -= 0.5 * self.prior_logdet
         (c_e, m_e), (c_q, m_q) = mom
-        if self.e.shape[1]:
-            # log theta - log 2 + m/2 - log cosh(c/2), with the stable
-            # log(2 cosh(c/2)) = c/2 + log1p(exp(-c))
-            val += float(np.sum(math.log(link.theta) + 0.5 * m_e
-                                - (0.5 * c_e + np.log1p(np.exp(-c_e)))))
-        if self.q.shape[1]:
-            val += float(self.v @ self.latent_rate(c_q, m_q))
+        # log theta - log 2 + m/2 - log cosh(c/2), with the stable
+        # log(2 cosh(c/2)) = c/2 + log1p(exp(-c))
+        val += float(np.sum(math.log(link.theta) + 0.5 * m_e
+                            - (0.5 * c_e + np.log1p(np.exp(-c_e)))))
+        val += float(self.v @ self.latent_rate(c_q, m_q))
         val -= link.theta * self.horizon_T
         return val
 
@@ -310,16 +296,6 @@ def _checked_prior(prior, k, submodel):
     return prior
 
 
-def _build_problem(cache, link, memory_A, k, submodel, prior):
-    """The CAVI problem of receiving dimension k under ``submodel``."""
-    if link.kind != SIGMOID:
-        raise UnsupportedLinkError("variational inference requires the sigmoid link")
-    prior = _checked_prior(prior, k, submodel)
-    e, q = cache.stack(submodel, memory_A, k)
-    return _DimensionProblem(e, q, cache.quad.weights, link, prior,
-                             cache.events.horizon_T)
-
-
 def usable_cores():
     """Number of cores this process may run on."""
     try:
@@ -338,13 +314,19 @@ def fit_candidates(tasks, cache, link, memory_A, max_iter, tol, threads=None):
     any thread count.
     """
     def solve(task):
-        problem = _build_problem(cache, link, memory_A, *task)
+        k, submodel, prior = task
+        prior = _checked_prior(prior, k, submodel)
+        e, q = cache.stack(submodel, memory_A, k)
+        problem = _DimensionProblem(e, q, cache.quad.weights, link, prior,
+                                    cache.events.horizon_T)
         return _fit_dimension(problem, max_iter, tol)
 
     if threads is None:
         threads = usable_cores()
     elif threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
+    if link.kind != SIGMOID:
+        raise UnsupportedLinkError("variational inference requires the sigmoid link")
     workers = min(threads, len(tasks))
     with _blas.single_threaded():
         if workers > 1:

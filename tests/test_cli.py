@@ -177,23 +177,18 @@ class TestThreads:
         cfg.update(extra)
         return _write(tmp_path, "fit.json", cfg)
 
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
-    def test_thread_count_below_one_is_exit_1(self, tmp_path, capsys, monkeypatch,
-                                              flag, env):
+    @pytest.mark.parametrize("flag", ["0", "-3"])
+    def test_thread_count_below_one_is_exit_1(self, tmp_path, capsys, flag):
         path = self._fit_config(tmp_path)
         capsys.readouterr()
-        monkeypatch.delenv("HAWKES_VB_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("HAWKES_VB_THREADS", env)
-        argv = ["fit", "--config", path] + (["--threads", flag] if flag else [])
+        argv = ["fit", "--config", path, "--threads", flag]
         assert cli.main(argv) == cli.EXIT_CONFIG
         error = _error_of(capsys)
         assert error["type"] == "ConfigError" and "threads" in error["message"]
         assert not (tmp_path / "fit" / "result.json").exists()
 
     @pytest.mark.parametrize("threads", [None, 1, 2])
-    def test_timing_records_thread_settings(self, tmp_path, monkeypatch, threads):
-        monkeypatch.delenv("HAWKES_VB_THREADS", raising=False)
+    def test_timing_records_thread_settings(self, tmp_path, threads):
         path = self._fit_config(tmp_path)
         argv = ["fit", "--config", path] + (["--threads", str(threads)] if threads else [])
         assert cli.main(argv) == 0
@@ -387,6 +382,19 @@ class TestFitCommand:
         np.testing.assert_allclose(dim["mean"], np.zeros(3), atol=1e-12)
         cov = np.asarray(dim["cov_row_major"]).reshape(3, 3)
         np.testing.assert_allclose(cov, 25.0 * np.eye(3), rtol=1e-9)
+
+    def test_non_finite_result_is_exit_4_and_not_written(self, tmp_path, capsys):
+        # a prior mean of 1e300 drives the posterior and its ELBO to NaN and -inf
+        path = _write(tmp_path, "fit.json", {
+            "mode": "fit", "fit_method": "fixed",
+            "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
+            "memory_A": fx.MEMORY_A, "dims_K": 1, "horizon_T": 10.0,
+            "truth": _truth_section(fx.sparse_truth(1)), "basis": {"D": 1},
+            "vi": {"max_iter": 5}, "prior": {"mu": 1e300},
+            "out_dir": str(tmp_path / "fit")})
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_NUMERICAL
+        assert _error_of(capsys)["type"] == "NumericalError"
+        assert not (tmp_path / "fit" / "result.json").exists()
 
     def _fit_file_config(self, tmp_path, rows, **extra):
         csv_path = tmp_path / "events.csv"
@@ -714,6 +722,24 @@ class TestEvalCommand:
         else:
             metrics = json.loads((tmp_path / "m" / "metrics.json").read_text())
             assert metrics["risk_l1"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("entry", ["memory_A", "mean"])
+    def test_non_finite_number_in_result_is_exit_3(self, tmp_path, capsys, entry):
+        truth = fx.sparse_truth(2)
+        result = json.loads(open(self._result_from_truth(tmp_path, truth)).read())
+        if entry == "memory_A":
+            result["memory_A"] = math.nan
+        else:
+            result["dimensions"][0]["mean"][0] = math.nan
+        res_path = _write(tmp_path, "result.json", result)
+        p = _write(tmp_path, "eval.json", {
+            "mode": "eval", "memory_A": fx.MEMORY_A, "dims_K": 2,
+            "truth": _truth_section(truth), "result_json": res_path,
+            "out_dir": str(tmp_path / "m")})
+        assert cli.main(["eval", "--config", p]) == cli.EXIT_DATA
+        error = _error_of(capsys)
+        assert error["type"] == "DataError" and "NaN" in error["message"]
+        assert not (tmp_path / "m" / "metrics.json").exists()
 
     @pytest.mark.parametrize("bins, n_weights", [(3, 3), (0, 0), (2.5, 2)])
     def test_bins_J_not_a_power_of_two_is_exit_3(self, tmp_path, capsys, bins, n_weights):

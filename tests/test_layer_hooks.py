@@ -81,7 +81,7 @@ def test_cli_pipeline_calls_every_traced_attribute(monkeypatch, tmp_path):
                   "basis": {"D": 1}, "gibbs": {"n_iter": 3, "burn_in": 1},
                   "out_dir": str(tmp_path / "gibbs")},
         "two-step": {"mode": "fit", "fit_method": "two-step", "events_csv": events,
-                     "adaptive": {"D_max": 1, "threshold": 0.1}, "vi": {"tol": 1e-3},
+                     "adaptive": {"D_max": 1, "threshold": "auto"}, "vi": {"tol": 1e-3},
                      "out_dir": str(tmp_path / "fit")},
     }
     configs["eval"] = {"mode": "eval", "truth": configs["simulate"]["truth"],

@@ -1,8 +1,6 @@
 """Fixed-model variational inference: updates, ELBO, quadrature, oracles."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -38,9 +36,13 @@ class TestQuadratureGrid:
 
     def test_single_rule_integrates_polynomials_exactly(self):
         g = QuadratureGrid.build(2.0, 8)
-        for p in range(12):  # order-8 Gauss rule: exact through degree 15
+        for p in range(12):  # one 10-node Gauss panel: exact through degree 19
             val = float(g.weights @ g.points**p)
             assert val == pytest.approx(2.0 ** (p + 1) / (p + 1), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 11, 105])
+    def test_node_count_is_whole_panels(self, n):
+        assert QuadratureGrid.build(3.0, n).n_gq == 10 * math.ceil(n / 10)
 
     def test_composite_rule_integrates_smooth_functions(self):
         g = QuadratureGrid.build(10.0, 500)
@@ -148,10 +150,29 @@ class TestCaviFixedModel:
             np.testing.assert_array_equal(a.mean, b.mean)
 
     def test_singular_prior_fails_cleanly(self):
-        bad = GaussianPrior(mean=np.zeros(2), cov=np.zeros((2, 2)))
         with pytest.raises(NumericalError):
+            bad = GaussianPrior(mean=np.zeros(2), cov=np.zeros((2, 2)))
             cavi_fixed_model(_empty_events(), _model(1, 1), LINK, [bad],
                              QuadratureGrid.build(0.0, 0))
+
+    def test_dimension_without_events_matches_pinned_fit(self):
+        # dimension 1 has no events of its own: its event features are (3, 0)
+        ev = EventData(dims_K=2, horizon_T=2.0,
+                       times=(np.array([0.31, 0.55, 1.2, 1.6]), np.array([])))
+        post = cavi_fixed_model(ev, _model(2, 1), LINK,
+                                [GaussianPrior.isotropic(3, 5.0)] * 2,
+                                QuadratureGrid.default(2.0, fx.MEMORY_A),
+                                max_iter=4, tol=1e-14)[1]
+        np.testing.assert_allclose(
+            post.mean, [-5.453065794978313, -0.37933263992636096, 0.0],
+            rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(post.cov.ravel(), [
+            4.51031615369481, -0.4462284674600765, 0.0,
+            -0.4462284674600765, 0.31037886809245246, 0.0,
+            0.0, 0.0, 25.0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(post.elbo_trace, [
+            -17.09071034781173, -6.322203060338609, -5.676664429743951,
+            -5.409788479271114, -5.275741890964888], rtol=1e-12, atol=1e-12)
 
 
 class TestFeatureCache:
@@ -178,33 +199,12 @@ class TestGaussianPrior:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6))
         mean, cov = rng.standard_normal(6), a @ a.T + 6.0 * np.eye(6)
-        ref = GaussianPrior(mean=mean, cov=cov).factors()
+        prior = GaussianPrior(mean=mean, cov=cov)
+        ref = prior.factors()
         np.testing.assert_allclose(ref[0], np.linalg.inv(cov), rtol=1e-10)
         np.testing.assert_allclose(ref[1], np.linalg.solve(cov, mean), rtol=1e-10)
         assert ref[2] == pytest.approx(np.linalg.slogdet(cov)[1], rel=1e-12)
-
-        # racing first uses may each compute; every caller gets the same bits
-        seen = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(50):
-                prior = GaussianPrior(mean=mean, cov=cov)
-                pool = [threading.Thread(target=lambda p=prior: seen.append(p.factors()))
-                        for _ in range(4)]
-                for t in pool:
-                    t.start()
-                for t in pool:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in pool)
-                assert prior.factors() is prior.factors()
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(seen) == 200
-        for got in seen:
-            np.testing.assert_array_equal(got[0], ref[0])
-            np.testing.assert_array_equal(got[1], ref[1])
-            assert got[2] == ref[2]
+        assert prior.factors() is ref  # the tuple built at construction
 
 
 class TestBruteForceOracle:
