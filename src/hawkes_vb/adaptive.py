@@ -195,8 +195,9 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=VIConfig(),
 
     ``model_set[k]`` is the candidate list of dimension k, and
     ``prior_factory(k, submodel)`` supplies the Gaussian prior of each fit.
-    Candidates run as independent tasks; the reduction is ordered, so results
-    are reproducible.
+    The depths of one column run as one warm-started chain (see
+    ``vi.fit_candidates``), chains run as independent tasks, and the
+    reduction is ordered, so results are reproducible.
     """
     k_dims = events.dims_K
     if len(model_set) != k_dims or any(len(s) == 0 for s in model_set):

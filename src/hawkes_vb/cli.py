@@ -27,13 +27,19 @@ result.json  per-dimension posterior mean/cov (row-major), model weights,
              estimated graph, norm matrix, ELBO traces.  Byte-identical
              for identical config+seed and any thread count.
 timing.json  wall-clock seconds, the task-pool size and whether BLAS was
-             held at one thread inside the fits and the Gibbs sweeps.
+             held at one thread inside the fits and the Gibbs sweeps; for
+             a VI fit also the candidates fitted, their CAVI iterations
+             and the fits that stopped at ``vi.max_iter`` without
+             converging (``candidates``, ``cavi_iterations``,
+             ``fits_not_converged``), summed over both two-step steps.
 metrics.json risk, accuracies, per-edge L1 errors (``metrics.evaluate``;
              a Gibbs result is scored with the diagonal covariance of its
              marginal sds).
 h_{l}_{k}.csv plot data: grid x, posterior mean of h_lk, pointwise 2.5% and
              97.5% Gaussian quantiles.  A fit removes the plot files of
-             edges it did not select (a Gibbs fit removes them all).
+             edges it did not select (a Gibbs fit removes them all).  The
+             plots are written after result.json, so a fit that ends
+             without result.json writes none.
 
 Output files are overwritten in place: the old file is cut to the new
 length, never truncated to zero, replaced or unlinked first.
@@ -468,13 +474,13 @@ def cmd_fit(cfg):
 
     payload = {"method": method, "seed": cfg["seed"], "dims_K": k_dims,
                "memory_A": memory_A}
+    fits = ()  # the AdaptiveResult of each VI step
     if method == "gibbs":
         model = adaptive.Model(graph_delta=np.ones((k_dims, k_dims), dtype=np.int8),
                                bins_J=(2 ** depth,) * k_dims, memory_A=memory_A)
         gc = GibbsConfig(**cfg.get("gibbs", {}), seed=cfg["seed"])
         chain = gibbs_sample(events, gc, link, model,
                              [factory(k, model.submodel(k)) for k in range(k_dims)])
-        _remove_plot_csvs(out_dir)
         payload["dimensions"] = [{
             "mean": chain.mean(k).tolist(),
             "sd": chain.sd(k).tolist(),
@@ -484,27 +490,42 @@ def cmd_fit(cfg):
         if method == "two-step":
             two = adaptive.two_step(events, link, depth, factory, vic, memory_A=memory_A,
                                     threshold=cfg["adaptive"]["threshold"])
-            result = two.step2
+            fits = (two.step1, two.step2)
             payload["s_hat"] = two.graph.s_hat.tolist()
             payload["threshold"] = two.graph.threshold
         else:
             subs = ([adaptive.SubModel(column=(1,) * k_dims, depth=depth)]
                     if method == "fixed" else adaptive.enumerate_submodels(k_dims, depth))
-            result = adaptive.fully_adaptive(events, [subs] * k_dims, link, factory, vic,
-                                             memory_A=memory_A)
-        model = result.selected_model()
-        payload["dimensions"] = _posterior_payload(result)
-        _write_plot_csvs(out_dir, result, memory_A)
+            fits = (adaptive.fully_adaptive(events, [subs] * k_dims, link, factory, vic,
+                                            memory_A=memory_A),)
+        model = fits[-1].selected_model()
+        payload["dimensions"] = _posterior_payload(fits[-1])
     payload["delta_hat"] = model.graph_delta.tolist()
     payload["bins_J"] = list(model.bins_J)
     wall = time.perf_counter() - t_start
     _dump_json(os.path.join(out_dir, "result.json"), payload)
+    # plots only after result.json, so a fit that writes none leaves none
+    if fits:
+        _write_plot_csvs(out_dir, fits[-1], memory_A)
+    else:
+        _remove_plot_csvs(out_dir)
     _dump_json(os.path.join(out_dir, "timing.json"), {
         "wall_clock_s": wall,
         "threads": 1 if method == "gibbs" else vic.threads,
         "blas_threads_pinned": _blas.pinned(),
+        **_cavi_counts(fits),
     })
     return EXIT_OK
+
+
+def _cavi_counts(fits):
+    """Candidates, CAVI iterations and non-converged fits over every VI step."""
+    if not fits:
+        return {}
+    posts = [post for fit in fits for dim in fit.posteriors for post in dim]
+    return {"candidates": len(posts),
+            "cavi_iterations": sum(post.iterations for post in posts),
+            "fits_not_converged": sum(not post.converged for post in posts)}
 
 
 def cmd_eval(cfg):

@@ -27,7 +27,8 @@ serves model comparison.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +96,10 @@ class GaussianPrior:
 
     @classmethod
     def isotropic(cls, dim, sigma=5.0, mean=0.0):
+        # a product, not a power: past the float range it gives inf, which
+        # __post_init__ rejects, where ** raises OverflowError
         return cls(mean=np.full(dim, float(mean)),
-                   cov=np.eye(dim) * float(sigma) ** 2)
+                   cov=np.diag(np.full(dim, float(sigma) * float(sigma))))
 
 
 @dataclass(frozen=True)
@@ -231,8 +234,19 @@ class _DimensionProblem:
 _INIT_COV_SCALE = 1e-4
 
 
-def _fit_dimension(problem, max_iter, tol):
-    mean = problem.prior.mean.copy()
+def _split_mean(mean):
+    """A sub-model's parameter written on the bins of the next depth.
+
+    Each bin is the union of its two children and a child's basis function is
+    twice as tall, so halving every weight onto both children gives the same
+    kernel, and the same drive; nu is copied.
+    """
+    return np.concatenate([mean[:1], np.repeat(0.5 * mean[1:], 2)])
+
+
+def _fit_dimension(problem, max_iter, tol, start=None):
+    """CAVI from the mean ``start`` (default: the prior mean) and a small covariance."""
+    mean = problem.prior.mean.copy() if start is None else start
     cov = problem.prior.cov * _INIT_COV_SCALE
     mom = problem.moments(mean, cov)
     trace = [problem.elbo(mean, cov, mom)]
@@ -256,19 +270,28 @@ class FeatureCache:
 
     Quadrature features depend on (source, J) only; event features also on
     the receiving dimension whose event times are the evaluation points.
+    Each block is built once, also when pool workers ask for it together.
     """
 
     def __init__(self, events, quad):
         self.events = events
         self.quad = quad
-        self._quad = {}
-        self._ev = {}
+        self._lock = threading.Lock()
+        self._blocks = {}  # (source, J) or (source, J, k) -> Future of the rows
 
-    def _rows(self, cache, key, basis, source, times):
-        if key not in cache:
-            mat = feature_matrix(self.events, basis, [source], times)
-            cache[key] = mat[1:]
-        return cache[key]
+    def _rows(self, key, basis, source, times):
+        """Rows of ``source``; the first asker builds them, later ones wait."""
+        with self._lock:
+            block = self._blocks.get(key)
+            first = block is None
+            if first:
+                block = self._blocks[key] = Future()
+        if first:
+            try:
+                block.set_result(feature_matrix(self.events, basis, [source], times)[1:])
+            except Exception as exc:
+                block.set_exception(exc)
+        return block.result()
 
     def stack(self, submodel, memory_A, k):
         """(events_matrix, quad_matrix) of ``submodel`` for receiving dimension k."""
@@ -283,8 +306,8 @@ class FeatureCache:
         basis = HistogramBasis(memory_A, j)
         for l in submodel.active_sources:
             rows = submodel.block(l)
-            e[rows] = self._rows(self._ev, (l, j, k), basis, l, own)
-            q[rows] = self._rows(self._quad, (l, j), basis, l, self.quad.points)
+            e[rows] = self._rows((l, j, k), basis, l, own)
+            q[rows] = self._rows((l, j), basis, l, self.quad.points)
         return e, q
 
 
@@ -304,22 +327,51 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
+def _ladders(tasks):
+    """Split ``tasks`` into depth ladders, keeping their order.
+
+    A ladder is a run of consecutive tasks of one receiving dimension and one
+    non-empty column whose depths rise by one; every other task is a ladder
+    of its own.
+    """
+    ladders = []
+    for task in tasks:
+        k, submodel, _ = task
+        if ladders:
+            last_k, last, _ = ladders[-1][-1]
+            if (k == last_k and submodel.column == last.column and any(submodel.column)
+                    and submodel.depth == last.depth + 1):
+                ladders[-1].append(task)
+                continue
+        ladders.append([task])
+    return ladders
+
+
 def fit_candidates(tasks, cache, link, memory_A, max_iter, tol, threads=None):
     """Fit every task ``(k, submodel, prior)``; posteriors come back in task order.
 
-    The tasks are independent and run in a pool of ``threads`` workers
-    (default: the usable cores), never more than there are tasks.  BLAS runs
-    on one thread meanwhile, so ``threads`` is the whole core budget, and
-    each fit is the same computation either way: results do not depend on
-    any thread count.
+    Each depth ladder (see ``_ladders``) is one chain: its first fit starts at
+    the prior mean, and each later fit at the previous fit's mean split onto
+    the finer bins, which has the same kernel.  Chains are independent and
+    run in a pool of ``threads`` workers (default: the usable cores), never
+    more than there are chains.  BLAS runs on one thread meanwhile, so
+    ``threads`` is the whole core budget, and each chain is the same
+    computation either way: results do not depend on any thread count.
     """
-    def solve(task):
-        k, submodel, prior = task
+    def problem(k, submodel, prior):
         prior = _checked_prior(prior, k, submodel)
         e, q = cache.stack(submodel, memory_A, k)
-        problem = _DimensionProblem(e, q, cache.quad.weights, link, prior,
-                                    cache.events.horizon_T)
-        return _fit_dimension(problem, max_iter, tol)
+        return _DimensionProblem(e, q, cache.quad.weights, link, prior,
+                                 cache.events.horizon_T)
+
+    def solve(ladder):
+        posts = []
+        for task in ladder:
+            start = _split_mean(posts[-1].mean) if posts else None
+            # no reference outlives the fit, so its stacked features are freed
+            # before the next rung stacks its own
+            posts.append(_fit_dimension(problem(*task), max_iter, tol, start))
+        return posts
 
     if threads is None:
         threads = usable_cores()
@@ -327,12 +379,17 @@ def fit_candidates(tasks, cache, link, memory_A, max_iter, tol, threads=None):
         raise ConfigError(f"threads must be at least 1, got {threads}")
     if link.kind != SIGMOID:
         raise UnsupportedLinkError("variational inference requires the sigmoid link")
-    workers = min(threads, len(tasks))
+    if not math.isfinite(link.alpha * link.alpha):
+        raise ConfigError(f"link alpha {link.alpha:g} is too large: its square overflows")
+    ladders = _ladders(tasks)
+    workers = min(threads, len(ladders))
     with _blas.single_threaded():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(solve, tasks))
-        return [solve(task) for task in tasks]
+                chains = list(pool.map(solve, ladders))
+        else:
+            chains = [solve(ladder) for ladder in ladders]
+    return [post for chain in chains for post in chain]
 
 
 def cavi_fixed_model(events, model, link, prior, quad, max_iter=100, tol=1e-3,

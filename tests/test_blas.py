@@ -98,9 +98,9 @@ def test_fits_run_on_one_blas_thread(monkeypatch, two_threads, threads):
     seen = []
     fit = vi._fit_dimension
 
-    def recording(problem, max_iter, tol):
+    def recording(problem, max_iter, tol, start=None):
         seen.append(_counts())
-        return fit(problem, max_iter, tol)
+        return fit(problem, max_iter, tol, start)
 
     monkeypatch.setattr(vi, "_fit_dimension", recording)
     ev = simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=10.0,

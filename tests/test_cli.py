@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import _fixtures as fx
-from hawkes_vb import _blas, cli, errors
+from hawkes_vb import LinkFunction, _blas, adaptive, cli, errors
 from hawkes_vb.adaptive import SubModel
 from hawkes_vb.metrics import l1_risk
+from hawkes_vb.vi import GaussianPrior, VIConfig
 
 
 def _write(tmp_path, name, payload):
@@ -196,6 +197,24 @@ class TestThreads:
         assert timing["threads"] == (threads or cli.usable_cores())
         assert timing["blas_threads_pinned"] is _blas.pinned()
         assert timing["wall_clock_s"] > 0.0
+
+    def test_timing_counts_the_cavi_work_of_both_steps(self, tmp_path):
+        # two CAVI steps at most, so that some fits stop without converging
+        path = self._fit_config(tmp_path, vi={"max_iter": 2})
+        assert cli.main(["fit", "--config", path]) == 0
+        timing = json.loads((tmp_path / "fit" / "timing.json").read_text())
+        events = cli.read_events_csv(str(tmp_path / "out" / "events.csv"), 2, 10.0)
+        two = adaptive.two_step(
+            events, LinkFunction("sigmoid", theta=20.0, alpha=0.2, eta=10.0), 1,
+            lambda k, sm: GaussianPrior.isotropic(sm.param_dim, 5.0),
+            VIConfig(max_iter=2), memory_A=fx.MEMORY_A)
+        posts = [p for step in (two.step1, two.step2) for dim in step.posteriors
+                 for p in dim]
+        assert timing["candidates"] == len(posts) == 8
+        assert timing["cavi_iterations"] == sum(p.iterations for p in posts)
+        assert timing["fits_not_converged"] == sum(not p.converged for p in posts) > 0
+        result = (tmp_path / "fit" / "result.json").read_text()
+        assert "cavi_iterations" not in result and "fits_not_converged" not in result
 
     def test_result_independent_of_thread_settings(self, tmp_path):
         # T=250 gives 12,500 quadrature nodes; OpenBLAS splits dot products
@@ -383,17 +402,35 @@ class TestFitCommand:
         cov = np.asarray(dim["cov_row_major"]).reshape(3, 3)
         np.testing.assert_allclose(cov, 25.0 * np.eye(3), rtol=1e-9)
 
-    def test_non_finite_result_is_exit_4_and_not_written(self, tmp_path, capsys):
-        # a prior mean of 1e300 drives the posterior and its ELBO to NaN and -inf
-        path = _write(tmp_path, "fit.json", {
+    def _truth_fit_config(self, tmp_path, **extra):
+        """A fixed K=1 fit of a simulated truth on [0, 10], five CAVI steps at most."""
+        cfg = {
             "mode": "fit", "fit_method": "fixed",
             "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0},
             "memory_A": fx.MEMORY_A, "dims_K": 1, "horizon_T": 10.0,
             "truth": _truth_section(fx.sparse_truth(1)), "basis": {"D": 1},
-            "vi": {"max_iter": 5}, "prior": {"mu": 1e300},
-            "out_dir": str(tmp_path / "fit")})
+            "vi": {"max_iter": 5}, "out_dir": str(tmp_path / "fit")}
+        cfg.update(extra)
+        return _write(tmp_path, "fit.json", cfg)
+
+    def test_non_finite_result_is_exit_4_and_not_written(self, tmp_path, capsys):
+        # a prior mean of 1e300 drives the posterior and its ELBO to NaN and -inf
+        path = self._truth_fit_config(tmp_path, prior={"mu": 1e300})
         assert cli.main(["fit", "--config", path]) == cli.EXIT_NUMERICAL
         assert _error_of(capsys)["type"] == "NumericalError"
+        assert not (tmp_path / "fit" / "result.json").exists()
+        # plots come after result.json, so the fresh directory holds none
+        assert (tmp_path / "fit").is_dir() and not _plot_csvs(tmp_path / "fit")
+
+    @pytest.mark.parametrize("section", [
+        {"prior": {"sigma": 1e200}},
+        {"link": {"kind": "sigmoid", "theta": 20.0, "alpha": 1e300, "eta": 10.0}}])
+    def test_parameter_whose_square_overflows_is_exit_1(self, tmp_path, capsys,
+                                                         section):
+        path = self._truth_fit_config(tmp_path, **section)
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)  # the whole of stderr is the JSON object
+        assert error["type"] == "ConfigError"
         assert not (tmp_path / "fit" / "result.json").exists()
 
     def _fit_file_config(self, tmp_path, rows, **extra):

@@ -1,18 +1,22 @@
 """Fixed-model variational inference: updates, ELBO, quadrature, oracles."""
 
 import math
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import _fixtures as fx
-from hawkes_vb import EventData, HistogramBasis, LinkFunction, SimConfig, simulate
-from hawkes_vb.adaptive import Model, SubModel
+from hawkes_vb import EventData, HistogramBasis, LinkFunction, SimConfig, simulate, vi
+from hawkes_vb.adaptive import Model, SubModel, enumerate_submodels
 from hawkes_vb.core import feature_matrix
 from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
 from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, _DimensionProblem,
-                          cavi_fixed_model)
+                          cavi_fixed_model, fit_candidates)
 
 LINK = fx.SIM_LINK
 
@@ -192,6 +196,97 @@ class TestFeatureCache:
                 np.testing.assert_array_equal(
                     feats[sm.block(l)], feature_matrix(ev, basis, [l], times)[1:])
             np.testing.assert_array_equal(feats, feature_matrix(ev, basis, [0, 2], times))
+
+    def test_each_block_is_built_once_by_concurrent_workers(self, monkeypatch):
+        ev = simulate(SimConfig(params=fx.sparse_truth(3), link=LINK, horizon_T=5.0,
+                                seed=1))
+        own = [t[t >= 0.0] for t in ev.times]
+        assert len({t.tobytes() for t in own}) == 3 and all(t.size for t in own)
+        calls, lock = Counter(), threading.Lock()
+        build = vi.feature_matrix
+
+        def counting(events, basis, sources, times):
+            with lock:
+                calls[(tuple(sources), basis.num_bins_J, np.asarray(times).tobytes())] += 1
+            time.sleep(0.005)  # hold the block open while other workers ask for it
+            return build(events, basis, sources, times)
+
+        monkeypatch.setattr(vi, "feature_matrix", counting)
+        cache = FeatureCache(ev, QuadratureGrid.build(5.0, 30))
+        jobs = [(SubModel(column=(1, 1, 1), depth=d), k)
+                for d in range(2) for k in range(3)] * 3
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda job: cache.stack(job[0], fx.MEMORY_A, job[1]), jobs,
+                          timeout=60))
+        # 3 sources at 2 depths: quadrature blocks, and event blocks of 3 dimensions
+        assert sum(calls.values()) == 3 * 2 * (1 + 3)
+        assert set(calls.values()) == {1}
+
+
+class TestDepthLadder:
+    def _cache(self):
+        ev = simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=20.0,
+                                seed=3))
+        return FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A))
+
+    def _problem(self, cache, submodel, k, prior):
+        e, q = cache.stack(submodel, fx.MEMORY_A, k)
+        return _DimensionProblem(e, q, cache.quad.weights, LINK, prior,
+                                 cache.events.horizon_T)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_split_mean_keeps_the_drive(self, depth):
+        cache = self._cache()
+        coarse = SubModel(column=(1, 1), depth=depth)
+        fine = SubModel(column=(1, 1), depth=depth + 1)
+        mean = np.random.default_rng(depth).normal(size=coarse.param_dim)
+        split = vi._split_mean(mean)
+        assert split.size == fine.param_dim
+        for coarse_feats, fine_feats in zip(cache.stack(coarse, fx.MEMORY_A, 1),
+                                            cache.stack(fine, fx.MEMORY_A, 1)):
+            drive = coarse_feats.T @ mean
+            assert drive.size > 0
+            np.testing.assert_allclose(fine_feats.T @ split, drive,
+                                       rtol=0, atol=1e-12 * np.max(np.abs(drive)))
+
+    def test_ladders_are_runs_of_rising_depth_in_one_column(self):
+        subs = enumerate_submodels(2, 2)  # the empty column, then 3 depths of 3 columns
+        tasks = [(k, sm, None) for k in range(2) for sm in subs]
+        ladders = vi._ladders(tasks)
+        assert [len(ladder) for ladder in ladders] == [1, 3, 3, 3] * 2
+        assert [task for ladder in ladders for task in ladder] == tasks
+        fixed = [(k, SubModel(column=(1, 1), depth=k), None) for k in range(2)]
+        assert vi._ladders(fixed) == [[fixed[0]], [fixed[1]]]
+
+    def test_chained_fit_starts_at_the_split_mean(self):
+        cache = self._cache()
+        subs = [SubModel(column=(1, 1), depth=d) for d in range(2)]
+        priors = [GaussianPrior.isotropic(sm.param_dim, 5.0) for sm in subs]
+        coarse, fine = fit_candidates([(0, sm, p) for sm, p in zip(subs, priors)], cache,
+                                      LINK, fx.MEMORY_A, 100, 1e-4, threads=1)
+        problem = self._problem(cache, subs[1], 0, priors[1])
+        start = vi._split_mean(coarse.mean)
+        cov = priors[1].cov * vi._INIT_COV_SCALE
+        assert fine.elbo_trace[0] == problem.elbo(start, cov, problem.moments(start, cov))
+        cold = vi._fit_dimension(problem, 100, 1e-4)
+        assert fine.elbo_trace[0] > cold.elbo_trace[0]
+        assert fine.iterations < cold.iterations
+        assert fine.elbo == pytest.approx(cold.elbo, rel=1e-4)
+
+    def test_lone_tasks_start_cold(self):
+        # the data of test_dimension_without_events_matches_pinned_fit
+        ev = EventData(dims_K=2, horizon_T=2.0,
+                       times=(np.array([0.31, 0.55, 1.2, 1.6]), np.array([])))
+        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A))
+        sm = SubModel(column=(1, 1), depth=0)
+        prior = GaussianPrior.isotropic(3, 5.0)
+        posts = fit_candidates([(0, sm, prior), (1, sm, prior)], cache, LINK,
+                               fx.MEMORY_A, 4, 1e-14, threads=2)
+        for k, post in enumerate(posts):
+            cold = vi._fit_dimension(self._problem(cache, sm, k, prior), 4, 1e-14)
+            np.testing.assert_array_equal(post.mean, cold.mean)
+            np.testing.assert_array_equal(post.cov, cold.cov)
+            assert post.elbo_trace == cold.elbo_trace
 
 
 class TestGaussianPrior:
