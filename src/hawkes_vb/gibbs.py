@@ -7,13 +7,9 @@ problems.  Per sweep and per dimension k it alternates
   2. a latent Poisson process on [0, T] with rate theta_k sigmoid(-lam~_t),
      sampled exactly by thinning against the constant bound theta_k, with
      PG marks at the accepted points;
-  3. a conjugate Gaussian draw of the parameter from
-
-        Sigma_c = [ alpha^2 H D H' + Sigma^{-1} ]^{-1}
-        mu_c    = Sigma_c ( H [alpha v + alpha^2 eta u] + Sigma^{-1} mu )
-
-     where H stacks the features at events and latent points, D = diag(u),
-     u holds all marks and v = 1/2 on events, -1/2 on latent points.
+  3. a draw of the parameter from its Gaussian full conditional,
+     ``vi.conjugate_update`` with every point counted once (the same update
+     that CAVI runs at expected marks; see ``hawkes_vb.vi``).
 
 The recentred drive is lam~_t = alpha (H(t)' f - eta); its sign is
 irrelevant to the PG tilt (the distribution is symmetric in c), so tilts
@@ -23,14 +19,14 @@ are passed as absolute values.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from hawkes_vb import _blas
 from hawkes_vb.core import SIGMOID, HistogramBasis, feature_matrix
 from hawkes_vb.errors import ConfigError, UnsupportedLinkError
 from hawkes_vb.pg import pg_sample_arr
-from hawkes_vb.vi import _checked_prior, _chol_with_jitter
+from hawkes_vb.vi import MAX_POINTS, _checked_prior, conjugate_update
 
 
 @dataclass(frozen=True)
@@ -64,21 +60,6 @@ class GibbsResult:
         return self.samples[k].std(axis=0, ddof=1)
 
 
-def conjugate_update(feats, marks, is_event, alpha, eta, prior):
-    """Gaussian full-conditional of the parameter given the marks.
-
-    ``feats`` is (d, n) with one column per observed or latent point,
-    ``marks`` the PG draws, ``is_event`` flags observed events (+1/2 in v).
-    Returns (mean, chol_of_precision).
-    """
-    prior_prec, prior_prec_mean, _ = prior.factors()
-    prec = prior_prec + alpha**2 * (feats * marks) @ feats.T
-    v = np.where(is_event, 0.5, -0.5)
-    rhs = feats @ (alpha * v + alpha**2 * eta * marks) + prior_prec_mean
-    cf = _chol_with_jitter(prec)
-    return cho_solve(cf, rhs), cf
-
-
 def _draw_gaussian(mean, prec_chol, rng):
     """Sample N(mean, P^{-1}) given the lower Cholesky factor of P."""
     z = rng.standard_normal(mean.size)
@@ -90,7 +71,9 @@ def gibbs_sample(events, config, link, model, prior):
 
     ``model.submodel(k)`` fixes the column and depth of dimension k, and
     ``prior[k]`` is its GaussianPrior.  Reproducible for a fixed seed.  BLAS
-    runs on one thread meanwhile, as in the variational fits.
+    runs on one thread meanwhile, as in the variational fits.  More than
+    ``vi.MAX_POINTS`` expected latent candidates (theta T) per sweep and
+    dimension is a ConfigError.
     """
     if link.kind != SIGMOID:
         raise UnsupportedLinkError("the Gibbs sampler requires the sigmoid link")
@@ -98,6 +81,9 @@ def gibbs_sample(events, config, link, model, prior):
     k_dims = events.dims_K
     horizon = events.horizon_T
     alpha, eta, theta = link.alpha, link.eta, link.theta
+    if theta * horizon > MAX_POINTS:
+        raise ConfigError(f"theta * horizon_T = {theta * horizon:.3g} latent candidates "
+                          f"per sweep is more than the {MAX_POINTS:.0e} allowed")
 
     dims = []
     for k in range(k_dims):

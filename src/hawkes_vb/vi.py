@@ -3,18 +3,21 @@
 Within a model (graph column + histogram resolution per dimension) the
 augmented posterior factorises over dimensions, and each factor over
 (parameter, latent variables).  With phi(x) = theta sigmoid(alpha (x - eta))
-and recentred drive lam~_t = alpha (H(t)' f - eta), the optimal
-parameter factor is Gaussian with closed-form updates
+and recentred drive lam~_t = alpha (H(t)' f - eta), the optimal parameter
+factor is the Gibbs full conditional of the parameter (``conjugate_update``)
+at expected marks: each Polya-Gamma mark becomes its mean, and the latent
+Poisson points become their rate on the quadrature nodes,
 
-    Sigma~^{-1} = alpha^2 [ sum_i E[w_i] H_i H_i' + int E[w] H H' Lam dt ] + Sigma^{-1}
-    mu~ = Sigma~ / 2 * [ alpha sum_i (2 E[w_i] alpha eta + 1) H_i
-                         + alpha int (2 E[w] alpha eta - 1) H Lam dt + 2 Sigma^{-1} mu ]
+    Sigma~^{-1} = Sigma^{-1} + alpha^2 H diag(rho u) H'
+    mu~ = Sigma~ ( H [rho (alpha s + alpha^2 eta u)] + Sigma^{-1} mu ).
 
-where E[w] at tilt c = sqrt(E[lam~^2]) is the tilted Polya-Gamma mean and
+H stacks the features at the dimension's own events, then at the quadrature
+nodes t_j; u = E[w] is the tilted Polya-Gamma mean at tilt
+c = sqrt(E[lam~^2]); s is +1/2 at events and -1/2 at nodes; and rho is 1 at
+events and v_j Lam(t_j) at a node of weight v_j, where
 Lam(t) = theta exp(-E[lam~_t]/2) / (2 cosh(c_t/2)) is the latent-event rate.
-The time integrals are evaluated on a fixed quadrature grid.  Iterating the
-two factor updates is coordinate ascent on the evidence lower bound, whose
-collapsed closed form (latent factor at its optimum) is
+Iterating the two factor updates is coordinate ascent on the evidence lower
+bound, whose collapsed closed form (latent factor at its optimum) is
 
     ELBO = d/2 + log|Sigma~|/2 - tr(Sigma^{-1} Sigma~)/2
            - (mu~ - mu)' Sigma^{-1} (mu~ - mu)/2 - log|Sigma|/2
@@ -41,14 +44,20 @@ from hawkes_vb.pg import pg_mean
 
 _JITTER = 1e-8
 _PANEL_ORDER = 10  # Gauss-Legendre order of one panel of the composite rule
+# The most quadrature nodes, and the most expected Gibbs latent candidates per
+# sweep and dimension (theta T), that a fit may use.  A run past it is a
+# ConfigError, raised before anything of that size is allocated.
+MAX_POINTS = 10_000_000
 
 
 def _chol_with_jitter(a):
     """Cholesky factor of a, retrying once with a diagonal jitter."""
     try:
         return cho_factor(a, lower=True)
-    except np.linalg.LinAlgError:
+    except np.linalg.LinAlgError:  # a ValueError too, so caught first
         pass
+    except ValueError as exc:  # cho_factor's check for NaN and infinity
+        raise NumericalError("matrix to factorise is not finite") from exc
     bump = _JITTER * float(np.mean(np.diag(a)))
     try:
         return cho_factor(a + bump * np.eye(a.shape[0]), lower=True)
@@ -65,8 +74,9 @@ class GaussianPrior:
     """Gaussian prior on the stacked per-dimension parameter (nu first).
 
     The covariance is factorised once, at construction, so a non-finite mean
-    or covariance (ConfigError) or one that is not positive definite
-    (NumericalError) fails here, before any fit starts.
+    or covariance or one too small for a finite precision (ConfigError), or
+    one that is not positive definite (NumericalError), fails here, before
+    any fit starts.
     """
 
     mean: np.ndarray
@@ -82,6 +92,9 @@ class GaussianPrior:
             raise ConfigError("prior mean and covariance must be finite")
         cf = _chol_with_jitter(c)
         prec = cho_solve(cf, np.eye(m.size))
+        if not (np.all(np.isfinite(prec)) and np.all(np.isfinite(prec @ m))):
+            raise ConfigError("prior precision (or precision times mean) is not finite: "
+                              "the prior covariance is too small")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", c)
         object.__setattr__(self, "_factors", (prec, prec @ m, _logdet_from_chol(cf)))
@@ -98,8 +111,10 @@ class GaussianPrior:
     def isotropic(cls, dim, sigma=5.0, mean=0.0):
         # a product, not a power: past the float range it gives inf, which
         # __post_init__ rejects, where ** raises OverflowError
-        return cls(mean=np.full(dim, float(mean)),
-                   cov=np.diag(np.full(dim, float(sigma) * float(sigma))))
+        var = float(sigma) * float(sigma)
+        if sigma and not var:
+            raise ConfigError(f"prior sigma {sigma:g} is too small: its square is 0")
+        return cls(mean=np.full(dim, float(mean)), cov=np.diag(np.full(dim, var)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,12 @@ class QuadratureGrid:
     @classmethod
     def build(cls, horizon_T, n_gq):
         """Composite Gauss-Legendre rule on [0, T]: ceil(n_gq / 10) equal panels
-        of ``_PANEL_ORDER`` (10) nodes each; empty when T or n_gq is not positive."""
+        of ``_PANEL_ORDER`` (10) nodes each; empty when T or n_gq is not positive.
+        More than ``MAX_POINTS`` nodes is a ConfigError."""
+        if n_gq > MAX_POINTS:
+            raise ConfigError(f"a quadrature of {n_gq:.3g} nodes is more than the "
+                              f"{MAX_POINTS:.0e} allowed: horizon_T is too long for "
+                              f"memory_A")
         if horizon_T <= 0 or n_gq <= 0:
             return cls(points=np.empty(0), weights=np.empty(0))
         n_panels = int(math.ceil(n_gq / _PANEL_ORDER))
@@ -142,7 +162,10 @@ class QuadratureGrid:
     @classmethod
     def default(cls, horizon_T, memory_A):
         """Default resolution: about five nodes per memory length."""
-        return cls.build(horizon_T, max(100, int(math.ceil(5.0 * horizon_T / memory_A))))
+        nodes = 5.0 * horizon_T / memory_A
+        if nodes <= MAX_POINTS:  # build refuses the rest; ceil raises on inf
+            nodes = max(100, int(math.ceil(nodes)))
+        return cls.build(horizon_T, nodes)
 
 
 @dataclass(frozen=True)
@@ -152,27 +175,38 @@ class VIConfig:
     threads: int = None
 
 
+def conjugate_update(feats, marks, is_event, alpha, eta, prior, weights=1.0):
+    """Gaussian full conditional of the parameter given Polya-Gamma marks.
+
+    ``feats`` is (d, n) with one column per point, ``marks`` holds the marks u
+    (draws in the Gibbs sampler, means in CAVI) and ``is_event`` flags the
+    observed events (s = +1/2; -1/2 elsewhere).  A point counts ``weights``
+    times: 1 at an event or a latent point, v_j Lam(t_j) at a quadrature node.
+    With rho = weights, returns the mean and the lower Cholesky factor of
+
+        P = Sigma^{-1} + alpha^2 H diag(rho u) H',
+        mean = P^{-1} ( H [rho (alpha s + alpha^2 eta u)] + Sigma^{-1} mu ).
+    """
+    prior_prec, prior_prec_mean, _ = prior.factors()
+    prec = prior_prec + alpha**2 * (feats * (weights * marks)) @ feats.T
+    s = np.where(is_event, 0.5, -0.5)
+    rhs = feats @ (weights * (alpha * s + alpha**2 * eta * marks)) + prior_prec_mean
+    cf = _chol_with_jitter(prec)
+    return cho_solve(cf, rhs), cf
+
+
 class _DimensionProblem:
     """Per-dimension sufficient statistics shared by the CAVI iterations."""
 
-    def __init__(self, feats_events, feats_quad, quad_weights, link, prior, horizon_T):
-        self.e = feats_events          # (d, N_k) features at own events
-        self.q = feats_quad            # (d, n_q) features at quadrature nodes
-        self.v = quad_weights          # (n_q,)
+    def __init__(self, feats, n_events, quad_weights, link, prior, horizon_T):
+        self.feats = feats              # (d, N_k + n_q): own events, then nodes
+        self.n_events = n_events        # N_k
+        self.is_event = np.arange(feats.shape[1]) < n_events
+        self.v = quad_weights           # (n_q,)
         self.link = link
         self.prior = prior
         self.horizon_T = horizon_T
-        self.prior_prec, self.prior_prec_mean, self.prior_logdet = prior.factors()
-
-    def second_moment_stats(self, mean, cov, feats):
-        """(c, m) with c = sqrt(E[lam~^2]) and m = E[lam~] at the columns."""
-        alpha, eta = self.link.alpha, self.link.eta
-        proj = feats.T @ mean
-        quad = np.einsum("ij,ij->j", feats, cov @ feats)
-        quad = np.maximum(quad, 0.0)
-        m = alpha * (proj - eta)
-        c = alpha * np.sqrt(quad + (proj - eta) ** 2)
-        return c, m
+        self.prior_prec, _, self.prior_logdet = prior.factors()
 
     def latent_rate(self, c, m):
         """Lam(t) = theta exp(-m/2) / (2 cosh(c/2)), overflow-safe."""
@@ -181,30 +215,23 @@ class _DimensionProblem:
         return np.exp(log_rate)
 
     def moments(self, mean, cov):
-        """(c, m) at the events and at the quadrature nodes, in that order."""
-        return (self.second_moment_stats(mean, cov, self.e),
-                self.second_moment_stats(mean, cov, self.q))
+        """(c, m) at every column: c = sqrt(E[lam~^2]) and m = E[lam~]."""
+        alpha, eta = self.link.alpha, self.link.eta
+        proj = self.feats.T @ mean - eta
+        quad = np.einsum("ij,ij->j", self.feats, cov @ self.feats)
+        quad = np.maximum(quad, 0.0)
+        return alpha * np.sqrt(quad + proj ** 2), alpha * proj
 
     def update(self, mom):
         """Next (mean, cov) from the moments of the current factor."""
-        alpha, eta = self.link.alpha, self.link.eta
-        (c_e, _), (c_q, m_q) = mom
-        w_e = pg_mean(c_e)
-        w_q = pg_mean(c_q)
-        rate_q = self.latent_rate(c_q, m_q)
-
-        prec = self.prior_prec.copy()
-        prec += alpha**2 * (self.e * w_e) @ self.e.T
-        prec += alpha**2 * (self.q * (self.v * w_q * rate_q)) @ self.q.T
-        rhs = 2.0 * self.prior_prec_mean
-        rhs += alpha * self.e @ (2.0 * w_e * alpha * eta + 1.0)
-        rhs += alpha * self.q @ (self.v * (2.0 * w_q * alpha * eta - 1.0) * rate_q)
-
-        cf = _chol_with_jitter(prec)
-        new_cov = cho_solve(cf, np.eye(prec.shape[0]))
-        new_cov = 0.5 * (new_cov + new_cov.T)
-        new_mean = 0.5 * cho_solve(cf, rhs)
-        return new_mean, new_cov
+        c, m = mom
+        n = self.n_events
+        weights = np.concatenate([np.ones(n), self.v * self.latent_rate(c[n:], m[n:])])
+        new_mean, cf = conjugate_update(self.feats, pg_mean(c), self.is_event,
+                                        self.link.alpha, self.link.eta, self.prior,
+                                        weights)
+        new_cov = cho_solve(cf, np.eye(new_mean.size))
+        return new_mean, 0.5 * (new_cov + new_cov.T)
 
     def elbo(self, mean, cov, mom):
         """Collapsed evidence lower bound at the factor (mean, cov) with moments mom."""
@@ -216,12 +243,14 @@ class _DimensionProblem:
         val = 0.5 * d + 0.5 * logdet_cov - 0.5 * float(np.sum(self.prior_prec * cov))
         val -= 0.5 * float(diff @ self.prior_prec @ diff)
         val -= 0.5 * self.prior_logdet
-        (c_e, m_e), (c_q, m_q) = mom
+        c, m = mom
+        n = self.n_events
+        c_e, m_e = c[:n], m[:n]
         # log theta - log 2 + m/2 - log cosh(c/2), with the stable
         # log(2 cosh(c/2)) = c/2 + log1p(exp(-c))
         val += float(np.sum(math.log(link.theta) + 0.5 * m_e
                             - (0.5 * c_e + np.log1p(np.exp(-c_e)))))
-        val += float(self.v @ self.latent_rate(c_q, m_q))
+        val += float(self.v @ self.latent_rate(c[n:], m[n:]))
         val -= link.theta * self.horizon_T
         return val
 
@@ -244,19 +273,29 @@ def _split_mean(mean):
     return np.concatenate([mean[:1], np.repeat(0.5 * mean[1:], 2)])
 
 
+def _finite(elbo, iterations):
+    """``elbo``, or NumericalError if it is not finite."""
+    if not math.isfinite(elbo):
+        raise NumericalError(f"ELBO is {elbo} after {iterations} CAVI iterations")
+    return elbo
+
+
 def _fit_dimension(problem, max_iter, tol, start=None):
-    """CAVI from the mean ``start`` (default: the prior mean) and a small covariance."""
+    """CAVI from the mean ``start`` (default: the prior mean) and a small covariance.
+
+    Stops with NumericalError at the first ELBO that is not finite.
+    """
     mean = problem.prior.mean.copy() if start is None else start
     cov = problem.prior.cov * _INIT_COV_SCALE
     mom = problem.moments(mean, cov)
-    trace = [problem.elbo(mean, cov, mom)]
+    trace = [_finite(problem.elbo(mean, cov, mom), 0)]
     converged = False
     iterations = 0
     for _ in range(max_iter):
         mean, cov = problem.update(mom)
         mom = problem.moments(mean, cov)
         iterations += 1
-        trace.append(problem.elbo(mean, cov, mom))
+        trace.append(_finite(problem.elbo(mean, cov, mom), iterations))
         if abs(trace[-1] - trace[-2]) < tol * max(1.0, abs(trace[-2])):
             converged = True
             break
@@ -294,21 +333,23 @@ class FeatureCache:
         return block.result()
 
     def stack(self, submodel, memory_A, k):
-        """(events_matrix, quad_matrix) of ``submodel`` for receiving dimension k."""
+        """(features, N_k) of ``submodel`` for receiving dimension k.
+
+        The features are one (d, N_k + n_q) matrix: a column per own event of
+        dimension k, then a column per quadrature node.
+        """
         own = self.events.times[k]
         own = own[own >= 0.0]
-        d = submodel.param_dim
-        e = np.empty((d, own.size))
-        q = np.empty((d, self.quad.points.size))
-        e[0] = 1.0
-        q[0] = 1.0
+        n = own.size
+        feats = np.empty((submodel.param_dim, n + self.quad.points.size))
+        feats[0] = 1.0
         j = submodel.num_bins
         basis = HistogramBasis(memory_A, j)
         for l in submodel.active_sources:
             rows = submodel.block(l)
-            e[rows] = self._rows((l, j, k), basis, l, own)
-            q[rows] = self._rows((l, j), basis, l, self.quad.points)
-        return e, q
+            feats[rows, :n] = self._rows((l, j, k), basis, l, own)
+            feats[rows, n:] = self._rows((l, j), basis, l, self.quad.points)
+        return feats, n
 
 
 def _checked_prior(prior, k, submodel):
@@ -360,8 +401,8 @@ def fit_candidates(tasks, cache, link, memory_A, max_iter, tol, threads=None):
     """
     def problem(k, submodel, prior):
         prior = _checked_prior(prior, k, submodel)
-        e, q = cache.stack(submodel, memory_A, k)
-        return _DimensionProblem(e, q, cache.quad.weights, link, prior,
+        feats, n = cache.stack(submodel, memory_A, k)
+        return _DimensionProblem(feats, n, cache.quad.weights, link, prior,
                                  cache.events.horizon_T)
 
     def solve(ladder):

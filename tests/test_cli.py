@@ -433,6 +433,28 @@ class TestFitCommand:
         assert error["type"] == "ConfigError"
         assert not (tmp_path / "fit" / "result.json").exists()
 
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-200])
+    def test_prior_sigma_too_small_for_its_precision_is_exit_1(self, tmp_path, capsys,
+                                                               sigma):
+        # 1e-155 squares to a subnormal whose inverse overflows; 1e-200 squares to 0
+        path = self._truth_fit_config(tmp_path, prior={"mu": 0.0, "sigma": sigma})
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+        assert _error_of(capsys)["type"] == "ConfigError"
+        assert not (tmp_path / "fit" / "result.json").exists()
+
+    @pytest.mark.parametrize("method", ["fixed", "two-step", "gibbs"])
+    @pytest.mark.parametrize("horizon", [1e12, 1e300])
+    def test_fit_past_the_work_cap_is_exit_1(self, tmp_path, capsys, method, horizon):
+        # 5 T / A quadrature nodes, or theta T Gibbs latent candidates per
+        # sweep, past vi.MAX_POINTS: refused before anything that size exists
+        path = self._fit_file_config(tmp_path, ["0,0.5", "1,1.5"], horizon_T=horizon,
+                                     fit_method=method, basis={"D": 1})
+        assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError"
+        assert "allowed" in error["message"]
+        assert not (tmp_path / "fit" / "result.json").exists()
+
     def _fit_file_config(self, tmp_path, rows, **extra):
         csv_path = tmp_path / "events.csv"
         csv_path.write_text("dim,time\n" + "".join(f"{r}\n" for r in rows))

@@ -1,5 +1,6 @@
 """Gibbs oracle: prior recovery, conjugate step, grid-posterior agreement."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -51,6 +52,17 @@ class TestGibbsSample:
         se = 2.0 / math.sqrt(s.shape[0])
         assert np.max(np.abs(s.mean(axis=0))) < 4 * se
         np.testing.assert_allclose(s.std(axis=0), 2.0, rtol=0.1)
+
+    def test_short_chain_draws_are_pinned(self):
+        # SHA-256 of the draws' bytes; moving the conjugate update must not
+        # change a bit of the chain
+        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                horizon_T=10.0, seed=1))
+        res = gibbs_sample(ev, GibbsConfig(n_iter=6, burn_in=0, seed=7), LINK,
+                           _model(1, 4), [GaussianPrior.isotropic(5, 5.0)])
+        assert res.samples[0].shape == (6, 5)
+        assert hashlib.sha256(res.samples[0].tobytes()).hexdigest() == (
+            "6b4871eaa15f552688dbefb02d14a6e175d260b33d661ad2716541831f337ec7")
 
     def test_reproducible_given_seed(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,

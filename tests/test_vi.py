@@ -15,6 +15,7 @@ from hawkes_vb import EventData, HistogramBasis, LinkFunction, SimConfig, simula
 from hawkes_vb.adaptive import Model, SubModel, enumerate_submodels
 from hawkes_vb.core import feature_matrix
 from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
+from hawkes_vb.pg import pg_mean
 from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, _DimensionProblem,
                           cavi_fixed_model, fit_candidates)
 
@@ -57,6 +58,13 @@ class TestQuadratureGrid:
         g = QuadratureGrid.default(500.0, 0.1)
         assert g.n_gq >= 25000
 
+    @pytest.mark.parametrize("horizon", [1e12, 1e300])
+    def test_more_nodes_than_the_cap_is_config_error(self, horizon):
+        with pytest.raises(ConfigError, match="allowed"):
+            QuadratureGrid.default(horizon, 0.1)
+        with pytest.raises(ConfigError, match="allowed"):
+            QuadratureGrid.build(1.0, vi.MAX_POINTS + 1)
+
 
 class TestCaviFixedModel:
     def test_no_data_returns_prior_exactly(self):
@@ -89,8 +97,8 @@ class TestCaviFixedModel:
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, prior, quad,
                                  max_iter=500, tol=1e-14)
         cache = FeatureCache(ev, quad)
-        e, q = cache.stack(_model(1, 1).submodel(0), fx.MEMORY_A, 0)
-        problem = _DimensionProblem(e, q, quad.weights, LINK, prior[0], 2.0)
+        feats, n = cache.stack(_model(1, 1).submodel(0), fx.MEMORY_A, 0)
+        problem = _DimensionProblem(feats, n, quad.weights, LINK, prior[0], 2.0)
         mean, cov = posts[0].mean, posts[0].cov
         for _ in range(5000):
             new_mean, new_cov = problem.update(problem.moments(mean, cov))
@@ -159,6 +167,14 @@ class TestCaviFixedModel:
             cavi_fixed_model(_empty_events(), _model(1, 1), LINK, [bad],
                              QuadratureGrid.build(0.0, 0))
 
+    def test_non_finite_elbo_stops_the_fit_at_once(self):
+        # a prior mean of 1e300 overflows the tilts: the first ELBO is -inf
+        ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.31, 0.55, 1.2]),))
+        with pytest.raises(NumericalError, match="after 0 CAVI iterations"):
+            cavi_fixed_model(ev, _model(1, 2), LINK,
+                             [GaussianPrior.isotropic(3, 5.0, mean=1e300)],
+                             QuadratureGrid.default(2.0, fx.MEMORY_A), max_iter=5)
+
     def test_dimension_without_events_matches_pinned_fit(self):
         # dimension 1 has no events of its own: its event features are (3, 0)
         ev = EventData(dims_K=2, horizon_T=2.0,
@@ -185,7 +201,8 @@ class TestFeatureCache:
                                 seed=1))
         quad = QuadratureGrid.build(5.0, 30)
         sm = SubModel(column=(1, 0, 1), depth=1)
-        e, q = FeatureCache(ev, quad).stack(sm, fx.MEMORY_A, 2)
+        stacked, n = FeatureCache(ev, quad).stack(sm, fx.MEMORY_A, 2)
+        e, q = stacked[:, :n], stacked[:, n:]
         basis = HistogramBasis(fx.MEMORY_A, 2)
         own = ev.times[2][ev.times[2] >= 0.0]
         assert own.size > 0
@@ -230,9 +247,14 @@ class TestDepthLadder:
         return FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A))
 
     def _problem(self, cache, submodel, k, prior):
-        e, q = cache.stack(submodel, fx.MEMORY_A, k)
-        return _DimensionProblem(e, q, cache.quad.weights, LINK, prior,
+        feats, n = cache.stack(submodel, fx.MEMORY_A, k)
+        return _DimensionProblem(feats, n, cache.quad.weights, LINK, prior,
                                  cache.events.horizon_T)
+
+    def _blocks(self, cache, submodel, k):
+        """(event features, quadrature features) of the stacked matrix."""
+        feats, n = cache.stack(submodel, fx.MEMORY_A, k)
+        return feats[:, :n], feats[:, n:]
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_split_mean_keeps_the_drive(self, depth):
@@ -242,8 +264,8 @@ class TestDepthLadder:
         mean = np.random.default_rng(depth).normal(size=coarse.param_dim)
         split = vi._split_mean(mean)
         assert split.size == fine.param_dim
-        for coarse_feats, fine_feats in zip(cache.stack(coarse, fx.MEMORY_A, 1),
-                                            cache.stack(fine, fx.MEMORY_A, 1)):
+        for coarse_feats, fine_feats in zip(self._blocks(cache, coarse, 1),
+                                            self._blocks(cache, fine, 1)):
             drive = coarse_feats.T @ mean
             assert drive.size > 0
             np.testing.assert_allclose(fine_feats.T @ split, drive,
@@ -301,6 +323,50 @@ class TestGaussianPrior:
         assert ref[2] == pytest.approx(np.linalg.slogdet(cov)[1], rel=1e-12)
         assert prior.factors() is ref  # the tuple built at construction
 
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-200])
+    def test_variance_without_a_finite_precision_is_config_error(self, sigma):
+        with pytest.raises(ConfigError, match="too small"):
+            GaussianPrior.isotropic(2, sigma)
+
+    def test_non_finite_matrix_fails_to_factorise_cleanly(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            vi._chol_with_jitter(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+
+class TestSharedUpdate:
+    def test_update_equals_the_two_term_cavi_formula(self):
+        # reference: the mean-field update with its event and quadrature
+        # terms written out separately, and the mean as P^{-1} rhs / 2
+        ev = EventData(dims_K=1, horizon_T=3.0, times=(np.array([0.4, 1.1, 2.3]),))
+        quad = QuadratureGrid.default(3.0, fx.MEMORY_A)
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((3, 3))
+        prior = GaussianPrior(mean=rng.normal(size=3), cov=a @ a.T + 3.0 * np.eye(3))
+        feats, n = FeatureCache(ev, quad).stack(_model(1, 2).submodel(0),
+                                                fx.MEMORY_A, 0)
+        problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
+        mean = np.array([3.0, 0.4, -0.2])
+        cov = 0.05 * np.eye(3) + 0.01
+        mom = problem.moments(mean, cov)
+        new_mean, new_cov = problem.update(mom)
+
+        alpha, eta, v = LINK.alpha, LINK.eta, quad.weights
+        e, q = feats[:, :n], feats[:, n:]
+        c, m = mom
+        w_e, w_q = pg_mean(c[:n]), pg_mean(c[n:])
+        rate_q = problem.latent_rate(c[n:], m[n:])
+        prior_prec = np.linalg.inv(prior.cov)
+        prec = (prior_prec + alpha**2 * (e * w_e) @ e.T
+                + alpha**2 * (q * (v * w_q * rate_q)) @ q.T)
+        rhs = (2.0 * prior_prec @ prior.mean
+               + alpha * e @ (2.0 * w_e * alpha * eta + 1.0)
+               + alpha * q @ (v * (2.0 * w_q * alpha * eta - 1.0) * rate_q))
+        ref_cov = np.linalg.inv(prec)
+        ref_mean = 0.5 * ref_cov @ rhs
+        assert n == 3 and q.shape[1] == quad.n_gq
+        assert np.max(np.abs(new_mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
+        assert np.max(np.abs(new_cov - ref_cov)) <= 1e-12 * np.max(np.abs(ref_cov))
+
 
 class TestBruteForceOracle:
     def test_cavi_matches_direct_elbo_maximisation(self):
@@ -311,8 +377,8 @@ class TestBruteForceOracle:
         quad = QuadratureGrid.default(3.0, fx.MEMORY_A)
         prior = GaussianPrior.isotropic(2, 5.0)
         cache = FeatureCache(ev, quad)
-        e, q = cache.stack(_model(1, 1).submodel(0), fx.MEMORY_A, 0)
-        problem = _DimensionProblem(e, q, quad.weights, LINK, prior, 3.0)
+        feats, n = cache.stack(_model(1, 1).submodel(0), fx.MEMORY_A, 0)
+        problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
 
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, [prior], quad,
                                  max_iter=1000, tol=1e-14)
