@@ -205,11 +205,11 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=VIConfig(),
     if quad is None:
         quad = QuadratureGrid.default(events.horizon_T, memory_A)
     if cache is None:
-        cache = FeatureCache(events, quad)
+        cache = FeatureCache(events, quad, memory_A)
 
     tasks = [(k, sm, prior_factory(k, sm)) for k in range(k_dims) for sm in model_set[k]]
-    fits = iter(fit_candidates(tasks, cache, link, memory_A, vi_config.max_iter,
-                               vi_config.tol, vi_config.threads))
+    fits = iter(fit_candidates(tasks, cache, link, vi_config.max_iter, vi_config.tol,
+                               vi_config.threads))
 
     dim_results = []
     dim_posteriors = []
@@ -270,7 +270,7 @@ def two_step(events, link, max_depth, prior_factory, vi_config=VIConfig(), *,
     """
     k_dims = events.dims_K
     quad = QuadratureGrid.default(events.horizon_T, memory_A)
-    cache = FeatureCache(events, quad)
+    cache = FeatureCache(events, quad, memory_A)
 
     complete = [enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)] * k_dims
     step1 = fully_adaptive(events, complete, link, prior_factory, vi_config,

@@ -528,6 +528,14 @@ def _cavi_counts(fits):
             "fits_not_converged": sum(not post.converged for post in posts)}
 
 
+def _numbers(value):
+    """``value`` as a float64 array; DataError unless every entry is a number."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"expected an array of numbers, got {json.dumps(value)[:60]}")
+    return arr.astype(np.float64)
+
+
 def cmd_eval(cfg):
     path = cfg.get("result_json")
     if path is None:
@@ -543,11 +551,14 @@ def cmd_eval(cfg):
         posts, subs = [], []
         for k in range(k_dims):
             dd = dims[k]
-            mean = np.asarray(dd["mean"])
+            mean = _numbers(dd["mean"])
             if "cov_row_major" in dd:
-                cov = np.asarray(dd["cov_row_major"]).reshape(mean.size, mean.size)
+                cov = _numbers(dd["cov_row_major"]).reshape(mean.size, mean.size)
             else:  # gibbs summaries carry marginal sds only
-                cov = np.diag(np.asarray(dd["sd"]) ** 2)
+                cov = np.diag(_numbers(dd["sd"]) ** 2)
+            if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+                raise DataError(f"posterior of dimension {k} needs a 1-d mean and a "
+                                f"square covariance of its size")
             column = tuple(dd.get("column", delta_hat[:, k].tolist()))
             j = dd.get("bins_J", bins[k])
             if not isinstance(j, int) or j < 1 or j & (j - 1):
@@ -558,7 +569,7 @@ def cmd_eval(cfg):
             posts.append(SimpleNamespace(mean=mean, cov=cov))
             subs.append(sm)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise DataError(f"result file missing fields: {exc}") from exc
+        raise DataError(f"result file has missing or malformed fields: {exc}") from exc
     report = metrics.evaluate(posts, subs, delta_hat, truth, memory_A=memory_A)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)

@@ -23,10 +23,10 @@ from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from hawkes_vb import _blas
-from hawkes_vb.core import SIGMOID, HistogramBasis, feature_matrix
+from hawkes_vb.core import MAX_POINTS, SIGMOID, HistogramBasis, feature_matrix
 from hawkes_vb.errors import ConfigError, UnsupportedLinkError
 from hawkes_vb.pg import pg_sample_arr
-from hawkes_vb.vi import MAX_POINTS, _checked_prior, conjugate_update
+from hawkes_vb.vi import _checked_prior, conjugate_update
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def gibbs_sample(events, config, link, model, prior):
     ``model.submodel(k)`` fixes the column and depth of dimension k, and
     ``prior[k]`` is its GaussianPrior.  Reproducible for a fixed seed.  BLAS
     runs on one thread meanwhile, as in the variational fits.  More than
-    ``vi.MAX_POINTS`` expected latent candidates (theta T) per sweep and
+    ``core.MAX_POINTS`` expected latent candidates (theta T) per sweep and
     dimension is a ConfigError.
     """
     if link.kind != SIGMOID:

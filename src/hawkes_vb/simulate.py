@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hawkes_vb.core import EventData, LinkFunction
-from hawkes_vb.errors import DomainError, SimulationDivergedError
+from hawkes_vb.core import MAX_POINTS, EventData, LinkFunction
+from hawkes_vb.errors import ConfigError, DomainError, SimulationDivergedError
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,12 @@ def _uniforms(rng):
 
 
 def simulate(config):
-    """Draw one realisation; returns EventData on [-A, T]."""
+    """Draw one realisation; returns EventData on [-A, T].
+
+    With the sigmoid link, more than ``core.MAX_POINTS`` expected thinning
+    candidates (K theta (T + burn-in)) is a ConfigError, raised before the
+    first draw.
+    """
     params = config.params
     k_dims = params.dims_K
     link = config.link
@@ -172,6 +177,11 @@ def simulate(config):
     if bounded:
         # summed term by term: K * theta can round differently and move every draw
         bound = _sum_in_order(link.theta for _ in range(k_dims))
+        expected = bound * (horizon + burn_in)
+        if expected > MAX_POINTS:
+            raise ConfigError(f"K theta (horizon_T + burn-in) = {expected:.3g} expected "
+                              f"thinning candidates is more than the {MAX_POINTS:.0e} "
+                              f"allowed")
     else:
         env_cols = _envelope_columns(vals)
 

@@ -268,6 +268,23 @@ class TestSimulateCommand:
         for a, b in zip(ev.times, ev2.times):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("entry, value", [("theta", 1e308), ("theta", 1e9),
+                                              ("memory_A", 1e300)])
+    def test_past_the_work_cap_is_exit_1_before_any_draw(self, tmp_path, capsys, entry,
+                                                         value):
+        # K theta (T + burn-in) expected candidates, past core.MAX_POINTS (the
+        # burn-in defaults to memory_A): refused before the thinning loop
+        link = {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0}
+        if entry == "theta":
+            path = _sim_config(tmp_path, fx.excitation_1d(), 10.0,
+                               link={**link, "theta": value})
+        else:
+            path = _sim_config(tmp_path, fx.excitation_1d(), 10.0, memory_A=value)
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and "thinning" in error["message"]
+        assert not (tmp_path / "out" / "events.csv").exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         path = _sim_config(tmp_path, fx.excitation_1d(), 10.0)
         cli.main(["simulate", "--config", path, "--seed", "5",
@@ -446,7 +463,7 @@ class TestFitCommand:
     @pytest.mark.parametrize("horizon", [1e12, 1e300])
     def test_fit_past_the_work_cap_is_exit_1(self, tmp_path, capsys, method, horizon):
         # 5 T / A quadrature nodes, or theta T Gibbs latent candidates per
-        # sweep, past vi.MAX_POINTS: refused before anything that size exists
+        # sweep, past core.MAX_POINTS: refused before anything that size exists
         path = self._fit_file_config(tmp_path, ["0,0.5", "1,1.5"], horizon_T=horizon,
                                      fit_method=method, basis={"D": 1})
         assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
@@ -832,6 +849,25 @@ class TestEvalCommand:
             "out_dir": str(tmp_path / "m")})
         assert cli.main(["eval", "--config", p]) == cli.EXIT_DATA
         assert "column" in _error_of(capsys)["message"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean", ["a", "b", "c"]),
+        ("mean", [[1, 2, 3]]),
+        ("cov_row_major", ["0"] * 9),
+    ])
+    def test_malformed_posterior_array_is_exit_3(self, tmp_path, capsys, field, value):
+        truth = fx.sparse_truth(2)  # dimension 0: three parameters
+        result = json.loads(open(self._result_from_truth(tmp_path, truth)).read())
+        assert len(result["dimensions"][0]["mean"]) == 3
+        result["dimensions"][0][field] = value
+        res_path = _write(tmp_path, "result.json", result)
+        p = _write(tmp_path, "eval.json", {
+            "mode": "eval", "memory_A": fx.MEMORY_A, "dims_K": 2,
+            "truth": _truth_section(truth), "result_json": res_path,
+            "out_dir": str(tmp_path / "m")})
+        assert cli.main(["eval", "--config", p]) == cli.EXIT_DATA
+        assert _error_of(capsys)["type"] == "DataError"
+        assert not (tmp_path / "m" / "metrics.json").exists()
 
     def test_gibbs_result_scores_its_marginal_sds(self, tmp_path):
         # a Gibbs result.json has per-dimension sd and no column

@@ -1,6 +1,7 @@
 """Fixed-model variational inference: updates, ELBO, quadrature, oracles."""
 
 import math
+import sys
 import threading
 import time
 from collections import Counter
@@ -96,8 +97,8 @@ class TestCaviFixedModel:
         prior = [GaussianPrior.isotropic(2, 5.0)]
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, prior, quad,
                                  max_iter=500, tol=1e-14)
-        cache = FeatureCache(ev, quad)
-        feats, n = cache.stack(_model(1, 1).submodel(0), fx.MEMORY_A, 0)
+        cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        feats, n = cache.stack(_model(1, 1).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior[0], 2.0)
         mean, cov = posts[0].mean, posts[0].cov
         for _ in range(5000):
@@ -126,14 +127,15 @@ class TestCaviFixedModel:
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=40.0, seed=4))
         quad = QuadratureGrid.default(40.0, fx.MEMORY_A)
         priors = [GaussianPrior.isotropic(5, 5.0), GaussianPrior.isotropic(5, 5.0)]
-        joint = cavi_fixed_model(ev, _model(2, 2), LINK, priors, quad)
-        solo0 = cavi_fixed_model(ev, _model(2, 2), LINK, priors, quad, dims=[0])
-        solo1 = cavi_fixed_model(ev, _model(2, 2), LINK, priors, quad, dims=[1])
-        np.testing.assert_array_equal(joint[0].mean, solo0[0].mean)
-        np.testing.assert_array_equal(joint[0].cov, solo0[0].cov)
-        np.testing.assert_array_equal(joint[1].mean, solo1[0].mean)
-        assert joint[0].elbo == solo0[0].elbo
-        assert joint[1].elbo == solo1[0].elbo
+        model = _model(2, 2)
+        joint = cavi_fixed_model(ev, model, LINK, priors, quad)
+        for k in range(2):
+            # dimension k alone: one task, on a cache of its own
+            (solo,) = fit_candidates([(k, model.submodel(k), priors[k])],
+                                     FeatureCache(ev, quad, fx.MEMORY_A), LINK, 100, 1e-3)
+            np.testing.assert_array_equal(joint[k].mean, solo.mean)
+            np.testing.assert_array_equal(joint[k].cov, solo.cov)
+            assert joint[k].elbo == solo.elbo
 
     def test_quadrature_doubling_stability(self):
         # the piecewise-constant integrand limits the composite rule to
@@ -201,7 +203,7 @@ class TestFeatureCache:
                                 seed=1))
         quad = QuadratureGrid.build(5.0, 30)
         sm = SubModel(column=(1, 0, 1), depth=1)
-        stacked, n = FeatureCache(ev, quad).stack(sm, fx.MEMORY_A, 2)
+        stacked, n = FeatureCache(ev, quad, fx.MEMORY_A).stack(sm, 2)
         e, q = stacked[:, :n], stacked[:, n:]
         basis = HistogramBasis(fx.MEMORY_A, 2)
         own = ev.times[2][ev.times[2] >= 0.0]
@@ -219,41 +221,50 @@ class TestFeatureCache:
                                 seed=1))
         own = [t[t >= 0.0] for t in ev.times]
         assert len({t.tobytes() for t in own}) == 3 and all(t.size for t in own)
+        quad = QuadratureGrid.build(5.0, 30)
         calls, lock = Counter(), threading.Lock()
         build = vi.feature_matrix
 
         def counting(events, basis, sources, times):
             with lock:
                 calls[(tuple(sources), basis.num_bins_J, np.asarray(times).tobytes())] += 1
-            time.sleep(0.005)  # hold the block open while other workers ask for it
+            time.sleep(0.005)  # hold the table open while other workers ask for it
             return build(events, basis, sources, times)
 
-        monkeypatch.setattr(vi, "feature_matrix", counting)
-        cache = FeatureCache(ev, QuadratureGrid.build(5.0, 30))
-        jobs = [(SubModel(column=(1, 1, 1), depth=d), k)
+        jobs = [(SubModel(column=column, depth=d), k) for column in ((1, 1, 1), (0, 1, 1))
                 for d in range(2) for k in range(3)] * 3
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(lambda job: cache.stack(job[0], fx.MEMORY_A, job[1]), jobs,
-                          timeout=60))
-        # 3 sources at 2 depths: quadrature blocks, and event blocks of 3 dimensions
-        assert sum(calls.values()) == 3 * 2 * (1 + 3)
-        assert set(calls.values()) == {1}
+        expected = [FeatureCache(ev, quad, fx.MEMORY_A).stack(*job) for job in jobs]
+        monkeypatch.setattr(vi, "feature_matrix", counting)
+        cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the check too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                stacked = list(pool.map(lambda job: cache.stack(*job), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        # one table per depth: every source, at every own event and then every node
+        points = np.concatenate(own + [quad.points]).tobytes()
+        assert calls == {((0, 1, 2), 1, points): 1, ((0, 1, 2), 2, points): 1}
+        for (feats, n), (ref_feats, ref_n) in zip(stacked, expected):
+            assert n == ref_n
+            np.testing.assert_array_equal(feats, ref_feats)
 
 
 class TestDepthLadder:
     def _cache(self):
         ev = simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=20.0,
                                 seed=3))
-        return FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A))
+        return FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A)
 
     def _problem(self, cache, submodel, k, prior):
-        feats, n = cache.stack(submodel, fx.MEMORY_A, k)
+        feats, n = cache.stack(submodel, k)
         return _DimensionProblem(feats, n, cache.quad.weights, LINK, prior,
                                  cache.events.horizon_T)
 
     def _blocks(self, cache, submodel, k):
         """(event features, quadrature features) of the stacked matrix."""
-        feats, n = cache.stack(submodel, fx.MEMORY_A, k)
+        feats, n = cache.stack(submodel, k)
         return feats[:, :n], feats[:, n:]
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -285,7 +296,7 @@ class TestDepthLadder:
         subs = [SubModel(column=(1, 1), depth=d) for d in range(2)]
         priors = [GaussianPrior.isotropic(sm.param_dim, 5.0) for sm in subs]
         coarse, fine = fit_candidates([(0, sm, p) for sm, p in zip(subs, priors)], cache,
-                                      LINK, fx.MEMORY_A, 100, 1e-4, threads=1)
+                                      LINK, 100, 1e-4, threads=1)
         problem = self._problem(cache, subs[1], 0, priors[1])
         start = vi._split_mean(coarse.mean)
         cov = priors[1].cov * vi._INIT_COV_SCALE
@@ -299,11 +310,11 @@ class TestDepthLadder:
         # the data of test_dimension_without_events_matches_pinned_fit
         ev = EventData(dims_K=2, horizon_T=2.0,
                        times=(np.array([0.31, 0.55, 1.2, 1.6]), np.array([])))
-        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A))
+        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A)
         sm = SubModel(column=(1, 1), depth=0)
         prior = GaussianPrior.isotropic(3, 5.0)
-        posts = fit_candidates([(0, sm, prior), (1, sm, prior)], cache, LINK,
-                               fx.MEMORY_A, 4, 1e-14, threads=2)
+        posts = fit_candidates([(0, sm, prior), (1, sm, prior)], cache, LINK, 4,
+                               1e-14, threads=2)
         for k, post in enumerate(posts):
             cold = vi._fit_dimension(self._problem(cache, sm, k, prior), 4, 1e-14)
             np.testing.assert_array_equal(post.mean, cold.mean)
@@ -342,8 +353,8 @@ class TestSharedUpdate:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 3))
         prior = GaussianPrior(mean=rng.normal(size=3), cov=a @ a.T + 3.0 * np.eye(3))
-        feats, n = FeatureCache(ev, quad).stack(_model(1, 2).submodel(0),
-                                                fx.MEMORY_A, 0)
+        cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        feats, n = cache.stack(_model(1, 2).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
         mean = np.array([3.0, 0.4, -0.2])
         cov = 0.05 * np.eye(3) + 0.01
@@ -376,8 +387,8 @@ class TestBruteForceOracle:
                        times=(np.array([0.4, 1.1, 2.3]),))
         quad = QuadratureGrid.default(3.0, fx.MEMORY_A)
         prior = GaussianPrior.isotropic(2, 5.0)
-        cache = FeatureCache(ev, quad)
-        feats, n = cache.stack(_model(1, 1).submodel(0), fx.MEMORY_A, 0)
+        cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        feats, n = cache.stack(_model(1, 1).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
 
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, [prior], quad,
