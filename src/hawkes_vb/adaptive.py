@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from hawkes_vb.errors import DomainError, NoGapError
+from hawkes_vb.core import MAX_POINTS
+from hawkes_vb.errors import ConfigError, DomainError, NoGapError
 from hawkes_vb.vi import FeatureCache, QuadratureGrid, VIConfig, fit_candidates
 
 
@@ -85,11 +86,15 @@ def enumerate_submodels(dims_K, max_depth, column=None):
 
     With ``column`` fixed, depths 0..max_depth are enumerated (a single
     entry when the column is empty, since the resolution is then inert);
-    otherwise all 2^K columns are crossed with the depths.
+    otherwise all 2^K columns are crossed with the depths, and more than
+    ``MAX_POINTS`` candidates, 2^K (max_depth + 1), is a ConfigError.
     """
     if column is not None:
         columns = [tuple(int(c) for c in column)]
     else:
+        if (max_depth + 1) << dims_K > MAX_POINTS:
+            raise ConfigError(f"2^{dims_K} columns at {max_depth + 1} depths are more "
+                              f"than the {MAX_POINTS:.0e} candidates allowed")
         columns = [c for c in itertools.product((0, 1), repeat=dims_K)]
     out = []
     for col in columns:
@@ -197,11 +202,17 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=VIConfig(),
     ``prior_factory(k, submodel)`` supplies the Gaussian prior of each fit.
     The depths of one column run as one warm-started chain (see
     ``vi.fit_candidates``), chains run as independent tasks, and the
-    reduction is ordered, so results are reproducible.
+    reduction is ordered, so results are reproducible.  A ``cache`` must be
+    the ``FeatureCache`` of these ``events`` at ``memory_A`` (and on ``quad``,
+    if given); any other is a ConfigError.
     """
     k_dims = events.dims_K
     if len(model_set) != k_dims or any(len(s) == 0 for s in model_set):
         raise DomainError("need one non-empty candidate list per dimension")
+    if cache is not None and (cache.events is not events or cache.memory_A != memory_A
+                              or (quad is not None and quad is not cache.quad)):
+        raise ConfigError("the feature cache was built from other events, memory_A "
+                          "or quadrature")
     if quad is None:
         quad = QuadratureGrid.default(events.horizon_T, memory_A)
     if cache is None:

@@ -153,7 +153,11 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# JSON Schema counts 1e154 as an integer; the config takes only integer literals
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: type(value) is int))(CONFIG_SCHEMA)
 
 # link, vi and gibbs take their defaults from LinkFunction, VIConfig, GibbsConfig
 _DEFAULTS = {
@@ -476,11 +480,13 @@ def cmd_fit(cfg):
                "memory_A": memory_A}
     fits = ()  # the AdaptiveResult of each VI step
     if method == "gibbs":
+        gc = GibbsConfig(**cfg.get("gibbs", {}), seed=cfg["seed"])
+        # the priors first: they refuse a model too large before its K x K graph exists
+        complete = adaptive.SubModel(column=(1,) * k_dims, depth=depth)
+        priors = [factory(k, complete) for k in range(k_dims)]
         model = adaptive.Model(graph_delta=np.ones((k_dims, k_dims), dtype=np.int8),
                                bins_J=(2 ** depth,) * k_dims, memory_A=memory_A)
-        gc = GibbsConfig(**cfg.get("gibbs", {}), seed=cfg["seed"])
-        chain = gibbs_sample(events, gc, link, model,
-                             [factory(k, model.submodel(k)) for k in range(k_dims)])
+        chain = gibbs_sample(events, gc, link, model, priors)
         payload["dimensions"] = [{
             "mean": chain.mean(k).tolist(),
             "sd": chain.sd(k).tolist(),

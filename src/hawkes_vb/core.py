@@ -27,9 +27,10 @@ import numpy as np
 from hawkes_vb.errors import DataError, DomainError
 
 # The most points a run may draw or use: quadrature nodes, expected Gibbs
-# latent candidates per sweep and dimension (theta T), and expected thinning
-# candidates of a simulation.  A run past it is a ConfigError, raised before
-# anything of that size is allocated or drawn.
+# latent candidates per sweep and dimension (theta T), expected thinning
+# candidates of a simulation, entries of a prior covariance and candidates of
+# an adaptive fit.  A run past it is a ConfigError, raised before anything of
+# that size is allocated or drawn.
 MAX_POINTS = 10_000_000
 
 SIGMOID = "sigmoid"

@@ -42,6 +42,8 @@ class GibbsConfig:
                               f"burn_in={self.burn_in}")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,8 @@ class SimConfig:
             raise DomainError("burn_in must be nonnegative and finite")
         if not isinstance(self.link, LinkFunction):
             raise DomainError("link must be one LinkFunction shared by all dimensions")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ serves model comparison.
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -105,6 +104,11 @@ class GaussianPrior:
 
     @classmethod
     def isotropic(cls, dim, sigma=5.0, mean=0.0):
+        """N(mean, sigma^2 I) in ``dim`` dimensions; a covariance of more than
+        ``MAX_POINTS`` entries is a ConfigError, raised before it is allocated."""
+        if dim * dim > MAX_POINTS:
+            raise ConfigError(f"a prior of dimension {dim} has more than the "
+                              f"{MAX_POINTS:.0e} covariance entries allowed")
         # a product, not a power: past the float range it gives inf, which
         # __post_init__ rejects, where ** raises OverflowError
         var = float(sigma) * float(sigma)
@@ -182,11 +186,15 @@ def conjugate_update(feats, marks, is_event, alpha, eta, prior, weights=1.0):
 
         P = Sigma^{-1} + alpha^2 H diag(rho u) H',
         mean = P^{-1} ( H [rho (alpha s + alpha^2 eta u)] + Sigma^{-1} mu ).
+
+    A right-hand side that is not finite is a NumericalError.
     """
     prior_prec, prior_prec_mean, _ = prior.factors()
     prec = prior_prec + alpha**2 * (feats * (weights * marks)) @ feats.T
     s = np.where(is_event, 0.5, -0.5)
     rhs = feats @ (weights * (alpha * s + alpha**2 * eta * marks)) + prior_prec_mean
+    if not np.all(np.isfinite(rhs)):
+        raise NumericalError("right-hand side of the update is not finite")
     cf = _chol_with_jitter(prec)
     return cho_solve(cf, rhs), cf
 
@@ -306,8 +314,8 @@ class FeatureCache:
 
     One table per histogram size J holds every source's rows at every point:
     each dimension's own events (t >= 0), in dimension order, then the
-    quadrature nodes.  The first worker that needs a J builds its table under
-    the cache lock; later workers read it.
+    quadrature nodes.  ``build`` makes the tables before a fit starts, and
+    ``stack`` only reads them, so workers share the cache without a lock.
     """
 
     def __init__(self, events, quad, memory_A):
@@ -318,17 +326,13 @@ class FeatureCache:
         # dimension k's own events are columns _starts[k]:_starts[k + 1]
         self._starts = np.cumsum([0] + [t.size for t in own]).tolist()
         self._points = np.concatenate(own + [quad.points])
-        self._lock = threading.Lock()
         self._tables = {}  # J -> (1 + K J, N + n_q) features
 
-    def _table(self, j):
-        with self._lock:
-            table = self._tables.get(j)
-            if table is None:
-                table = self._tables[j] = feature_matrix(
-                    self.events, HistogramBasis(self.memory_A, j),
-                    range(self.events.dims_K), self._points)
-        return table
+    def build(self, sizes):
+        """Build the table of each histogram size in ``sizes`` not built yet."""
+        for j in sorted(set(sizes) - self._tables.keys()):
+            self._tables[j] = feature_matrix(self.events, HistogramBasis(self.memory_A, j),
+                                             range(self.events.dims_K), self._points)
 
     def stack(self, submodel, k):
         """(features, N_k) of ``submodel`` for receiving dimension k.
@@ -339,7 +343,7 @@ class FeatureCache:
         j = submodel.num_bins
         rows = [0] + [1 + l * j + b for l in submodel.active_sources for b in range(j)]
         start, n = self._starts[k], self._starts[k + 1] - self._starts[k]
-        table = self._table(j)
+        table = self._tables[j]  # KeyError unless build made it
         # two row gathers into one buffer: several times faster than np.ix_
         feats = np.empty((len(rows), n + self.quad.n_gq))
         feats[:, :n] = table[rows, start:start + n]
@@ -386,7 +390,9 @@ def _ladders(tasks):
 def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
     """Fit every task ``(k, submodel, prior)``; posteriors come back in task order.
 
-    ``cache`` is the ``FeatureCache`` of the data.  Each depth ladder (see
+    ``cache`` is the ``FeatureCache`` of the data.  The calling thread checks
+    the link and every prior, and builds every feature table the tasks need,
+    before any fit starts; the workers only read.  Each depth ladder (see
     ``_ladders``) is one chain: its first fit starts at the prior mean, and
     each later fit at the previous fit's mean split onto the finer bins,
     which has the same kernel.  Every chain runs in one pool of ``threads``
@@ -396,7 +402,6 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
     way: results do not depend on any thread count.
     """
     def problem(k, submodel, prior):
-        prior = _checked_prior(prior, k, submodel)
         feats, n = cache.stack(submodel, k)
         return _DimensionProblem(feats, n, cache.quad.weights, link, prior,
                                  cache.events.horizon_T)
@@ -418,6 +423,9 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
         raise UnsupportedLinkError("variational inference requires the sigmoid link")
     if not math.isfinite(link.alpha * link.alpha):
         raise ConfigError(f"link alpha {link.alpha:g} is too large: its square overflows")
+    for k, submodel, prior in tasks:
+        _checked_prior(prior, k, submodel)
+    cache.build({submodel.num_bins for _, submodel, _ in tasks})
     ladders = _ladders(tasks)
     workers = max(1, min(threads, len(ladders)))
     with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:

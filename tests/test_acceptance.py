@@ -270,6 +270,7 @@ def test_criterion_11_oracle_equivalence():
     quad = QuadratureGrid.default(3.0, A)
     prior = GaussianPrior.isotropic(2, 5.0)
     cache = FeatureCache(ev, quad, A)
+    cache.build([1])
     feats, n = cache.stack(SubModel(column=(1,), depth=0), 0)
     problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
     model = Model(graph_delta=np.ones((1, 1), dtype=np.int8), bins_J=(1,),

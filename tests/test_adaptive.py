@@ -15,7 +15,8 @@ from hawkes_vb.adaptive import (AdaptiveResult, DimensionWeights, Model, SubMode
                                 norm_matrix, two_step,
                                 _log_sum_exp_weights, _select_index)
 from hawkes_vb.errors import ConfigError, DomainError, NoGapError
-from hawkes_vb.vi import GaussianPrior, QuadratureGrid, VIConfig, cavi_fixed_model
+from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, VIConfig,
+                          cavi_fixed_model)
 
 LINK = fx.SIM_LINK
 
@@ -30,6 +31,13 @@ class TestEnumeration:
 
     def test_k2_depth4_gives_16(self):
         assert len(enumerate_submodels(2, 4)) == 16
+
+    def test_too_many_columns_is_config_error(self):
+        with pytest.raises(ConfigError, match="candidates allowed"):
+            enumerate_submodels(21, 4)
+        with pytest.raises(ConfigError, match="candidates allowed"):
+            enumerate_submodels(10**6, 0)
+        assert len(enumerate_submodels(64, 2, column=(1,) * 64)) == 3
 
     def test_fixed_column(self):
         subs = enumerate_submodels(3, 2, column=(1, 0, 1))
@@ -185,6 +193,27 @@ class TestFullyAdaptive:
             fully_adaptive(ev, [[SubModel(column=(1,), depth=1)]], LINK,
                            lambda k, sm: GaussianPrior.isotropic(2, 5.0),
                            memory_A=fx.MEMORY_A)
+
+    def test_foreign_cache_is_config_error(self):
+        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                horizon_T=30.0, seed=3))
+        subs = [[SubModel(column=(1,), depth=1)]]
+        quad = QuadratureGrid.default(30.0, 0.2)
+        own = FeatureCache(ev, quad, 0.2)
+        fit = fully_adaptive(ev, subs, LINK, _prior_factory, memory_A=0.2, quad=quad,
+                             cache=own)
+        bare = fully_adaptive(ev, subs, LINK, _prior_factory, memory_A=0.2)
+        np.testing.assert_array_equal(fit.selected_posterior(0).mean,
+                                      bare.selected_posterior(0).mean)
+        other = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                   horizon_T=30.0, seed=3))
+        for cache, kwargs in [
+                (FeatureCache(ev, QuadratureGrid.default(30.0, 0.1), 0.1), {}),
+                (FeatureCache(other, quad, 0.2), {}),
+                (own, {"quad": QuadratureGrid.default(30.0, 0.2)})]:
+            with pytest.raises(ConfigError, match="feature cache"):
+                fully_adaptive(ev, subs, LINK, _prior_factory, memory_A=0.2,
+                               cache=cache, **kwargs)
 
     def test_empty_model_set_rejected(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,

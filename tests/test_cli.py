@@ -1,15 +1,20 @@
 """Experiment harness: config validation, file round-trips, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import _fixtures as fx
 from hawkes_vb import LinkFunction, _blas, adaptive, cli, errors
@@ -960,3 +965,196 @@ class TestEndToEnd:
         metrics = json.loads((tmp_path / "metrics" / "metrics.json").read_text())
         assert metrics["acc_graph"] == 1.0
         assert metrics["risk_l1"] > 0.0
+
+
+# -- the CLI error contract over mutated inputs ------------------------------
+
+_LINK = {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0}
+_TRUTH_1 = {"nu": [4.0], "weights": [[[0.3, 0.1]]], "bins_J": 2}
+_FIT = {"mode": "fit", "link": _LINK, "memory_A": 0.1, "dims_K": 1, "horizon_T": 20.0,
+        "seed": 1, "events_csv": "events.csv", "vi": {"max_iter": 5}, "out_dir": "out"}
+# small valid configs; paths are relative to the directory each example runs in
+_BASES = {
+    "simulate_k1": {"mode": "simulate", "link": _LINK, "memory_A": 0.1, "dims_K": 1,
+                    "horizon_T": 20.0, "truth": _TRUTH_1, "seed": 1, "out_dir": "out"},
+    "simulate_k2": {"mode": "simulate", "link": _LINK, "memory_A": 0.1, "dims_K": 2,
+                    "horizon_T": 10.0, "burn_in": 0.5, "seed": 2, "out_dir": "out",
+                    "truth": {"nu": [4.0, 4.0], "bins_J": 2,
+                              "weights": [[[0.28, 0.12], [0.25, 0.1]],
+                                          [None, [0.28, 0.12]]]}},
+    "fit_fixed": {**_FIT, "fit_method": "fixed", "basis": {"D": 1},
+                  "prior": {"mu": 0.0, "sigma": 5.0}},
+    "fit_adaptive": {**_FIT, "fit_method": "adaptive", "adaptive": {"D_max": 2},
+                     "vi": {"max_iter": 5, "tol": 1e-3}},
+    "fit_two_step": {**_FIT, "fit_method": "two-step",
+                     "adaptive": {"D_max": 1, "threshold": "auto"}},
+    "fit_gibbs": {**_FIT, "fit_method": "gibbs", "basis": {"D": 2},
+                  "gibbs": {"n_iter": 3, "burn_in": 1, "thin": 1}},
+    "eval": {"mode": "eval", "memory_A": 0.1, "dims_K": 1, "truth": _TRUTH_1,
+             "result_json": "result.json", "out_dir": "out"},
+}
+_EXTREMES = (0, -1, 5e-324, -5e-324, 1e-308, -1e-308, 1e154, -1e154, 1e300, -1e300,
+             1.7e308, 10**6, "x", [1.0], None)
+
+
+def _leaves(node, path=()):
+    """Path of every number, string or null inside a config."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() for p in _leaves(value, path + (key,))]
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node) for p in _leaves(value, path + (i,))]
+    return [path]
+
+
+def _with_leaf(config, path, value):
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+def _mutated_rows(rows, kind, at):
+    """The events file rows with one defect at row index ``at``."""
+    rows = list(rows)
+    at = at % len(rows)
+    dim, time_ = rows[at].split(",")
+    if kind == "duplicate":
+        rows.insert(at, rows[at])
+    elif kind == "blank":
+        rows.insert(at, "")
+    elif kind == "tab":
+        rows[at] = f"{dim},\t{time_}"
+    elif kind == "negative":
+        rows[at] = f"{dim},-{time_}"
+    elif kind == "past_T":
+        rows[at] = f"{dim},{float(time_) + 1e6:.6f}"
+    elif kind == "bad_dim":
+        rows[at] = f"{int(dim) + 1},{time_}"
+    return rows
+
+
+def _leaf_case(name):
+    # a million Gibbs sweeps is a valid run, not an error case, and takes minutes
+    return st.tuples(st.just(name), st.just("leaf"),
+                     st.sampled_from(_leaves(_BASES[name])),
+                     st.sampled_from(_EXTREMES)).filter(
+        lambda case: not (case[2] == ("gibbs", "n_iter") and case[3] == 10**6))
+
+
+_CASES = st.one_of(
+    st.sampled_from(sorted(_BASES)).flatmap(_leaf_case),
+    st.tuples(st.sampled_from([n for n in sorted(_BASES) if n.startswith("fit")]),
+              st.just("events"),
+              st.sampled_from(["duplicate", "blank", "bom", "tab", "negative", "past_T",
+                               "bad_dim"]),
+              st.integers(0, 200)),
+    st.tuples(st.sampled_from(sorted(_BASES)), st.just("seed"),
+              st.sampled_from([0, -1, -3, 10**6]), st.none()))
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """The K=1 events file (143 events on [0, 20]) and a fixed fit's result.json."""
+    root = tmp_path_factory.mktemp("contract")
+    sim = _write(root, "sim.json", {**_BASES["simulate_k1"], "out_dir": str(root)})
+    assert cli.main(["simulate", "--config", sim]) == 0
+    fit = _write(root, "fit.json", {**_BASES["fit_fixed"], "out_dir": str(root),
+                                    "events_csv": str(root / "events.csv")})
+    assert cli.main(["fit", "--config", fit]) == 0
+    return root
+
+
+class TestErrorContract:
+    def _run(self, contract_dir, tmp_path, capsys, name, argv=(), **changes):
+        """Exit code and stderr error of base config ``name`` with ``changes``."""
+        config = {**_BASES[name], **changes, "out_dir": str(tmp_path / "out")}
+        if "events_csv" in config:
+            config["events_csv"] = str(contract_dir / "events.csv")
+        path = _write(tmp_path, "config.json", config)
+        capsys.readouterr()
+        code = cli.main([config["mode"], "--config", path, *argv])
+        if not code:
+            return code, None
+        assert not (tmp_path / "out" / "result.json").exists()
+        return code, _error_of(capsys)
+
+    @pytest.mark.parametrize("name", ["fit_fixed", "fit_adaptive", "fit_two_step"])
+    def test_update_whose_right_hand_side_overflows_is_exit_4(self, contract_dir,
+                                                             tmp_path, capsys, name):
+        # alpha^2 passes the overflow check, alpha^2 eta u does not
+        code, error = self._run(contract_dir, tmp_path, capsys, name,
+                                link={**_LINK, "alpha": 1e154})
+        assert code == cli.EXIT_NUMERICAL
+        assert error["type"] == "NumericalError" and "not finite" in error["message"]
+
+    @pytest.mark.parametrize("name, argv, seed", [
+        ("simulate_k1", (), -1), ("fit_gibbs", (), -1),
+        ("simulate_k1", ("--seed", "-3"), 1)], ids=["simulate", "gibbs", "seed_flag"])
+    def test_negative_seed_is_exit_1(self, contract_dir, tmp_path, capsys, name, argv,
+                                     seed):
+        code, error = self._run(contract_dir, tmp_path, capsys, name, argv, seed=seed)
+        assert code == cli.EXIT_CONFIG
+        assert error["type"] == "ConfigError" and "seed" in error["message"]
+
+    def test_model_too_large_is_exit_1_before_it_is_allocated(self, contract_dir,
+                                                              tmp_path, capsys):
+        # its prior covariance alone would be 2,000,001^2 doubles
+        code, error = self._run(contract_dir, tmp_path, capsys, "fit_fixed",
+                                dims_K=10**6)
+        assert code == cli.EXIT_CONFIG
+        assert error["type"] == "ConfigError" and "allowed" in error["message"]
+
+    @pytest.mark.parametrize("name, changes", [
+        ("fit_fixed", {"dims_K": 1e154}), ("fit_fixed", {"vi": {"max_iter": 1e300}}),
+        ("simulate_k1", {"seed": 1.7e308}),
+        ("fit_gibbs", {"gibbs": {"n_iter": 3.0, "burn_in": 1}})],
+        ids=["dims_K", "max_iter", "seed", "n_iter"])
+    def test_float_for_an_integer_key_is_exit_1(self, contract_dir, tmp_path, capsys,
+                                                name, changes):
+        code, error = self._run(contract_dir, tmp_path, capsys, name, **changes)
+        assert code == cli.EXIT_CONFIG
+        assert error["type"] == "ConfigError" and "integer" in error["message"]
+
+    @given(case=_CASES)
+    @example(case=("fit_fixed", "leaf", ("link", "alpha"), 1e154))
+    @example(case=("fit_adaptive", "leaf", ("link", "alpha"), 1e154))
+    @example(case=("fit_two_step", "leaf", ("link", "alpha"), 1e154))
+    @example(case=("simulate_k1", "leaf", ("seed",), -1))
+    @example(case=("fit_gibbs", "leaf", ("seed",), -1))
+    @example(case=("simulate_k1", "seed", -3, None))
+    @example(case=("fit_fixed", "leaf", ("dims_K",), 10**6))
+    @example(case=("fit_gibbs", "leaf", ("gibbs", "n_iter"), 1e154))
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_mutated_input_ends_in_a_documented_exit(self, contract_dir, case):
+        name, kind, what, extra = case
+        config, argv = _BASES[name], []
+        rows = (contract_dir / "events.csv").read_text().splitlines()
+        if kind == "leaf":
+            config = _with_leaf(config, what, extra)
+        elif kind == "seed":
+            argv = ["--seed", str(what)]
+        elif what == "bom":
+            rows[0] = "\ufeff" + rows[0]
+        else:
+            rows = rows[:1] + _mutated_rows(rows[1:], what, extra)
+        work = contract_dir / f"case_{len(os.listdir(contract_dir))}"
+        work.mkdir()
+        (work / "events.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (work / "result.json").write_bytes((contract_dir / "result.json").read_bytes())
+        (work / "config.json").write_text(json.dumps(config))
+        mode = _BASES[name]["mode"]  # the command; a mutated "mode" must not match it
+        stderr, cwd = io.StringIO(), os.getcwd()
+        os.chdir(work)  # a path leaf mutated to "x" stays inside the case directory
+        try:
+            with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.main([mode, "--config", "config.json"] + argv)
+        finally:
+            os.chdir(cwd)
+        assert code in range(5), stderr.getvalue()
+        if code:
+            error = json.loads(stderr.getvalue().splitlines()[-1])["error"]
+            assert error["code"] == code, error

@@ -1,11 +1,7 @@
 """Fixed-model variational inference: updates, ELBO, quadrature, oracles."""
 
 import math
-import sys
 import threading
-import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,6 +94,7 @@ class TestCaviFixedModel:
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, prior, quad,
                                  max_iter=500, tol=1e-14)
         cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        cache.build([1])
         feats, n = cache.stack(_model(1, 1).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior[0], 2.0)
         mean, cov = posts[0].mean, posts[0].cov
@@ -203,7 +200,9 @@ class TestFeatureCache:
                                 seed=1))
         quad = QuadratureGrid.build(5.0, 30)
         sm = SubModel(column=(1, 0, 1), depth=1)
-        stacked, n = FeatureCache(ev, quad, fx.MEMORY_A).stack(sm, 2)
+        cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        cache.build([2])
+        stacked, n = cache.stack(sm, 2)
         e, q = stacked[:, :n], stacked[:, n:]
         basis = HistogramBasis(fx.MEMORY_A, 2)
         own = ev.times[2][ev.times[2] >= 0.0]
@@ -216,46 +215,89 @@ class TestFeatureCache:
                     feats[sm.block(l)], feature_matrix(ev, basis, [l], times)[1:])
             np.testing.assert_array_equal(feats, feature_matrix(ev, basis, [0, 2], times))
 
-    def test_each_block_is_built_once_by_concurrent_workers(self, monkeypatch):
+    def test_unbuilt_size_is_a_key_error(self):
+        ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
+        cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A)
+        cache.build([1])
+        with pytest.raises(KeyError):
+            cache.stack(SubModel(column=(1,), depth=1), 0)
+
+    def test_caller_builds_each_size_once_before_the_pool(self, monkeypatch):
         ev = simulate(SimConfig(params=fx.sparse_truth(3), link=LINK, horizon_T=5.0,
                                 seed=1))
         own = [t[t >= 0.0] for t in ev.times]
         assert len({t.tobytes() for t in own}) == 3 and all(t.size for t in own)
         quad = QuadratureGrid.build(5.0, 30)
-        calls, lock = Counter(), threading.Lock()
-        build = vi.feature_matrix
+        subs = [SubModel(column=column, depth=d) for column in ((1, 1, 1), (0, 1, 1))
+                for d in range(2)]
+        tasks = [(k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0))
+                 for k in range(3) for sm in subs]
+        expected = {}
+        for k, sm, _ in tasks:  # each job on a cache of its own
+            serial = FeatureCache(ev, quad, fx.MEMORY_A)
+            serial.build([sm.num_bins])
+            expected[(sm, k)] = serial.stack(sm, k)
+
+        log, stacked, lock = [], {}, threading.Lock()
+        build, fit = vi.feature_matrix, vi._fit_dimension
+        cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        stack = cache.stack
 
         def counting(events, basis, sources, times):
             with lock:
-                calls[(tuple(sources), basis.num_bins_J, np.asarray(times).tobytes())] += 1
-            time.sleep(0.005)  # hold the table open while other workers ask for it
+                log.append(("table", threading.get_ident(), tuple(sources),
+                            basis.num_bins_J, np.asarray(times).tobytes()))
             return build(events, basis, sources, times)
 
-        jobs = [(SubModel(column=column, depth=d), k) for column in ((1, 1, 1), (0, 1, 1))
-                for d in range(2) for k in range(3)] * 3
-        expected = [FeatureCache(ev, quad, fx.MEMORY_A).stack(*job) for job in jobs]
+        def fitting(problem, *args):
+            with lock:
+                log.append(("fit", threading.get_ident()))
+            return fit(problem, *args)
+
+        def recording(submodel, k):
+            out = stack(submodel, k)
+            with lock:
+                stacked[(submodel, k)] = out
+            return out
+
         monkeypatch.setattr(vi, "feature_matrix", counting)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, inside the check too
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                stacked = list(pool.map(lambda job: cache.stack(*job), jobs, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        # one table per depth: every source, at every own event and then every node
-        points = np.concatenate(own + [quad.points]).tobytes()
-        assert calls == {((0, 1, 2), 1, points): 1, ((0, 1, 2), 2, points): 1}
-        for (feats, n), (ref_feats, ref_n) in zip(stacked, expected):
+        monkeypatch.setattr(vi, "_fit_dimension", fitting)
+        monkeypatch.setattr(cache, "stack", recording)
+        posts = fit_candidates(tasks, cache, LINK, 3, 1e-3, threads=4)
+        assert len(posts) == len(tasks)
+        # one table per depth, from the calling thread, before the first fit:
+        # every source, at every own event and then every node
+        caller, points = threading.get_ident(), np.concatenate(own + [quad.points])
+        assert sorted(log[:2]) == [("table", caller, (0, 1, 2), 1, points.tobytes()),
+                                   ("table", caller, (0, 1, 2), 2, points.tobytes())]
+        assert [entry[0] for entry in log[2:]] == ["fit"] * len(tasks)
+        assert stacked.keys() == expected.keys()
+        for job, (feats, n) in stacked.items():
+            ref_feats, ref_n = expected[job]
             assert n == ref_n
             np.testing.assert_array_equal(feats, ref_feats)
+
+    def test_wrong_prior_in_the_last_task_fails_before_any_fit(self, monkeypatch):
+        ev = EventData(dims_K=2, horizon_T=2.0,
+                       times=(np.array([0.31, 0.55, 1.2]), np.array([0.4, 1.6])))
+        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A)
+        sm = SubModel(column=(1, 1), depth=1)
+        tasks = [(k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0)) for k in range(2)]
+        tasks.append((1, SubModel(column=(1, 1), depth=2), GaussianPrior.isotropic(5, 5.0)))
+        monkeypatch.setattr(vi, "feature_matrix",
+                            lambda *a: pytest.fail("a feature table was built"))
+        monkeypatch.setattr(vi, "_fit_dimension", lambda *a: pytest.fail("a fit ran"))
+        with pytest.raises(ConfigError, match="prior dimension 5 of dimension 1"):
+            fit_candidates(tasks, cache, LINK, 5, 1e-3, threads=1)
 
 
 class TestDepthLadder:
     def _cache(self):
         ev = simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=20.0,
                                 seed=3))
-        return FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A)
+        cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A)
+        cache.build([1, 2, 4, 8])
+        return cache
 
     def _problem(self, cache, submodel, k, prior):
         feats, n = cache.stack(submodel, k)
@@ -354,6 +396,7 @@ class TestSharedUpdate:
         a = rng.standard_normal((3, 3))
         prior = GaussianPrior(mean=rng.normal(size=3), cov=a @ a.T + 3.0 * np.eye(3))
         cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        cache.build([2])
         feats, n = cache.stack(_model(1, 2).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
         mean = np.array([3.0, 0.4, -0.2])
@@ -388,6 +431,7 @@ class TestBruteForceOracle:
         quad = QuadratureGrid.default(3.0, fx.MEMORY_A)
         prior = GaussianPrior.isotropic(2, 5.0)
         cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        cache.build([1])
         feats, n = cache.stack(_model(1, 1).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
 
