@@ -87,14 +87,15 @@ def enumerate_submodels(dims_K, max_depth, column=None):
     With ``column`` fixed, depths 0..max_depth are enumerated (a single
     entry when the column is empty, since the resolution is then inert);
     otherwise all 2^K columns are crossed with the depths, and more than
-    ``MAX_POINTS`` candidates, 2^K (max_depth + 1), is a ConfigError.
+    ``MAX_POINTS`` candidates in all, K 2^K (max_depth + 1), is a ConfigError.
     """
     if column is not None:
         columns = [tuple(int(c) for c in column)]
     else:
-        if (max_depth + 1) << dims_K > MAX_POINTS:
-            raise ConfigError(f"2^{dims_K} columns at {max_depth + 1} depths are more "
-                              f"than the {MAX_POINTS:.0e} candidates allowed")
+        if dims_K * ((max_depth + 1) << dims_K) > MAX_POINTS:
+            raise ConfigError(f"{dims_K} dimensions x 2^{dims_K} columns x "
+                              f"{max_depth + 1} depths are more than the "
+                              f"{MAX_POINTS:.0e} candidates allowed")
         columns = [c for c in itertools.product((0, 1), repeat=dims_K)]
     out = []
     for col in columns:
@@ -194,12 +195,12 @@ def _log_sum_exp_weights(scores):
     return w / w.sum()
 
 
-def fully_adaptive(events, model_set, link, prior_factory, vi_config=VIConfig(), *,
+def fully_adaptive(events, model_set, link, prior, vi_config=VIConfig(), *,
                    memory_A, quad=None, cache=None):
     """Fit every candidate sub-model of every dimension and score by ELBO.
 
-    ``model_set[k]`` is the candidate list of dimension k, and
-    ``prior_factory(k, submodel)`` supplies the Gaussian prior of each fit.
+    ``model_set[k]`` is the candidate list of dimension k, and ``prior(d)``
+    is the Gaussian prior of every fit of d parameters, built once per d.
     The depths of one column run as one warm-started chain (see
     ``vi.fit_candidates``), chains run as independent tasks, and the
     reduction is ordered, so results are reproducible.  A ``cache`` must be
@@ -218,7 +219,8 @@ def fully_adaptive(events, model_set, link, prior_factory, vi_config=VIConfig(),
     if cache is None:
         cache = FeatureCache(events, quad, memory_A)
 
-    tasks = [(k, sm, prior_factory(k, sm)) for k in range(k_dims) for sm in model_set[k]]
+    priors = {d: prior(d) for d in {sm.param_dim for subs in model_set for sm in subs}}
+    tasks = [(k, sm, priors[sm.param_dim]) for k in range(k_dims) for sm in model_set[k]]
     fits = iter(fit_candidates(tasks, cache, link, vi_config.max_iter, vi_config.tol,
                                vi_config.threads))
 
@@ -272,11 +274,11 @@ def norm_matrix(result):
     return s
 
 
-def two_step(events, link, max_depth, prior_factory, vi_config=VIConfig(), *,
+def two_step(events, link, max_depth, prior, vi_config=VIConfig(), *,
              memory_A, threshold="auto"):
     """Complete-graph VI, norm thresholding, then graph-restricted VI.
 
-    ``prior_factory(k, submodel)`` supplies the prior of every fit of both steps.
+    ``prior(d)`` is the prior of a sub-model of d parameters in both steps.
     ``threshold`` is a number, or "auto" for the largest-gap rule.
     """
     k_dims = events.dims_K
@@ -284,7 +286,7 @@ def two_step(events, link, max_depth, prior_factory, vi_config=VIConfig(), *,
     cache = FeatureCache(events, quad, memory_A)
 
     complete = [enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)] * k_dims
-    step1 = fully_adaptive(events, complete, link, prior_factory, vi_config,
+    step1 = fully_adaptive(events, complete, link, prior, vi_config,
                            memory_A=memory_A, quad=quad, cache=cache)
     s_hat = norm_matrix(step1)
     if threshold == "auto":
@@ -299,6 +301,6 @@ def two_step(events, link, max_depth, prior_factory, vi_config=VIConfig(), *,
     restricted = [enumerate_submodels(k_dims, max_depth,
                                       column=tuple(delta_hat[:, k]))
                   for k in range(k_dims)]
-    step2 = fully_adaptive(events, restricted, link, prior_factory, vi_config,
+    step2 = fully_adaptive(events, restricted, link, prior, vi_config,
                            memory_A=memory_A, quad=quad, cache=cache)
     return TwoStepResult(step1=step1, graph=graph, step2=step2)

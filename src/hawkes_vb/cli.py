@@ -7,8 +7,9 @@ code (see ``hawkes_vb.errors``), and failures additionally emit a
 machine-readable ``{"error": {...}}`` object on stderr.  A ``truth`` section
 that does not fit its ``bins_J`` or ``dims_K`` is a config error, and so is a
 fit depth (``basis.D`` or ``adaptive.D_max``) whose bins memory_A/2^D are
-finer than the 1e-6 resolution of event times, or a fit link other than
-the sigmoid; both are checked before any event is read or simulated.
+finer than the 1e-6 resolution of event times, a fit link other than the
+sigmoid, a prior or candidate count past ``core.MAX_POINTS`` or bad Gibbs
+settings; a fit checks these before any event is read or simulated.
 ``eval`` scores ``result.json`` against the truth; a result whose
 ``memory_A`` differs from the config's, whose ``bins_J`` is not a power of
 two, whose column does not have ``dims_K`` entries or that holds a NaN or
@@ -47,6 +48,7 @@ length, never truncated to zero, replaced or unlinked first.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -377,16 +379,6 @@ def _load_events(cfg):
     return _simulate_truth(cfg)
 
 
-def _prior_factory(cfg):
-    mu = cfg["prior"]["mu"]
-    sigma = cfg["prior"]["sigma"]
-
-    def factory(k, submodel):
-        return GaussianPrior.isotropic(submodel.param_dim, sigma=sigma, mean=mu)
-
-    return factory
-
-
 def _posterior_payload(result):
     k_dims = len(result.per_dim)
     dims = []
@@ -467,10 +459,21 @@ def cmd_fit(cfg):
     link = _link_from(cfg)
     if link.kind != "sigmoid":
         raise ConfigError("fitting requires the sigmoid link")
-    events = _load_events(cfg)
     memory_A = cfg["memory_A"]
     k_dims = cfg["dims_K"]
-    factory = _prior_factory(cfg)
+    # one prior per parameter count, shared by all fits; the complete sub-model's
+    # is the largest, and it, the candidates and GibbsConfig are made before any read
+    prior = functools.cache(functools.partial(
+        GaussianPrior.isotropic, sigma=cfg["prior"]["sigma"], mean=cfg["prior"]["mu"]))
+    complete = adaptive.SubModel(column=(1,) * k_dims, depth=depth)
+    prior(complete.param_dim)
+    if method == "gibbs":
+        gc = GibbsConfig(**cfg.get("gibbs", {}), seed=cfg["seed"])
+    elif method == "adaptive":
+        subs = adaptive.enumerate_submodels(k_dims, depth)
+    elif method == "fixed":
+        subs = [complete]
+    events = _load_events(cfg)
     vic = VIConfig(**cfg.get("vi", {}), threads=cfg.get("threads") or usable_cores())
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -480,13 +483,9 @@ def cmd_fit(cfg):
                "memory_A": memory_A}
     fits = ()  # the AdaptiveResult of each VI step
     if method == "gibbs":
-        gc = GibbsConfig(**cfg.get("gibbs", {}), seed=cfg["seed"])
-        # the priors first: they refuse a model too large before its K x K graph exists
-        complete = adaptive.SubModel(column=(1,) * k_dims, depth=depth)
-        priors = [factory(k, complete) for k in range(k_dims)]
         model = adaptive.Model(graph_delta=np.ones((k_dims, k_dims), dtype=np.int8),
                                bins_J=(2 ** depth,) * k_dims, memory_A=memory_A)
-        chain = gibbs_sample(events, gc, link, model, priors)
+        chain = gibbs_sample(events, gc, link, model, [prior(complete.param_dim)] * k_dims)
         payload["dimensions"] = [{
             "mean": chain.mean(k).tolist(),
             "sd": chain.sd(k).tolist(),
@@ -494,15 +493,13 @@ def cmd_fit(cfg):
         } for k in range(k_dims)]
     else:
         if method == "two-step":
-            two = adaptive.two_step(events, link, depth, factory, vic, memory_A=memory_A,
+            two = adaptive.two_step(events, link, depth, prior, vic, memory_A=memory_A,
                                     threshold=cfg["adaptive"]["threshold"])
             fits = (two.step1, two.step2)
             payload["s_hat"] = two.graph.s_hat.tolist()
             payload["threshold"] = two.graph.threshold
         else:
-            subs = ([adaptive.SubModel(column=(1,) * k_dims, depth=depth)]
-                    if method == "fixed" else adaptive.enumerate_submodels(k_dims, depth))
-            fits = (adaptive.fully_adaptive(events, [subs] * k_dims, link, factory, vic,
+            fits = (adaptive.fully_adaptive(events, [subs] * k_dims, link, prior, vic,
                                             memory_A=memory_A),)
         model = fits[-1].selected_model()
         payload["dimensions"] = _posterior_payload(fits[-1])

@@ -34,10 +34,6 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _prior_factory(k, sm):
-    return GaussianPrior.isotropic(sm.param_dim, 5.0)
-
-
 def _evaluate(result, truth):
     ks = range(truth.dims_K)
     return evaluate([result.selected_posterior(k) for k in ks],
@@ -87,7 +83,7 @@ def two_step_runs():
             ev = simulate(SimConfig(params=truth, link=LINK,
                                     horizon_T=horizon, seed=seed))
             t0 = time.perf_counter()
-            res = two_step(ev, LINK, 2, _prior_factory,
+            res = two_step(ev, LINK, 2, GaussianPrior.isotropic,
                            VIConfig(tol=1e-4, threads=2), memory_A=A)
             wall = time.perf_counter() - t0
             runs.append((res, _evaluate(res.step2, truth), wall))
@@ -195,7 +191,7 @@ def adaptive_runs():
     for seed in range(5):
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=2000.0,
                                 seed=seed))
-        res = fully_adaptive(ev, [subs], LINK, _prior_factory,
+        res = fully_adaptive(ev, [subs], LINK, GaussianPrior.isotropic,
                              VIConfig(tol=1e-4, threads=2), memory_A=A)
         _collect_traces(f"sel-s{seed}", res)
         runs.append(res)
@@ -255,7 +251,7 @@ def test_criterion_10_risk_decreases_with_horizon():
         for horizon in (50.0, 800.0):
             ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=horizon,
                                     seed=seed))
-            res = two_step(ev, LINK, 2, _prior_factory,
+            res = two_step(ev, LINK, 2, GaussianPrior.isotropic,
                            VIConfig(tol=1e-4, threads=2), memory_A=A)
             risks[horizon] = _evaluate(res.step2, truth).risk_l1
         ok &= risks[800.0] < risks[50.0]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _fixtures as fx
-from hawkes_vb import SimConfig, simulate
+from hawkes_vb import SimConfig, adaptive, simulate
 from hawkes_vb.adaptive import (AdaptiveResult, DimensionWeights, Model, SubModel,
                                 detect_gap_threshold, enumerate_submodels,
                                 expected_l1_norm, folded_normal_mean, fully_adaptive,
@@ -19,10 +19,6 @@ from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, VIConfig,
                           cavi_fixed_model)
 
 LINK = fx.SIM_LINK
-
-
-def _prior_factory(k, sm):
-    return GaussianPrior.isotropic(sm.param_dim, 5.0)
 
 
 class TestEnumeration:
@@ -37,6 +33,9 @@ class TestEnumeration:
             enumerate_submodels(21, 4)
         with pytest.raises(ConfigError, match="candidates allowed"):
             enumerate_submodels(10**6, 0)
+        # 2^23 candidates per dimension, 23 x 2^23 over the fit
+        with pytest.raises(ConfigError, match="candidates allowed"):
+            enumerate_submodels(23, 0)
         assert len(enumerate_submodels(64, 2, column=(1,) * 64)) == 3
 
     def test_fixed_column(self):
@@ -157,7 +156,7 @@ class TestFullyAdaptive:
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
                                 horizon_T=30.0, seed=3))
         sub = SubModel(column=(1,), depth=2)
-        res = fully_adaptive(ev, [[sub]], LINK, _prior_factory,
+        res = fully_adaptive(ev, [[sub]], LINK, GaussianPrior.isotropic,
                              VIConfig(tol=1e-6), memory_A=fx.MEMORY_A)
         np.testing.assert_allclose(res.per_dim[0].weights, [1.0])
         quad = QuadratureGrid.default(30.0, fx.MEMORY_A)
@@ -173,9 +172,9 @@ class TestFullyAdaptive:
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=30.0, seed=7))
         subs = enumerate_submodels(2, 1)
-        serial = fully_adaptive(ev, [subs] * 2, LINK, _prior_factory,
+        serial = fully_adaptive(ev, [subs] * 2, LINK, GaussianPrior.isotropic,
                                 VIConfig(tol=1e-4, threads=1), memory_A=fx.MEMORY_A)
-        threaded = fully_adaptive(ev, [subs] * 2, LINK, _prior_factory,
+        threaded = fully_adaptive(ev, [subs] * 2, LINK, GaussianPrior.isotropic,
                                   VIConfig(tol=1e-4, threads=2), memory_A=fx.MEMORY_A)
         for k in range(2):
             np.testing.assert_array_equal(serial.per_dim[k].elbos,
@@ -186,12 +185,35 @@ class TestFullyAdaptive:
                 np.testing.assert_array_equal(a.cov, b.cov)
                 assert a.elbo_trace == b.elbo_trace
 
+    def test_one_prior_per_parameter_count(self, monkeypatch):
+        ev = simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=10.0,
+                                seed=7))
+        made, tasks = {}, []
+
+        def prior(d):
+            assert d not in made
+            made[d] = GaussianPrior.isotropic(d)
+            return made[d]
+
+        def fit_candidates(task_list, *args):
+            tasks.extend(task_list)
+            return inner(task_list, *args)
+
+        inner = adaptive.fit_candidates
+        monkeypatch.setattr(adaptive, "fit_candidates", fit_candidates)
+        subs = enumerate_submodels(2, 1)
+        fully_adaptive(ev, [subs] * 2, LINK, prior, VIConfig(max_iter=2),
+                       memory_A=fx.MEMORY_A)
+        assert sorted(made) == [1, 2, 3, 5]
+        assert len(tasks) == 2 * len(subs) == 14
+        assert all(p is made[sm.param_dim] for _, sm, p in tasks)
+
     def test_prior_dimension_mismatch_is_config_error(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
                                 horizon_T=5.0, seed=3))
         with pytest.raises(ConfigError):
             fully_adaptive(ev, [[SubModel(column=(1,), depth=1)]], LINK,
-                           lambda k, sm: GaussianPrior.isotropic(2, 5.0),
+                           lambda d: GaussianPrior.isotropic(2, 5.0),
                            memory_A=fx.MEMORY_A)
 
     def test_foreign_cache_is_config_error(self):
@@ -200,9 +222,9 @@ class TestFullyAdaptive:
         subs = [[SubModel(column=(1,), depth=1)]]
         quad = QuadratureGrid.default(30.0, 0.2)
         own = FeatureCache(ev, quad, 0.2)
-        fit = fully_adaptive(ev, subs, LINK, _prior_factory, memory_A=0.2, quad=quad,
-                             cache=own)
-        bare = fully_adaptive(ev, subs, LINK, _prior_factory, memory_A=0.2)
+        fit = fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2,
+                             quad=quad, cache=own)
+        bare = fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2)
         np.testing.assert_array_equal(fit.selected_posterior(0).mean,
                                       bare.selected_posterior(0).mean)
         other = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
@@ -212,20 +234,20 @@ class TestFullyAdaptive:
                 (FeatureCache(other, quad, 0.2), {}),
                 (own, {"quad": QuadratureGrid.default(30.0, 0.2)})]:
             with pytest.raises(ConfigError, match="feature cache"):
-                fully_adaptive(ev, subs, LINK, _prior_factory, memory_A=0.2,
+                fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2,
                                cache=cache, **kwargs)
 
     def test_empty_model_set_rejected(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
                                 horizon_T=5.0, seed=3))
         with pytest.raises(DomainError):
-            fully_adaptive(ev, [[]], LINK, _prior_factory, memory_A=fx.MEMORY_A)
+            fully_adaptive(ev, [[]], LINK, GaussianPrior.isotropic, memory_A=fx.MEMORY_A)
 
     def test_selects_true_model_on_well_specified_data(self):
         truth = fx.selection_1d()
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=400.0, seed=0))
         subs = enumerate_submodels(1, 3)
-        res = fully_adaptive(ev, [subs], LINK, _prior_factory,
+        res = fully_adaptive(ev, [subs], LINK, GaussianPrior.isotropic,
                              VIConfig(tol=1e-5), memory_A=fx.MEMORY_A)
         sm = res.selected_submodel(0)
         assert sm.column == (1,)
@@ -245,7 +267,7 @@ class TestFullyAdaptive:
         truth = fx.HawkesParams.build([6.0], [[np.array([-0.28, -0.12])]], basis)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=400.0, seed=1))
         res = fully_adaptive(ev, [enumerate_submodels(1, 3)], LINK,
-                             _prior_factory, VIConfig(tol=1e-5),
+                             GaussianPrior.isotropic, VIConfig(tol=1e-5),
                              memory_A=fx.MEMORY_A)
         w = np.sort(res.per_dim[0].weights)[::-1]
         assert w[0] + w[1] >= 0.9
@@ -255,7 +277,7 @@ class TestTwoStep:
     def test_recovers_sparse_graph(self):
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=300.0, seed=2))
-        res = two_step(ev, LINK, 2, _prior_factory, VIConfig(tol=1e-4),
+        res = two_step(ev, LINK, 2, GaussianPrior.isotropic, VIConfig(tol=1e-4),
                        memory_A=fx.MEMORY_A)
         np.testing.assert_array_equal(res.graph.delta_hat, truth.graph())
         s = res.graph.s_hat
@@ -265,7 +287,7 @@ class TestTwoStep:
     def test_numeric_threshold_is_used_as_given(self):
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=60.0, seed=9))
-        res = two_step(ev, LINK, 1, _prior_factory, VIConfig(tol=1e-4),
+        res = two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-4),
                        memory_A=fx.MEMORY_A, threshold=0.15)
         assert res.graph.threshold == 0.15
         np.testing.assert_array_equal(res.graph.delta_hat, res.graph.s_hat > 0.15)
@@ -273,14 +295,14 @@ class TestTwoStep:
     def test_override_below_min_gives_complete_graph(self):
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=100.0, seed=2))
-        res = two_step(ev, LINK, 1, _prior_factory, VIConfig(tol=1e-3),
+        res = two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-3),
                        memory_A=fx.MEMORY_A, threshold=1e-9)
         assert np.all(res.graph.delta_hat == 1)
 
     def test_step2_equals_step1_when_graph_complete(self):
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=60.0, seed=9))
-        res = two_step(ev, LINK, 1, _prior_factory, VIConfig(tol=1e-4),
+        res = two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-4),
                        memory_A=fx.MEMORY_A, threshold=1e-9)
         for k in range(2):
             np.testing.assert_array_equal(res.step1.selected_posterior(k).mean,
@@ -290,7 +312,7 @@ class TestTwoStep:
     def test_norm_matrix_zero_outside_selected_sources(self):
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=60.0, seed=9))
-        res = two_step(ev, LINK, 1, _prior_factory, VIConfig(tol=1e-4),
+        res = two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-4),
                        memory_A=fx.MEMORY_A)
         s2 = norm_matrix(res.step2)
         inactive = res.graph.delta_hat == 0

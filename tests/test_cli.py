@@ -211,8 +211,7 @@ class TestThreads:
         events = cli.read_events_csv(str(tmp_path / "out" / "events.csv"), 2, 10.0)
         two = adaptive.two_step(
             events, LinkFunction("sigmoid", theta=20.0, alpha=0.2, eta=10.0), 1,
-            lambda k, sm: GaussianPrior.isotropic(sm.param_dim, 5.0),
-            VIConfig(max_iter=2), memory_A=fx.MEMORY_A)
+            GaussianPrior.isotropic, VIConfig(max_iter=2), memory_A=fx.MEMORY_A)
         posts = [p for step in (two.step1, two.step2) for dim in step.posteriors
                  for p in dim]
         assert timing["candidates"] == len(posts) == 8
@@ -1068,9 +1067,10 @@ def contract_dir(tmp_path_factory):
 
 class TestErrorContract:
     def _run(self, contract_dir, tmp_path, capsys, name, argv=(), **changes):
-        """Exit code and stderr error of base config ``name`` with ``changes``."""
+        """Exit code and stderr error of base config ``name`` with ``changes``;
+        ``events_csv`` is the contract file unless ``changes`` gives one."""
         config = {**_BASES[name], **changes, "out_dir": str(tmp_path / "out")}
-        if "events_csv" in config:
+        if "events_csv" in config and "events_csv" not in changes:
             config["events_csv"] = str(contract_dir / "events.csv")
         path = _write(tmp_path, "config.json", config)
         capsys.readouterr()
@@ -1098,13 +1098,28 @@ class TestErrorContract:
         assert code == cli.EXIT_CONFIG
         assert error["type"] == "ConfigError" and "seed" in error["message"]
 
+    @pytest.mark.parametrize("name, dims_K", [
+        ("fit_fixed", 10**6), ("fit_adaptive", 10**6), ("fit_two_step", 10**6),
+        ("fit_gibbs", 10**6), ("fit_adaptive", 21)],
+        ids=["fixed", "adaptive", "two_step", "gibbs", "adaptive_candidates"])
     def test_model_too_large_is_exit_1_before_it_is_allocated(self, contract_dir,
-                                                              tmp_path, capsys):
-        # its prior covariance alone would be 2,000,001^2 doubles
-        code, error = self._run(contract_dir, tmp_path, capsys, "fit_fixed",
-                                dims_K=10**6)
+                                                              tmp_path, capsys, name,
+                                                              dims_K):
+        # each prior covariance of dims_K 10^6 would be over 10^12 doubles, and
+        # dims_K 21 at three depths is 21 x 6.3 M candidates; the events file
+        # does not exist, so the refusal comes before any event is read
+        code, error = self._run(contract_dir, tmp_path, capsys, name, dims_K=dims_K,
+                                events_csv=str(tmp_path / "missing.csv"))
         assert code == cli.EXIT_CONFIG
         assert error["type"] == "ConfigError" and "allowed" in error["message"]
+
+    def test_gibbs_burn_in_not_below_n_iter_is_exit_1_before_any_read(
+            self, contract_dir, tmp_path, capsys):
+        code, error = self._run(contract_dir, tmp_path, capsys, "fit_gibbs",
+                                events_csv=str(tmp_path / "missing.csv"),
+                                gibbs={"n_iter": 10, "burn_in": 10})
+        assert code == cli.EXIT_CONFIG
+        assert error["type"] == "ConfigError" and "burn_in" in error["message"]
 
     @pytest.mark.parametrize("name, changes", [
         ("fit_fixed", {"dims_K": 1e154}), ("fit_fixed", {"vi": {"max_iter": 1e300}}),
@@ -1125,6 +1140,7 @@ class TestErrorContract:
     @example(case=("fit_gibbs", "leaf", ("seed",), -1))
     @example(case=("simulate_k1", "seed", -3, None))
     @example(case=("fit_fixed", "leaf", ("dims_K",), 10**6))
+    @example(case=("fit_adaptive", "leaf", ("dims_K",), 21))
     @example(case=("fit_gibbs", "leaf", ("gibbs", "n_iter"), 1e154))
     @settings(max_examples=600, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

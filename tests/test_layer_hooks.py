@@ -29,10 +29,6 @@ TRACED = (
 )
 
 
-def _prior_factory(k, sm):
-    return GaussianPrior.isotropic(sm.param_dim, 5.0)
-
-
 def _counting(monkeypatch, module, attr, calls):
     inner = getattr(module, attr)
 
@@ -51,7 +47,7 @@ def test_two_step_calls_every_traced_attribute(monkeypatch):
     _counting(monkeypatch, vi, "pg_mean", calls["pg_mean"])
     _counting(monkeypatch, adaptive, "fully_adaptive", calls["fully_adaptive"])
 
-    adaptive.two_step(ev, LINK, 1, _prior_factory, VIConfig(tol=1e-3),
+    adaptive.two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-3),
                       memory_A=fx.MEMORY_A)
 
     assert calls["feature_matrix"]
