@@ -275,14 +275,16 @@ def norm_matrix(result):
 
 
 def two_step(events, link, max_depth, prior, vi_config=VIConfig(), *,
-             memory_A, threshold="auto"):
+             memory_A, threshold="auto", quad=None):
     """Complete-graph VI, norm thresholding, then graph-restricted VI.
 
     ``prior(d)`` is the prior of a sub-model of d parameters in both steps.
-    ``threshold`` is a number, or "auto" for the largest-gap rule.
+    ``threshold`` is a number, or "auto" for the largest-gap rule.  ``quad``
+    is the quadrature of both steps (default: ``QuadratureGrid.default``).
     """
     k_dims = events.dims_K
-    quad = QuadratureGrid.default(events.horizon_T, memory_A)
+    if quad is None:
+        quad = QuadratureGrid.default(events.horizon_T, memory_A)
     cache = FeatureCache(events, quad, memory_A)
 
     complete = [enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)] * k_dims

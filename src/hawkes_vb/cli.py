@@ -8,8 +8,9 @@ machine-readable ``{"error": {...}}`` object on stderr.  A ``truth`` section
 that does not fit its ``bins_J`` or ``dims_K`` is a config error, and so is a
 fit depth (``basis.D`` or ``adaptive.D_max``) whose bins memory_A/2^D are
 finer than the 1e-6 resolution of event times, a fit link other than the
-sigmoid, a prior or candidate count past ``core.MAX_POINTS`` or bad Gibbs
-settings; a fit checks these before any event is read or simulated.
+sigmoid, a prior, candidate, quadrature node or Gibbs latent candidate count
+past ``core.MAX_POINTS`` or bad Gibbs settings; a fit checks these before any
+event is read or simulated.
 ``eval`` scores ``result.json`` against the truth; a result whose
 ``memory_A`` differs from the config's, whose ``bins_J`` is not a power of
 two, whose column does not have ``dims_K`` entries or that holds a NaN or
@@ -65,9 +66,9 @@ import jsonschema
 from hawkes_vb import _blas, adaptive, metrics
 from hawkes_vb.core import EventData, HawkesParams, HistogramBasis, LinkFunction
 from hawkes_vb.errors import ConfigError, DataError, HawkesVBError, NumericalError
-from hawkes_vb.gibbs import GibbsConfig, gibbs_sample
+from hawkes_vb.gibbs import GibbsConfig, check_latent_candidates, gibbs_sample
 from hawkes_vb.simulate import SimConfig, excursion_stats, simulate
-from hawkes_vb.vi import GaussianPrior, VIConfig, usable_cores
+from hawkes_vb.vi import GaussianPrior, QuadratureGrid, VIConfig, usable_cores
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
@@ -373,8 +374,6 @@ def cmd_simulate(cfg):
 
 def _load_events(cfg):
     if "events_csv" in cfg:
-        if "horizon_T" not in cfg:
-            raise ConfigError("fitting a file requires horizon_T")
         return read_events_csv(cfg["events_csv"], cfg["dims_K"], cfg["horizon_T"])
     return _simulate_truth(cfg)
 
@@ -461,15 +460,21 @@ def cmd_fit(cfg):
         raise ConfigError("fitting requires the sigmoid link")
     memory_A = cfg["memory_A"]
     k_dims = cfg["dims_K"]
+    if "horizon_T" not in cfg:
+        raise ConfigError("fitting requires horizon_T")
     # one prior per parameter count, shared by all fits; the complete sub-model's
-    # is the largest, and it, the candidates and GibbsConfig are made before any read
+    # is the largest, and it, the candidates, GibbsConfig and the time caps (the
+    # quadrature, or the Gibbs latent candidates) are made before any read
     prior = functools.cache(functools.partial(
         GaussianPrior.isotropic, sigma=cfg["prior"]["sigma"], mean=cfg["prior"]["mu"]))
     complete = adaptive.SubModel(column=(1,) * k_dims, depth=depth)
     prior(complete.param_dim)
     if method == "gibbs":
         gc = GibbsConfig(**cfg.get("gibbs", {}), seed=cfg["seed"])
-    elif method == "adaptive":
+        check_latent_candidates(link, cfg["horizon_T"])
+    else:
+        quad = QuadratureGrid.default(cfg["horizon_T"], memory_A)
+    if method == "adaptive":
         subs = adaptive.enumerate_submodels(k_dims, depth)
     elif method == "fixed":
         subs = [complete]
@@ -494,13 +499,13 @@ def cmd_fit(cfg):
     else:
         if method == "two-step":
             two = adaptive.two_step(events, link, depth, prior, vic, memory_A=memory_A,
-                                    threshold=cfg["adaptive"]["threshold"])
+                                    threshold=cfg["adaptive"]["threshold"], quad=quad)
             fits = (two.step1, two.step2)
             payload["s_hat"] = two.graph.s_hat.tolist()
             payload["threshold"] = two.graph.threshold
         else:
             fits = (adaptive.fully_adaptive(events, [subs] * k_dims, link, prior, vic,
-                                            memory_A=memory_A),)
+                                            memory_A=memory_A, quad=quad),)
         model = fits[-1].selected_model()
         payload["dimensions"] = _posterior_payload(fits[-1])
     payload["delta_hat"] = model.graph_delta.tolist()

@@ -13,7 +13,7 @@ intensity of dimension k is
 with one monotone nonnegative link phi shared by all dimensions.  An event
 influences only times strictly after itself (kernel support open at 0,
 closed at A).  The drive is the stacked parameter [nu_k, w_{l_1 k}, ...]
-dotted with the columns of ``feature_matrix``.
+dotted with the features ``basis.features(feature_matrix(...))``.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -104,6 +104,16 @@ class HistogramBasis:
     def height(self):
         """Value of e_j on its support: J/A (each e_j has unit L1 norm)."""
         return self.num_bins_J / self.memory_A
+
+    def features(self, counts, out=None):
+        """Stacked features of the event counts of ``feature_matrix``.
+
+        Every count is multiplied by the height J/A, into ``out`` if given, and
+        row 0, the regressor attached to nu, is set to 1.0.
+        """
+        out = np.multiply(counts, self.height, out=out)
+        out[0] = 1.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -232,24 +242,32 @@ class EventData:
 
 
 def feature_matrix(events, basis, sources, times):
-    """Stacked features [1, H^{l_1}(t), H^{l_2}(t), ...] at many times.
+    """Event counts behind the stacked features [1, H^{l_1}(t), ...] at many times.
 
-    H_j^l(t) = (J/A) * #{ events of dim l with lag t - s in ((j-1)A/J, jA/J] }.
-    Returns an array of shape (1 + len(sources) * J, len(times)); row 0 is
-    the constant regressor attached to nu.
+    Row 1 + pos J + j - 1 counts the events of dimension sources[pos] with lag
+    t - s in ((j-1)A/J, jA/J], so H_j^l(t) is that count times J/A
+    (``basis.features``).  Row 0 is all ones, for nu.  Returns an array of
+    shape (1 + len(sources) * J, len(times)) of the narrowest unsigned integer
+    type that holds the largest count: uint8 unless a bin holds more than 255
+    events.  Sources are counted one bin at a time, so no table of all sources
+    is ever held wider than the result.
     """
     times = np.asarray(times, dtype=np.float64)
     j_bins = basis.num_bins_J
-    a = basis.memory_A
-    d = 1 + len(sources) * j_bins
-    out = np.empty((d, times.size))
-    out[0] = 1.0
-    offsets = np.arange(j_bins + 1) * (a / j_bins)
+    offsets = np.arange(j_bins + 1) * (basis.memory_A / j_bins)
+    out = np.ones((1 + len(sources) * j_bins, times.size), dtype=np.uint8)
     for pos, l in enumerate(sources):
         src = events.times[l]
-        idx = np.searchsorted(src, times[None, :] - offsets[:, None], side="left")
-        counts = idx[:-1] - idx[1:]
-        out[1 + pos * j_bins: 1 + (pos + 1) * j_bins] = counts * basis.height
+        # events before t - (j-1)A/J minus those before t - jA/J
+        upper = np.searchsorted(src, times - offsets[0], side="left")
+        for j in range(1, j_bins + 1):
+            lower = np.searchsorted(src, times - offsets[j], side="left")
+            counts = upper - lower
+            peak = counts.max(initial=0)
+            if peak > np.iinfo(out.dtype).max:
+                out = out.astype(np.min_scalar_type(peak))
+            out[pos * j_bins + j] = counts
+            upper = lower
     return out
 
 
@@ -284,7 +302,8 @@ def linear_drive(params, events, k, times):
         raise DomainError(f"times outside the observation window [0, {events.horizon_T}]")
     sources = [l for l in range(params.dims_K) if params.weights[l][k] is not None]
     f_k = np.concatenate([params.nu[k:k + 1]] + [params.weights[l][k] for l in sources])
-    return f_k @ feature_matrix(events, params.basis[k], sources, times)
+    basis = params.basis[k]
+    return f_k @ basis.features(feature_matrix(events, basis, sources, times))
 
 
 def log_likelihood(params, events, link, method="exact", grid_step=None):

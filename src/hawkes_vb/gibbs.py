@@ -68,14 +68,21 @@ def _draw_gaussian(mean, prec_chol, rng):
     return mean + solve_triangular(prec_chol[0], z, lower=True, trans="T")
 
 
+def check_latent_candidates(link, horizon_T):
+    """ConfigError if a sweep's expected latent candidates per dimension,
+    theta T, are more than ``core.MAX_POINTS``."""
+    if link.theta * horizon_T > MAX_POINTS:
+        raise ConfigError(f"theta * horizon_T = {link.theta * horizon_T:.3g} latent "
+                          f"candidates per sweep is more than the {MAX_POINTS:.0e} allowed")
+
+
 def gibbs_sample(events, config, link, model, prior):
     """Run the sampler; returns one chain of parameter draws per dimension.
 
     ``model.submodel(k)`` fixes the column and depth of dimension k, and
     ``prior[k]`` is its GaussianPrior.  Reproducible for a fixed seed.  BLAS
-    runs on one thread meanwhile, as in the variational fits.  More than
-    ``core.MAX_POINTS`` expected latent candidates (theta T) per sweep and
-    dimension is a ConfigError.
+    runs on one thread meanwhile, as in the variational fits.  Too many
+    latent candidates per sweep is a ConfigError (``check_latent_candidates``).
     """
     if link.kind != SIGMOID:
         raise UnsupportedLinkError("the Gibbs sampler requires the sigmoid link")
@@ -83,9 +90,7 @@ def gibbs_sample(events, config, link, model, prior):
     k_dims = events.dims_K
     horizon = events.horizon_T
     alpha, eta, theta = link.alpha, link.eta, link.theta
-    if theta * horizon > MAX_POINTS:
-        raise ConfigError(f"theta * horizon_T = {theta * horizon:.3g} latent candidates "
-                          f"per sweep is more than the {MAX_POINTS:.0e} allowed")
+    check_latent_candidates(link, horizon)
 
     dims = []
     for k in range(k_dims):
@@ -94,7 +99,7 @@ def gibbs_sample(events, config, link, model, prior):
         basis = HistogramBasis(model.memory_A, sm.num_bins)
         own = events.times[k]
         own = own[own >= 0.0]
-        feats_ev = feature_matrix(events, basis, sm.active_sources, own)
+        feats_ev = basis.features(feature_matrix(events, basis, sm.active_sources, own))
         dims.append((sm.active_sources, basis, feats_ev, pk))
 
     # A wide draw from the prior (sigma = 5) can start the chain inside the
@@ -116,7 +121,7 @@ def gibbs_sample(events, config, link, model, prior):
                 # latent Poisson with rate theta * sigmoid(-lam~) by thinning
                 n_cand = rng.poisson(theta * horizon)
                 cand = np.sort(rng.random(n_cand) * horizon)
-                feats_cand = feature_matrix(events, basis, sources, cand)
+                feats_cand = basis.features(feature_matrix(events, basis, sources, cand))
                 tilt_cand = alpha * (feats_cand.T @ f - eta)
                 accept = rng.random(n_cand) < expit(-tilt_cand)
                 feats_lat = feats_cand[:, accept]

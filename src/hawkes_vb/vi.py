@@ -312,10 +312,13 @@ class FeatureCache:
     """Histogram features of the data at memory length ``memory_A``, shared by
     every sub-model and dimension of a fit.
 
-    One table per histogram size J holds every source's rows at every point:
-    each dimension's own events (t >= 0), in dimension order, then the
-    quadrature nodes.  ``build`` makes the tables before a fit starts, and
-    ``stack`` only reads them, so workers share the cache without a lock.
+    One table of event counts (``core.feature_matrix``) holds every source's
+    rows at every point: each dimension's own events (t >= 0), in dimension
+    order, then the quadrature nodes.  It is built at the finest histogram
+    size of the fit; a coarser size J sums adjacent fine bins, which is exact
+    because every size is a power of two, so the bin edges jA/J of J are
+    edges of the finer table.  ``build`` makes the table before a fit starts,
+    and ``stack`` only reads it, so workers share the cache without a lock.
     """
 
     def __init__(self, events, quad, memory_A):
@@ -326,28 +329,45 @@ class FeatureCache:
         # dimension k's own events are columns _starts[k]:_starts[k + 1]
         self._starts = np.cumsum([0] + [t.size for t in own]).tolist()
         self._points = np.concatenate(own + [quad.points])
-        self._tables = {}  # J -> (1 + K J, N + n_q) features
+        self._bins = 0  # histogram size of _table; 0 before the first build
+        self._table = None  # (1 + K _bins, N + n_q) counts
 
     def build(self, sizes):
-        """Build the table of each histogram size in ``sizes`` not built yet."""
-        for j in sorted(set(sizes) - self._tables.keys()):
-            self._tables[j] = feature_matrix(self.events, HistogramBasis(self.memory_A, j),
-                                             range(self.events.dims_K), self._points)
+        """Build the count table at the largest of ``sizes`` unless the held one
+        is as fine.  Sizes are powers of two, as ``SubModel.num_bins`` are."""
+        j = max(sizes, default=0)
+        if j > self._bins:
+            self._table = feature_matrix(self.events, HistogramBasis(self.memory_A, j),
+                                         range(self.events.dims_K), self._points)
+            self._bins = j
 
     def stack(self, submodel, k):
         """(features, N_k) of ``submodel`` for receiving dimension k.
 
         The features are one (d, N_k + n_q) matrix: a column per own event of
-        dimension k, then a column per quadrature node.
+        dimension k, then a column per quadrature node.  A size the held table
+        cannot be summed to (finer, or none built) is a KeyError.
         """
         j = submodel.num_bins
-        rows = [0] + [1 + l * j + b for l in submodel.active_sources for b in range(j)]
+        if not self._bins or self._bins % j:
+            raise KeyError(f"the feature cache holds no table that {j} bins sum from")
+        group = self._bins // j  # fine bins per bin of the sub-model
+        rows = [1 + l * self._bins + b for l in submodel.active_sources
+                for b in range(self._bins)]
         start, n = self._starts[k], self._starts[k + 1] - self._starts[k]
-        table = self._tables[j]  # KeyError unless build made it
+        basis = HistogramBasis(self.memory_A, j)
+        # an unsigned type that holds the sum of ``group`` counts
+        wide = np.min_scalar_type(group * np.iinfo(self._table.dtype).max)
+        d = submodel.param_dim
+        feats = np.empty((d, n + self.quad.n_gq))
         # two row gathers into one buffer: several times faster than np.ix_
-        feats = np.empty((len(rows), n + self.quad.n_gq))
-        feats[:, :n] = table[rows, start:start + n]
-        feats[:, n:] = table[rows, self._starts[-1]:]
+        for cols, dest in ((slice(start, start + n), feats[:, :n]),
+                           (slice(self._starts[-1], None), feats[:, n:])):
+            fine = self._table[rows, cols].reshape(d - 1, group, dest.shape[1])
+            counts = np.empty(dest.shape, dtype=wide)
+            counts[0] = 1
+            np.add.reduce(fine, axis=1, out=counts[1:])
+            basis.features(counts, out=dest)
         return feats, n
 
 

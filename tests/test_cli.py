@@ -1113,6 +1113,17 @@ class TestErrorContract:
         assert code == cli.EXIT_CONFIG
         assert error["type"] == "ConfigError" and "allowed" in error["message"]
 
+    @pytest.mark.parametrize("name", ["fit_fixed", "fit_adaptive", "fit_two_step",
+                                      "fit_gibbs"])
+    def test_fit_past_the_time_cap_is_exit_1_before_any_read(self, contract_dir,
+                                                             tmp_path, capsys, name):
+        # 5 T / A quadrature nodes, or theta T Gibbs latent candidates per sweep,
+        # past core.MAX_POINTS; the events file does not exist
+        code, error = self._run(contract_dir, tmp_path, capsys, name, horizon_T=1e12,
+                                events_csv=str(tmp_path / "missing.csv"))
+        assert code == cli.EXIT_CONFIG
+        assert error["type"] == "ConfigError" and "allowed" in error["message"]
+
     def test_gibbs_burn_in_not_below_n_iter_is_exit_1_before_any_read(
             self, contract_dir, tmp_path, capsys):
         code, error = self._run(contract_dir, tmp_path, capsys, "fit_gibbs",

@@ -55,7 +55,7 @@ def _brute_features(times, basis, t):
 
 def _features(events, basis, l, t):
     """Features of the single source l at one time t."""
-    return feature_matrix(events, basis, [l], [t])[1:, 0]
+    return basis.features(feature_matrix(events, basis, [l], [t]))[1:, 0]
 
 
 @pytest.mark.parametrize("build, error", [
@@ -312,9 +312,25 @@ class TestBasisFeatures:
         times = np.sort(rng.uniform(0, 1, size=9))
         ev = _events(times, 1.0, dims=2, dim_of=rng.integers(0, 2, size=9))
         ts = rng.uniform(0, 1, size=5)
-        mat = feature_matrix(ev, basis, [0, 1], ts)
+        mat = basis.features(feature_matrix(ev, basis, [0, 1], ts))
         assert mat.shape == (9, 5)
         for col, t in enumerate(ts):
             np.testing.assert_allclose(mat[0, col], 1.0)
             np.testing.assert_allclose(mat[1:5, col], _brute_features(ev.times[0], basis, t))
             np.testing.assert_allclose(mat[5:9, col], _brute_features(ev.times[1], basis, t))
+
+    @pytest.mark.parametrize("burst, dtype", [(255, np.uint8), (256, np.uint16),
+                                              (300, np.uint16)])
+    def test_counts_widen_past_uint8_and_stay_exact(self, burst, dtype):
+        # dimension 0's rows are counted before dimension 1's burst, all of
+        # whose lags at t = 0.5 fall in bin 2 of 4, (A/4, A/2]
+        basis = HistogramBasis(A, 4)
+        burst_times = 0.452 + np.arange(burst) * (0.02 / burst)
+        times = np.concatenate([[0.41, 0.43, 0.48], burst_times])
+        ev = _events(times, 1.0, dims=2, dim_of=[0, 0, 0] + [1] * burst)
+        counts = feature_matrix(ev, basis, [0, 1], [0.5])
+        assert counts.dtype == dtype
+        assert counts[:, 0].tolist() == [1, 1, 0, 1, 1, 0, burst, 0, 0]
+        want = np.concatenate([_brute_features(ev.times[l], basis, 0.5) for l in (0, 1)])
+        np.testing.assert_array_equal(basis.features(counts)[1:, 0], want)
+        assert basis.features(counts)[6, 0] == burst * basis.height

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ LINK = fx.SIM_LINK
 def _model(dims, j_bins):
     return Model(graph_delta=np.ones((dims, dims), dtype=np.int8),
                  bins_J=(j_bins,) * dims, memory_A=fx.MEMORY_A)
+
+
+def _float_features(events, basis, sources, times):
+    """Reference features computed directly at J: counts x J/A, row 0 = 1.0."""
+    offsets = np.arange(basis.num_bins_J + 1) * (basis.memory_A / basis.num_bins_J)
+    rows = [np.ones(times.size)]
+    for l in sources:
+        idx = np.searchsorted(events.times[l], times[None, :] - offsets[:, None],
+                              side="left")
+        rows.extend((idx[:-1] - idx[1:]) * basis.height)
+    return np.array(rows)
 
 
 def _empty_events(dims=1):
@@ -211,18 +223,63 @@ class TestFeatureCache:
             assert feats.shape == (sm.param_dim, times.size)
             np.testing.assert_array_equal(feats[0], 1.0)
             for l in sm.active_sources:
-                np.testing.assert_array_equal(
-                    feats[sm.block(l)], feature_matrix(ev, basis, [l], times)[1:])
-            np.testing.assert_array_equal(feats, feature_matrix(ev, basis, [0, 2], times))
+                one = basis.features(feature_matrix(ev, basis, [l], times))
+                np.testing.assert_array_equal(feats[sm.block(l)], one[1:])
+            np.testing.assert_array_equal(
+                feats, basis.features(feature_matrix(ev, basis, [0, 2], times)))
 
     def test_unbuilt_size_is_a_key_error(self):
         ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
         cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A)
+        with pytest.raises(KeyError):  # no table yet
+            cache.stack(SubModel(column=(1,), depth=0), 0)
         cache.build([1])
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError):  # finer than the table
             cache.stack(SubModel(column=(1,), depth=1), 0)
 
-    def test_caller_builds_each_size_once_before_the_pool(self, monkeypatch):
+    @pytest.mark.parametrize("memory", [0.5, fx.MEMORY_A])
+    @pytest.mark.parametrize("finest", [1, 2, 4, 8])
+    def test_stack_equals_the_float_features_at_each_size_bitwise(self, memory, finest):
+        # events and all but 20 random nodes on a grid of A/8 (exact when
+        # A = 0.5), so lags fall on the bin edges j A/J of every size, A among them
+        step = memory / 8
+        grid = np.arange(-8, 33)
+        ev = EventData(dims_K=2, horizon_T=32 * step,
+                       times=(grid[grid % 3 == 0] * step, grid[grid % 3 == 1] * step))
+        off_grid = np.random.default_rng(4).uniform(0, 32 * step, 20)
+        nodes = np.sort(np.concatenate([np.arange(33) * step, off_grid]))
+        quad = QuadratureGrid(points=nodes, weights=np.full(nodes.size, step))
+        cache = FeatureCache(ev, quad, memory)
+        cache.build([finest])
+        for depth in range(finest.bit_length()):
+            basis = HistogramBasis(memory, 2 ** depth)
+            for column in ((1, 1), (0, 1)):
+                sm = SubModel(column=column, depth=depth)
+                for k in range(2):
+                    feats, n = cache.stack(sm, k)
+                    own = ev.times[k][ev.times[k] >= 0.0]
+                    want = _float_features(ev, basis, sm.active_sources,
+                                           np.concatenate([own, nodes]))
+                    assert n == own.size
+                    np.testing.assert_array_equal(feats.view(np.uint64),
+                                                  want.view(np.uint64))
+
+    def test_build_peak_is_under_a_quarter_of_the_float_tables(self):
+        ev = simulate(SimConfig(params=fx.sparse_truth(10), link=LINK, horizon_T=50.0,
+                                seed=1))
+        quad = QuadratureGrid.default(50.0, fx.MEMORY_A)
+        cache = FeatureCache(ev, quad, fx.MEMORY_A)
+        # what one float64 table per size J = 1, 2, 4 took
+        float_bytes = sum((1 + 10 * j) * (ev.total() + quad.n_gq) * 8 for j in (1, 2, 4))
+        tracemalloc.start()
+        try:
+            cache.build([1, 2, 4])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < float_bytes / 4
+
+    def test_caller_builds_the_finest_table_once_before_the_pool(self, monkeypatch):
         ev = simulate(SimConfig(params=fx.sparse_truth(3), link=LINK, horizon_T=5.0,
                                 seed=1))
         own = [t[t >= 0.0] for t in ev.times]
@@ -265,12 +322,11 @@ class TestFeatureCache:
         monkeypatch.setattr(cache, "stack", recording)
         posts = fit_candidates(tasks, cache, LINK, 3, 1e-3, threads=4)
         assert len(posts) == len(tasks)
-        # one table per depth, from the calling thread, before the first fit:
-        # every source, at every own event and then every node
+        # one table at the finest depth, from the calling thread, before the
+        # first fit: every source, at every own event and then every node
         caller, points = threading.get_ident(), np.concatenate(own + [quad.points])
-        assert sorted(log[:2]) == [("table", caller, (0, 1, 2), 1, points.tobytes()),
-                                   ("table", caller, (0, 1, 2), 2, points.tobytes())]
-        assert [entry[0] for entry in log[2:]] == ["fit"] * len(tasks)
+        assert log[:1] == [("table", caller, (0, 1, 2), 2, points.tobytes())]
+        assert [entry[0] for entry in log[1:]] == ["fit"] * len(tasks)
         assert stacked.keys() == expected.keys()
         for job, (feats, n) in stacked.items():
             ref_feats, ref_n = expected[job]
