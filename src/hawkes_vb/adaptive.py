@@ -205,22 +205,23 @@ def fully_adaptive(events, model_set, link, prior, vi_config=VIConfig(), *,
     ``vi.fit_candidates``), chains run as independent tasks, and the
     reduction is ordered, so results are reproducible.  A ``cache`` must be
     the ``FeatureCache`` of these ``events`` at ``memory_A`` (and on ``quad``,
-    if given); any other is a ConfigError.
+    if given) that every candidate's size sums from; any other is a ConfigError.
     """
     k_dims = events.dims_K
     if len(model_set) != k_dims or any(len(s) == 0 for s in model_set):
         raise DomainError("need one non-empty candidate list per dimension")
+    sizes = {sm.num_bins for subs in model_set for sm in subs}
     if cache is not None and (cache.events is not events or cache.memory_A != memory_A
-                              or (quad is not None and quad is not cache.quad)):
-        raise ConfigError("the feature cache was built from other events, memory_A "
-                          "or quadrature")
-    if quad is None:
-        quad = QuadratureGrid.default(events.horizon_T, memory_A)
-    if cache is None:
-        cache = FeatureCache(events, quad, memory_A)
+                              or (quad is not None and quad is not cache.quad)
+                              or any(cache.bins % j for j in sizes)):
+        raise ConfigError("the feature cache was built from other events, memory_A, "
+                          "quadrature or a coarser histogram")
 
     priors = {d: prior(d) for d in {sm.param_dim for subs in model_set for sm in subs}}
     tasks = [(k, sm, priors[sm.param_dim]) for k in range(k_dims) for sm in model_set[k]]
+    if cache is None:
+        quad = QuadratureGrid.default(events.horizon_T, memory_A) if quad is None else quad
+        cache = FeatureCache(events, quad, memory_A, sizes)
     fits = iter(fit_candidates(tasks, cache, link, vi_config.max_iter, vi_config.tol,
                                vi_config.threads))
 
@@ -285,7 +286,7 @@ def two_step(events, link, max_depth, prior, vi_config=VIConfig(), *,
     k_dims = events.dims_K
     if quad is None:
         quad = QuadratureGrid.default(events.horizon_T, memory_A)
-    cache = FeatureCache(events, quad, memory_A)
+    cache = FeatureCache(events, quad, memory_A, [2 ** max_depth])
 
     complete = [enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)] * k_dims
     step1 = fully_adaptive(events, complete, link, prior, vi_config,

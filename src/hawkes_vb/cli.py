@@ -8,9 +8,9 @@ machine-readable ``{"error": {...}}`` object on stderr.  A ``truth`` section
 that does not fit its ``bins_J`` or ``dims_K`` is a config error, and so is a
 fit depth (``basis.D`` or ``adaptive.D_max``) whose bins memory_A/2^D are
 finer than the 1e-6 resolution of event times, a fit link other than the
-sigmoid, a prior, candidate, quadrature node or Gibbs latent candidate count
-past ``core.MAX_POINTS`` or bad Gibbs settings; a fit checks these before any
-event is read or simulated.
+sigmoid or whose alpha^2 overflows, a prior, candidate, quadrature node or
+Gibbs latent candidate count past ``core.MAX_POINTS`` or bad Gibbs settings;
+a fit checks these before any event is read or simulated.
 ``eval`` scores ``result.json`` against the truth; a result whose
 ``memory_A`` differs from the config's, whose ``bins_J`` is not a power of
 two, whose column does not have ``dims_K`` entries or that holds a NaN or
@@ -63,7 +63,7 @@ from types import SimpleNamespace
 import numpy as np
 import jsonschema
 
-from hawkes_vb import _blas, adaptive, metrics
+from hawkes_vb import _blas, adaptive, metrics, vi
 from hawkes_vb.core import EventData, HawkesParams, HistogramBasis, LinkFunction
 from hawkes_vb.errors import ConfigError, DataError, HawkesVBError, NumericalError
 from hawkes_vb.gibbs import GibbsConfig, check_latent_candidates, gibbs_sample
@@ -458,6 +458,7 @@ def cmd_fit(cfg):
     link = _link_from(cfg)
     if link.kind != "sigmoid":
         raise ConfigError("fitting requires the sigmoid link")
+    vi.check_link(link)
     memory_A = cfg["memory_A"]
     k_dims = cfg["dims_K"]
     if "horizon_T" not in cfg:

@@ -23,10 +23,10 @@ from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from hawkes_vb import _blas
-from hawkes_vb.core import MAX_POINTS, SIGMOID, HistogramBasis, feature_matrix
-from hawkes_vb.errors import ConfigError, UnsupportedLinkError
+from hawkes_vb.core import MAX_POINTS, HistogramBasis, feature_matrix
+from hawkes_vb.errors import ConfigError
 from hawkes_vb.pg import pg_sample_arr
-from hawkes_vb.vi import _checked_prior, conjugate_update
+from hawkes_vb.vi import _checked_prior, check_link, conjugate_update
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ def gibbs_sample(events, config, link, model, prior):
     runs on one thread meanwhile, as in the variational fits.  Too many
     latent candidates per sweep is a ConfigError (``check_latent_candidates``).
     """
-    if link.kind != SIGMOID:
-        raise UnsupportedLinkError("the Gibbs sampler requires the sigmoid link")
+    check_link(link)
     rng = np.random.default_rng(config.seed)
     k_dims = events.dims_K
     horizon = events.horizon_T

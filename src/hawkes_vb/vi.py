@@ -314,56 +314,49 @@ class FeatureCache:
 
     One table of event counts (``core.feature_matrix``) holds every source's
     rows at every point: each dimension's own events (t >= 0), in dimension
-    order, then the quadrature nodes.  It is built at the finest histogram
-    size of the fit; a coarser size J sums adjacent fine bins, which is exact
-    because every size is a power of two, so the bin edges jA/J of J are
-    edges of the finer table.  ``build`` makes the table before a fit starts,
-    and ``stack`` only reads it, so workers share the cache without a lock.
+    order, then the quadrature nodes.  It is counted once, at construction,
+    at ``bins``, the largest of ``sizes``; a coarser size J sums adjacent fine
+    bins, which is exact because every size is a power of two, so the bin
+    edges jA/J of J are edges of the finer table.  The table is read-only, so
+    workers share the cache without a lock.
     """
 
-    def __init__(self, events, quad, memory_A):
+    def __init__(self, events, quad, memory_A, sizes):
         self.events = events
         self.quad = quad
         self.memory_A = memory_A
+        self.bins = max(sizes)
         own = [t[t >= 0.0] for t in events.times]
         # dimension k's own events are columns _starts[k]:_starts[k + 1]
         self._starts = np.cumsum([0] + [t.size for t in own]).tolist()
-        self._points = np.concatenate(own + [quad.points])
-        self._bins = 0  # histogram size of _table; 0 before the first build
-        self._table = None  # (1 + K _bins, N + n_q) counts
-
-    def build(self, sizes):
-        """Build the count table at the largest of ``sizes`` unless the held one
-        is as fine.  Sizes are powers of two, as ``SubModel.num_bins`` are."""
-        j = max(sizes, default=0)
-        if j > self._bins:
-            self._table = feature_matrix(self.events, HistogramBasis(self.memory_A, j),
-                                         range(self.events.dims_K), self._points)
-            self._bins = j
+        points = np.concatenate(own + [quad.points])
+        self.table = feature_matrix(events, HistogramBasis(memory_A, self.bins),
+                                    range(events.dims_K), points)  # (1 + K bins, N + n_q)
+        self.table.setflags(write=False)
 
     def stack(self, submodel, k):
         """(features, N_k) of ``submodel`` for receiving dimension k.
 
         The features are one (d, N_k + n_q) matrix: a column per own event of
-        dimension k, then a column per quadrature node.  A size the held table
-        cannot be summed to (finer, or none built) is a KeyError.
+        dimension k, then a column per quadrature node.  A size the table
+        cannot be summed to (finer) is a KeyError.
         """
         j = submodel.num_bins
-        if not self._bins or self._bins % j:
+        if self.bins % j:
             raise KeyError(f"the feature cache holds no table that {j} bins sum from")
-        group = self._bins // j  # fine bins per bin of the sub-model
-        rows = [1 + l * self._bins + b for l in submodel.active_sources
-                for b in range(self._bins)]
+        group = self.bins // j  # fine bins per bin of the sub-model
+        rows = [1 + l * self.bins + b for l in submodel.active_sources
+                for b in range(self.bins)]
         start, n = self._starts[k], self._starts[k + 1] - self._starts[k]
         basis = HistogramBasis(self.memory_A, j)
         # an unsigned type that holds the sum of ``group`` counts
-        wide = np.min_scalar_type(group * np.iinfo(self._table.dtype).max)
+        wide = np.min_scalar_type(group * np.iinfo(self.table.dtype).max)
         d = submodel.param_dim
         feats = np.empty((d, n + self.quad.n_gq))
         # two row gathers into one buffer: several times faster than np.ix_
         for cols, dest in ((slice(start, start + n), feats[:, :n]),
                            (slice(self._starts[-1], None), feats[:, n:])):
-            fine = self._table[rows, cols].reshape(d - 1, group, dest.shape[1])
+            fine = self.table[rows, cols].reshape(d - 1, group, dest.shape[1])
             counts = np.empty(dest.shape, dtype=wide)
             counts[0] = 1
             np.add.reduce(fine, axis=1, out=counts[1:])
@@ -377,6 +370,15 @@ def _checked_prior(prior, k, submodel):
         raise ConfigError(f"prior dimension {prior.dim} of dimension {k} does not "
                           f"match the model's {submodel.param_dim} parameters")
     return prior
+
+
+def check_link(link):
+    """UnsupportedLinkError unless ``link`` is the sigmoid, and ConfigError if
+    alpha^2, which every conjugate update multiplies by, overflows."""
+    if link.kind != SIGMOID:
+        raise UnsupportedLinkError("the conjugate fits require the sigmoid link")
+    if not math.isfinite(link.alpha * link.alpha):
+        raise ConfigError(f"link alpha {link.alpha:g} is too large: its square overflows")
 
 
 def usable_cores():
@@ -410,14 +412,14 @@ def _ladders(tasks):
 def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
     """Fit every task ``(k, submodel, prior)``; posteriors come back in task order.
 
-    ``cache`` is the ``FeatureCache`` of the data.  The calling thread checks
-    the link and every prior, and builds every feature table the tasks need,
-    before any fit starts; the workers only read.  Each depth ladder (see
-    ``_ladders``) is one chain: its first fit starts at the prior mean, and
-    each later fit at the previous fit's mean split onto the finer bins,
-    which has the same kernel.  Every chain runs in one pool of ``threads``
-    workers (default: the usable cores), at least one and never more than
-    there are chains.  BLAS runs on one thread meanwhile, so ``threads`` is
+    ``cache`` is the ``FeatureCache`` of the data, at a size every task's
+    sums from.  The calling thread checks the thread count, the link
+    (``check_link``) and every prior before any fit starts; the workers only
+    read.  Each depth ladder (see ``_ladders``) is one chain: its first fit
+    starts at the prior mean, and each later fit at the previous fit's mean
+    split onto the finer bins, which has the same kernel.  Every chain runs
+    in one pool of ``threads`` workers (default: the usable cores), at least
+    one and never more than there are chains.  BLAS runs on one thread meanwhile, so ``threads`` is
     the whole core budget, and each chain is the same computation either
     way: results do not depend on any thread count.
     """
@@ -439,13 +441,9 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
         threads = usable_cores()
     elif threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    if link.kind != SIGMOID:
-        raise UnsupportedLinkError("variational inference requires the sigmoid link")
-    if not math.isfinite(link.alpha * link.alpha):
-        raise ConfigError(f"link alpha {link.alpha:g} is too large: its square overflows")
+    check_link(link)
     for k, submodel, prior in tasks:
         _checked_prior(prior, k, submodel)
-    cache.build({submodel.num_bins for _, submodel, _ in tasks})
     ladders = _ladders(tasks)
     workers = max(1, min(threads, len(ladders)))
     with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
@@ -461,5 +459,5 @@ def cavi_fixed_model(events, model, link, prior, quad, max_iter=100, tol=1e-3,
     independent and run as parallel tasks; the result order is deterministic.
     """
     tasks = [(k, model.submodel(k), prior[k]) for k in range(events.dims_K)]
-    return fit_candidates(tasks, FeatureCache(events, quad, model.memory_A), link,
-                          max_iter, tol, threads)
+    cache = FeatureCache(events, quad, model.memory_A, model.bins_J)
+    return fit_candidates(tasks, cache, link, max_iter, tol, threads)

@@ -265,8 +265,7 @@ def test_criterion_11_oracle_equivalence():
     ev = EventData(dims_K=1, horizon_T=3.0, times=(np.array([0.4, 1.1, 2.3]),))
     quad = QuadratureGrid.default(3.0, A)
     prior = GaussianPrior.isotropic(2, 5.0)
-    cache = FeatureCache(ev, quad, A)
-    cache.build([1])
+    cache = FeatureCache(ev, quad, A, [1])
     feats, n = cache.stack(SubModel(column=(1,), depth=0), 0)
     problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
     model = Model(graph_delta=np.ones((1, 1), dtype=np.int8), bins_J=(1,),

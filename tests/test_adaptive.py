@@ -221,7 +221,7 @@ class TestFullyAdaptive:
                                 horizon_T=30.0, seed=3))
         subs = [[SubModel(column=(1,), depth=1)]]
         quad = QuadratureGrid.default(30.0, 0.2)
-        own = FeatureCache(ev, quad, 0.2)
+        own = FeatureCache(ev, quad, 0.2, [2])
         fit = fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2,
                              quad=quad, cache=own)
         bare = fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2)
@@ -230,9 +230,10 @@ class TestFullyAdaptive:
         other = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
                                    horizon_T=30.0, seed=3))
         for cache, kwargs in [
-                (FeatureCache(ev, QuadratureGrid.default(30.0, 0.1), 0.1), {}),
-                (FeatureCache(other, quad, 0.2), {}),
-                (own, {"quad": QuadratureGrid.default(30.0, 0.2)})]:
+                (FeatureCache(ev, QuadratureGrid.default(30.0, 0.1), 0.1, [2]), {}),
+                (FeatureCache(other, quad, 0.2, [2]), {}),
+                (own, {"quad": QuadratureGrid.default(30.0, 0.2)}),
+                (FeatureCache(ev, quad, 0.2, [1]), {})]:  # coarser than the candidate
             with pytest.raises(ConfigError, match="feature cache"):
                 fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2,
                                cache=cache, **kwargs)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
@@ -147,7 +148,7 @@ class TestConfigValidation:
                 "out_dir": str(tmp_path / "out"), **entry})
         else:
             path = _sim_config(tmp_path, fx.excitation_1d(), 10.0, **entry)
-        assert literal in open(path).read()
+        assert literal in Path(path).read_text()
         assert cli.main([mode, "--config", path]) == cli.EXIT_CONFIG
         error = _error_of(capsys)
         assert error["type"] == "ConfigError" and literal in error["message"]
@@ -806,7 +807,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("entry", ["memory_A", "mean"])
     def test_non_finite_number_in_result_is_exit_3(self, tmp_path, capsys, entry):
         truth = fx.sparse_truth(2)
-        result = json.loads(open(self._result_from_truth(tmp_path, truth)).read())
+        result = json.loads(Path(self._result_from_truth(tmp_path, truth)).read_text())
         if entry == "memory_A":
             result["memory_A"] = math.nan
         else:
@@ -841,7 +842,7 @@ class TestEvalCommand:
         # a block for a source that does not exist must not go unscored
         truth = fx.sparse_truth(2)
         res_path = self._result_from_truth(tmp_path, truth)
-        result = json.loads(open(res_path).read())
+        result = json.loads(Path(res_path).read_text())
         dim = result["dimensions"][0]
         dim["column"] = dim["column"] + [1]
         dim["mean"] = dim["mean"] + [9.0, 9.0]
@@ -861,7 +862,7 @@ class TestEvalCommand:
     ])
     def test_malformed_posterior_array_is_exit_3(self, tmp_path, capsys, field, value):
         truth = fx.sparse_truth(2)  # dimension 0: three parameters
-        result = json.loads(open(self._result_from_truth(tmp_path, truth)).read())
+        result = json.loads(Path(self._result_from_truth(tmp_path, truth)).read_text())
         assert len(result["dimensions"][0]["mean"]) == 3
         result["dimensions"][0][field] = value
         res_path = _write(tmp_path, "result.json", result)
@@ -1123,6 +1124,17 @@ class TestErrorContract:
                                 events_csv=str(tmp_path / "missing.csv"))
         assert code == cli.EXIT_CONFIG
         assert error["type"] == "ConfigError" and "allowed" in error["message"]
+
+    @pytest.mark.parametrize("name", ["fit_fixed", "fit_adaptive", "fit_two_step",
+                                      "fit_gibbs"])
+    def test_link_alpha_whose_square_overflows_is_exit_1_before_any_read(
+            self, contract_dir, tmp_path, capsys, name):
+        # every conjugate update multiplies by alpha^2; the events file does not exist
+        code, error = self._run(contract_dir, tmp_path, capsys, name,
+                                link={**_LINK, "alpha": 1e200},
+                                events_csv=str(tmp_path / "missing.csv"))
+        assert code == cli.EXIT_CONFIG
+        assert error["type"] == "ConfigError" and "overflows" in error["message"]
 
     def test_gibbs_burn_in_not_below_n_iter_is_exit_1_before_any_read(
             self, contract_dir, tmp_path, capsys):

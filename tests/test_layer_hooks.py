@@ -50,7 +50,7 @@ def test_two_step_calls_every_traced_attribute(monkeypatch):
     adaptive.two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-3),
                       memory_A=fx.MEMORY_A)
 
-    assert calls["feature_matrix"]
+    assert len(calls["feature_matrix"]) == 1  # one table serves both steps
     assert calls["pg_mean"]
     assert len(calls["fully_adaptive"]) == 2
     for _, kwargs in calls["fully_adaptive"]:

@@ -105,8 +105,7 @@ class TestCaviFixedModel:
         prior = [GaussianPrior.isotropic(2, 5.0)]
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, prior, quad,
                                  max_iter=500, tol=1e-14)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A)
-        cache.build([1])
+        cache = FeatureCache(ev, quad, fx.MEMORY_A, [1])
         feats, n = cache.stack(_model(1, 1).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior[0], 2.0)
         mean, cov = posts[0].mean, posts[0].cov
@@ -141,7 +140,8 @@ class TestCaviFixedModel:
         for k in range(2):
             # dimension k alone: one task, on a cache of its own
             (solo,) = fit_candidates([(k, model.submodel(k), priors[k])],
-                                     FeatureCache(ev, quad, fx.MEMORY_A), LINK, 100, 1e-3)
+                                     FeatureCache(ev, quad, fx.MEMORY_A, [2]), LINK,
+                                     100, 1e-3)
             np.testing.assert_array_equal(joint[k].mean, solo.mean)
             np.testing.assert_array_equal(joint[k].cov, solo.cov)
             assert joint[k].elbo == solo.elbo
@@ -212,8 +212,7 @@ class TestFeatureCache:
                                 seed=1))
         quad = QuadratureGrid.build(5.0, 30)
         sm = SubModel(column=(1, 0, 1), depth=1)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A)
-        cache.build([2])
+        cache = FeatureCache(ev, quad, fx.MEMORY_A, [2])
         stacked, n = cache.stack(sm, 2)
         e, q = stacked[:, :n], stacked[:, n:]
         basis = HistogramBasis(fx.MEMORY_A, 2)
@@ -230,12 +229,16 @@ class TestFeatureCache:
 
     def test_unbuilt_size_is_a_key_error(self):
         ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
-        cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A)
-        with pytest.raises(KeyError):  # no table yet
-            cache.stack(SubModel(column=(1,), depth=0), 0)
-        cache.build([1])
+        cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A, [1])
         with pytest.raises(KeyError):  # finer than the table
             cache.stack(SubModel(column=(1,), depth=1), 0)
+
+    def test_table_is_read_only(self):
+        ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
+        cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A, [1, 2])
+        assert cache.bins == 2 and cache.table.shape == (3, 2 + 10)
+        with pytest.raises(ValueError, match="read-only"):
+            cache.table[1, 0] = 7
 
     @pytest.mark.parametrize("memory", [0.5, fx.MEMORY_A])
     @pytest.mark.parametrize("finest", [1, 2, 4, 8])
@@ -249,8 +252,7 @@ class TestFeatureCache:
         off_grid = np.random.default_rng(4).uniform(0, 32 * step, 20)
         nodes = np.sort(np.concatenate([np.arange(33) * step, off_grid]))
         quad = QuadratureGrid(points=nodes, weights=np.full(nodes.size, step))
-        cache = FeatureCache(ev, quad, memory)
-        cache.build([finest])
+        cache = FeatureCache(ev, quad, memory, [finest])
         for depth in range(finest.bit_length()):
             basis = HistogramBasis(memory, 2 ** depth)
             for column in ((1, 1), (0, 1)):
@@ -268,12 +270,11 @@ class TestFeatureCache:
         ev = simulate(SimConfig(params=fx.sparse_truth(10), link=LINK, horizon_T=50.0,
                                 seed=1))
         quad = QuadratureGrid.default(50.0, fx.MEMORY_A)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A)
         # what one float64 table per size J = 1, 2, 4 took
         float_bytes = sum((1 + 10 * j) * (ev.total() + quad.n_gq) * 8 for j in (1, 2, 4))
         tracemalloc.start()
         try:
-            cache.build([1, 2, 4])
+            FeatureCache(ev, quad, fx.MEMORY_A, [1, 2, 4])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -291,14 +292,11 @@ class TestFeatureCache:
                  for k in range(3) for sm in subs]
         expected = {}
         for k, sm, _ in tasks:  # each job on a cache of its own
-            serial = FeatureCache(ev, quad, fx.MEMORY_A)
-            serial.build([sm.num_bins])
+            serial = FeatureCache(ev, quad, fx.MEMORY_A, [sm.num_bins])
             expected[(sm, k)] = serial.stack(sm, k)
 
         log, stacked, lock = [], {}, threading.Lock()
         build, fit = vi.feature_matrix, vi._fit_dimension
-        cache = FeatureCache(ev, quad, fx.MEMORY_A)
-        stack = cache.stack
 
         def counting(events, basis, sources, times):
             with lock:
@@ -319,14 +317,18 @@ class TestFeatureCache:
 
         monkeypatch.setattr(vi, "feature_matrix", counting)
         monkeypatch.setattr(vi, "_fit_dimension", fitting)
+        cache = FeatureCache(ev, quad, fx.MEMORY_A, [sm.num_bins for _, sm, _ in tasks])
+        # one table at the finest depth, counted at construction: every
+        # source, at every own event and then every node
+        caller, points = threading.get_ident(), np.concatenate(own + [quad.points])
+        assert log == [("table", caller, (0, 1, 2), 2, points.tobytes())]
+        log.clear()
+        stack = cache.stack
         monkeypatch.setattr(cache, "stack", recording)
         posts = fit_candidates(tasks, cache, LINK, 3, 1e-3, threads=4)
         assert len(posts) == len(tasks)
-        # one table at the finest depth, from the calling thread, before the
-        # first fit: every source, at every own event and then every node
-        caller, points = threading.get_ident(), np.concatenate(own + [quad.points])
-        assert log[:1] == [("table", caller, (0, 1, 2), 2, points.tobytes())]
-        assert [entry[0] for entry in log[1:]] == ["fit"] * len(tasks)
+        # fit_candidates counts no table: the workers only fit
+        assert [entry[0] for entry in log] == ["fit"] * len(tasks)
         assert stacked.keys() == expected.keys()
         for job, (feats, n) in stacked.items():
             ref_feats, ref_n = expected[job]
@@ -336,7 +338,8 @@ class TestFeatureCache:
     def test_wrong_prior_in_the_last_task_fails_before_any_fit(self, monkeypatch):
         ev = EventData(dims_K=2, horizon_T=2.0,
                        times=(np.array([0.31, 0.55, 1.2]), np.array([0.4, 1.6])))
-        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A)
+        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A,
+                             [2, 4])
         sm = SubModel(column=(1, 1), depth=1)
         tasks = [(k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0)) for k in range(2)]
         tasks.append((1, SubModel(column=(1, 1), depth=2), GaussianPrior.isotropic(5, 5.0)))
@@ -351,8 +354,8 @@ class TestDepthLadder:
     def _cache(self):
         ev = simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=20.0,
                                 seed=3))
-        cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A)
-        cache.build([1, 2, 4, 8])
+        cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A,
+                             [1, 2, 4, 8])
         return cache
 
     def _problem(self, cache, submodel, k, prior):
@@ -408,7 +411,8 @@ class TestDepthLadder:
         # the data of test_dimension_without_events_matches_pinned_fit
         ev = EventData(dims_K=2, horizon_T=2.0,
                        times=(np.array([0.31, 0.55, 1.2, 1.6]), np.array([])))
-        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A)
+        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A,
+                             [1])
         sm = SubModel(column=(1, 1), depth=0)
         prior = GaussianPrior.isotropic(3, 5.0)
         posts = fit_candidates([(0, sm, prior), (1, sm, prior)], cache, LINK, 4,
@@ -451,8 +455,7 @@ class TestSharedUpdate:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 3))
         prior = GaussianPrior(mean=rng.normal(size=3), cov=a @ a.T + 3.0 * np.eye(3))
-        cache = FeatureCache(ev, quad, fx.MEMORY_A)
-        cache.build([2])
+        cache = FeatureCache(ev, quad, fx.MEMORY_A, [2])
         feats, n = cache.stack(_model(1, 2).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
         mean = np.array([3.0, 0.4, -0.2])
@@ -486,8 +489,7 @@ class TestBruteForceOracle:
                        times=(np.array([0.4, 1.1, 2.3]),))
         quad = QuadratureGrid.default(3.0, fx.MEMORY_A)
         prior = GaussianPrior.isotropic(2, 5.0)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A)
-        cache.build([1])
+        cache = FeatureCache(ev, quad, fx.MEMORY_A, [1])
         feats, n = cache.stack(_model(1, 1).submodel(0), 0)
         problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
 
