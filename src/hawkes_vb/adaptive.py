@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from hawkes_vb.core import MAX_POINTS
+from hawkes_vb.core import check_points
 from hawkes_vb.errors import ConfigError, DomainError, NoGapError
 from hawkes_vb.vi import FeatureCache, QuadratureGrid, VIConfig, fit_candidates
 
@@ -92,10 +92,9 @@ def enumerate_submodels(dims_K, max_depth, column=None):
     if column is not None:
         columns = [tuple(int(c) for c in column)]
     else:
-        if dims_K * ((max_depth + 1) << dims_K) > MAX_POINTS:
-            raise ConfigError(f"{dims_K} dimensions x 2^{dims_K} columns x "
-                              f"{max_depth + 1} depths are more than the "
-                              f"{MAX_POINTS:.0e} candidates allowed")
+        check_points(dims_K * ((max_depth + 1) << dims_K),
+                     f"{dims_K} dimensions x 2^{dims_K} columns x {max_depth + 1} depths",
+                     "candidates")
         columns = [c for c in itertools.product((0, 1), repeat=dims_K)]
     out = []
     for col in columns:
@@ -205,23 +204,21 @@ def fully_adaptive(events, model_set, link, prior, vi_config=VIConfig(), *,
     ``vi.fit_candidates``), chains run as independent tasks, and the
     reduction is ordered, so results are reproducible.  A ``cache`` must be
     the ``FeatureCache`` of these ``events`` at ``memory_A`` (and on ``quad``,
-    if given) that every candidate's size sums from; any other is a ConfigError.
+    if given); any other is a ConfigError.
     """
     k_dims = events.dims_K
     if len(model_set) != k_dims or any(len(s) == 0 for s in model_set):
         raise DomainError("need one non-empty candidate list per dimension")
-    sizes = {sm.num_bins for subs in model_set for sm in subs}
     if cache is not None and (cache.events is not events or cache.memory_A != memory_A
-                              or (quad is not None and quad is not cache.quad)
-                              or any(cache.bins % j for j in sizes)):
-        raise ConfigError("the feature cache was built from other events, memory_A, "
-                          "quadrature or a coarser histogram")
+                              or (quad is not None and quad is not cache.quad)):
+        raise ConfigError("the feature cache was built from other events, memory_A "
+                          "or quadrature")
 
     priors = {d: prior(d) for d in {sm.param_dim for subs in model_set for sm in subs}}
     tasks = [(k, sm, priors[sm.param_dim]) for k in range(k_dims) for sm in model_set[k]]
     if cache is None:
         quad = QuadratureGrid.default(events.horizon_T, memory_A) if quad is None else quad
-        cache = FeatureCache(events, quad, memory_A, sizes)
+        cache = FeatureCache(events, quad, memory_A, {sm.num_bins for _, sm, _ in tasks})
     fits = iter(fit_candidates(tasks, cache, link, vi_config.max_iter, vi_config.tol,
                                vi_config.threads))
 

@@ -9,8 +9,8 @@ that does not fit its ``bins_J`` or ``dims_K`` is a config error, and so is a
 fit depth (``basis.D`` or ``adaptive.D_max``) whose bins memory_A/2^D are
 finer than the 1e-6 resolution of event times, a fit link other than the
 sigmoid or whose alpha^2 overflows, a prior, candidate, quadrature node or
-Gibbs latent candidate count past ``core.MAX_POINTS`` or bad Gibbs settings;
-a fit checks these before any event is read or simulated.
+Gibbs latent candidate count past the ``core.check_points`` cap or bad Gibbs
+settings; a fit checks these before any event is read or simulated.
 ``eval`` scores ``result.json`` against the truth; a result whose
 ``memory_A`` differs from the config's, whose ``bins_J`` is not a power of
 two, whose column does not have ``dims_K`` entries or that holds a NaN or

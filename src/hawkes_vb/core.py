@@ -24,14 +24,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hawkes_vb.errors import DataError, DomainError
+from hawkes_vb.errors import ConfigError, DataError, DomainError
 
 # The most points a run may draw or use: quadrature nodes, expected Gibbs
 # latent candidates per sweep and dimension (theta T), expected thinning
 # candidates of a simulation, entries of a prior covariance and candidates of
-# an adaptive fit.  A run past it is a ConfigError, raised before anything of
-# that size is allocated or drawn.
+# an adaptive fit.  A run past it is a ConfigError (``check_points``), raised
+# before anything of that size is allocated or drawn.
 MAX_POINTS = 10_000_000
+
+
+def check_points(count, what, unit):
+    """ConfigError if ``what`` = ``count`` ``unit`` is more than ``MAX_POINTS``."""
+    if count > MAX_POINTS:
+        # 8 digits tell 10000001 from 1e+07; g overflows on an int past the floats
+        shown = f"{count:.8g}" if count < 1e300 else "more than 1e300"
+        raise ConfigError(f"{what} = {shown} is more than the {MAX_POINTS:.0e} "
+                          f"{unit} allowed")
+
 
 SIGMOID = "sigmoid"
 RELU = "relu"

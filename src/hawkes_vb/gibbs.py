@@ -23,7 +23,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from hawkes_vb import _blas
-from hawkes_vb.core import MAX_POINTS, HistogramBasis, feature_matrix
+from hawkes_vb.core import HistogramBasis, check_points, feature_matrix
 from hawkes_vb.errors import ConfigError
 from hawkes_vb.pg import pg_sample_arr
 from hawkes_vb.vi import _checked_prior, check_link, conjugate_update
@@ -71,9 +71,7 @@ def _draw_gaussian(mean, prec_chol, rng):
 def check_latent_candidates(link, horizon_T):
     """ConfigError if a sweep's expected latent candidates per dimension,
     theta T, are more than ``core.MAX_POINTS``."""
-    if link.theta * horizon_T > MAX_POINTS:
-        raise ConfigError(f"theta * horizon_T = {link.theta * horizon_T:.3g} latent "
-                          f"candidates per sweep is more than the {MAX_POINTS:.0e} allowed")
+    check_points(link.theta * horizon_T, "theta * horizon_T", "latent candidates per sweep")
 
 
 def gibbs_sample(events, config, link, model, prior):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hawkes_vb.core import MAX_POINTS, EventData, LinkFunction
+from hawkes_vb.core import MAX_POINTS, EventData, LinkFunction, check_points
 from hawkes_vb.errors import ConfigError, DomainError, SimulationDivergedError
 
 
@@ -53,7 +53,6 @@ class SimConfig:
     horizon_T: float
     burn_in: float = None
     seed: int = 0
-    max_events: int = 10**7
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon_T) and self.horizon_T > 0):
@@ -163,7 +162,7 @@ def simulate(config):
 
     With the sigmoid link, more than ``core.MAX_POINTS`` expected thinning
     candidates (K theta (T + burn-in)) is a ConfigError, raised before the
-    first draw.
+    first draw; more than ``MAX_POINTS`` accepted events, SimulationDivergedError.
     """
     params = config.params
     k_dims = params.dims_K
@@ -179,11 +178,8 @@ def simulate(config):
     if bounded:
         # summed term by term: K * theta can round differently and move every draw
         bound = _sum_in_order(link.theta for _ in range(k_dims))
-        expected = bound * (horizon + burn_in)
-        if expected > MAX_POINTS:
-            raise ConfigError(f"K theta (horizon_T + burn-in) = {expected:.3g} expected "
-                              f"thinning candidates is more than the {MAX_POINTS:.0e} "
-                              f"allowed")
+        check_points(bound * (horizon + burn_in), "K theta (horizon_T + burn-in)",
+                     "expected thinning candidates")
     else:
         env_cols = _envelope_columns(vals)
 
@@ -234,9 +230,9 @@ def simulate(config):
                     windows[k].append(t)
                     break
             n_accepted += 1
-            if n_accepted > config.max_events:
+            if n_accepted > MAX_POINTS:
                 raise SimulationDivergedError(
-                    f"simulation exceeded {config.max_events} events; "
+                    f"simulation exceeded {MAX_POINTS:.0e} events; "
                     "parameters appear explosive")
 
     out = []

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from hawkes_vb import _blas
-from hawkes_vb.core import MAX_POINTS, SIGMOID, HistogramBasis, feature_matrix
+from hawkes_vb.core import SIGMOID, HistogramBasis, check_points, feature_matrix
 from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
 from hawkes_vb.pg import pg_mean
 
@@ -106,9 +106,7 @@ class GaussianPrior:
     def isotropic(cls, dim, sigma=5.0, mean=0.0):
         """N(mean, sigma^2 I) in ``dim`` dimensions; a covariance of more than
         ``MAX_POINTS`` entries is a ConfigError, raised before it is allocated."""
-        if dim * dim > MAX_POINTS:
-            raise ConfigError(f"a prior of dimension {dim} has more than the "
-                              f"{MAX_POINTS:.0e} covariance entries allowed")
+        check_points(dim * dim, f"{dim}^2", "prior covariance entries")
         # a product, not a power: past the float range it gives inf, which
         # __post_init__ rejects, where ** raises OverflowError
         var = float(sigma) * float(sigma)
@@ -145,10 +143,7 @@ class QuadratureGrid:
         """Composite Gauss-Legendre rule on [0, T]: ceil(n_gq / 10) equal panels
         of ``_PANEL_ORDER`` (10) nodes each; empty when T or n_gq is not positive.
         More than ``MAX_POINTS`` nodes is a ConfigError."""
-        if n_gq > MAX_POINTS:
-            raise ConfigError(f"a quadrature of {n_gq:.3g} nodes is more than the "
-                              f"{MAX_POINTS:.0e} allowed: horizon_T is too long for "
-                              f"memory_A")
+        check_points(n_gq, "n_gq", "quadrature nodes")
         if horizon_T <= 0 or n_gq <= 0:
             return cls(points=np.empty(0), weights=np.empty(0))
         n_panels = int(math.ceil(n_gq / _PANEL_ORDER))
@@ -163,9 +158,8 @@ class QuadratureGrid:
     def default(cls, horizon_T, memory_A):
         """Default resolution: about five nodes per memory length."""
         nodes = 5.0 * horizon_T / memory_A
-        if nodes <= MAX_POINTS:  # build refuses the rest; ceil raises on inf
-            nodes = max(100, int(math.ceil(nodes)))
-        return cls.build(horizon_T, nodes)
+        check_points(nodes, "5 horizon_T / memory_A", "quadrature nodes")  # before ceil
+        return cls.build(horizon_T, max(100, int(math.ceil(nodes))))
 
 
 @dataclass(frozen=True)
@@ -338,12 +332,10 @@ class FeatureCache:
         """(features, N_k) of ``submodel`` for receiving dimension k.
 
         The features are one (d, N_k + n_q) matrix: a column per own event of
-        dimension k, then a column per quadrature node.  A size the table
-        cannot be summed to (finer) is a KeyError.
+        dimension k, then a column per quadrature node.  ``bins`` must be a
+        multiple of the sub-model's size, which ``fit_candidates`` checks.
         """
         j = submodel.num_bins
-        if self.bins % j:
-            raise KeyError(f"the feature cache holds no table that {j} bins sum from")
         group = self.bins // j  # fine bins per bin of the sub-model
         rows = [1 + l * self.bins + b for l in submodel.active_sources
                 for b in range(self.bins)]
@@ -412,16 +404,16 @@ def _ladders(tasks):
 def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
     """Fit every task ``(k, submodel, prior)``; posteriors come back in task order.
 
-    ``cache`` is the ``FeatureCache`` of the data, at a size every task's
-    sums from.  The calling thread checks the thread count, the link
-    (``check_link``) and every prior before any fit starts; the workers only
-    read.  Each depth ladder (see ``_ladders``) is one chain: its first fit
-    starts at the prior mean, and each later fit at the previous fit's mean
-    split onto the finer bins, which has the same kernel.  Every chain runs
-    in one pool of ``threads`` workers (default: the usable cores), at least
-    one and never more than there are chains.  BLAS runs on one thread meanwhile, so ``threads`` is
-    the whole core budget, and each chain is the same computation either
-    way: results do not depend on any thread count.
+    ``cache`` is the ``FeatureCache`` of the data.  The calling thread checks
+    the thread count, the link (``check_link``), every prior and that the
+    cache's bins sum to every task's size before any fit starts; the workers
+    only read.  Each depth ladder (see ``_ladders``) is one chain: its first
+    fit starts at the prior mean, and each later fit at the previous fit's
+    mean split onto the finer bins, which has the same kernel.  Every chain
+    runs in one pool of ``threads`` workers (default: the usable cores), at
+    least one and never more than there are chains.  BLAS runs on one thread
+    meanwhile, so ``threads`` is the whole core budget, and each chain is the
+    same computation either way: results do not depend on any thread count.
     """
     def problem(k, submodel, prior):
         feats, n = cache.stack(submodel, k)
@@ -444,6 +436,9 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
     check_link(link)
     for k, submodel, prior in tasks:
         _checked_prior(prior, k, submodel)
+        if cache.bins % submodel.num_bins:
+            raise ConfigError(f"the feature cache's {cache.bins} bins do not sum to "
+                              f"{submodel.num_bins} bins of dimension {k}")
     ladders = _ladders(tasks)
     workers = max(1, min(threads, len(ladders)))
     with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkes_vb import (EventData, HawkesParams, HistogramBasis, LinkFunction,
-                       linear_drive, log_likelihood)
+import _fixtures as fx
+from hawkes_vb import (EventData, HawkesParams, HistogramBasis, LinkFunction, SimConfig,
+                       core, linear_drive, log_likelihood, simulate)
+from hawkes_vb.adaptive import enumerate_submodels
 from hawkes_vb.core import drive_breakpoints, feature_matrix
 from hawkes_vb.errors import ConfigError, DataError, DomainError
-from hawkes_vb.vi import GaussianPrior
+from hawkes_vb.gibbs import check_latent_candidates
+from hawkes_vb.vi import GaussianPrior, QuadratureGrid
 
 A = 0.1
 
@@ -74,6 +77,24 @@ def _features(events, basis, l, t):
 def test_domain_types_reject_non_finite_values(build, error):
     with pytest.raises(error, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: GaussianPrior.isotropic(11),
+    lambda: QuadratureGrid.build(1.0, 101),
+    lambda: QuadratureGrid.default(10.0, fx.MEMORY_A),
+    lambda: enumerate_submodels(5, 1),
+    lambda: check_latent_candidates(fx.SIM_LINK, 10.0),
+    lambda: simulate(SimConfig(params=fx.excitation_1d(), link=fx.SIM_LINK, horizon_T=10.0)),
+], ids=["prior_entries", "quadrature_nodes", "default_quadrature", "candidates",
+        "gibbs_latent", "thinning"])
+def test_every_cap_is_the_one_check_points(run, monkeypatch):
+    # 121 entries, 101 or 500 nodes, 320 candidates, theta T = 200 and
+    # K theta (T + A) = 202 thinning candidates: each past a cap of 100 only
+    # if its site reads core.MAX_POINTS through core.check_points
+    monkeypatch.setattr(core, "MAX_POINTS", 100)
+    with pytest.raises(ConfigError, match="is more than the 1e\\+02 .*allowed"):
+        run()
 
 
 class TestLinkFunction:

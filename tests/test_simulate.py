@@ -74,11 +74,12 @@ class TestSimulate:
         assert np.all(np.diff(pooled) > 0.0)
         assert pooled[0] >= -fx.MEMORY_A and pooled[-1] <= 50.0
 
-    def test_event_cap_raises(self):
-        params, link, _ = _homogeneous()
+    def test_event_cap_raises(self, monkeypatch):
+        # the unbounded link has no expected-candidate check before the loop
+        monkeypatch.setattr(importlib.import_module("hawkes_vb.simulate"), "MAX_POINTS", 10)
         with pytest.raises(SimulationDivergedError):
-            simulate(SimConfig(params=params, link=link, horizon_T=50.0,
-                               seed=0, max_events=10))
+            simulate(SimConfig(params=_unbounded_params(), link=_RELU, horizon_T=100.0,
+                               seed=8))
 
     def test_unbounded_links_run(self):
         # lookahead bound keeps ReLU/softplus exact for stable parameters

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize
 
 import _fixtures as fx
-from hawkes_vb import EventData, HistogramBasis, LinkFunction, SimConfig, simulate, vi
+from hawkes_vb import EventData, HistogramBasis, LinkFunction, SimConfig, core, simulate, vi
 from hawkes_vb.adaptive import Model, SubModel, enumerate_submodels
 from hawkes_vb.core import feature_matrix
 from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
@@ -72,7 +72,7 @@ class TestQuadratureGrid:
         with pytest.raises(ConfigError, match="allowed"):
             QuadratureGrid.default(horizon, 0.1)
         with pytest.raises(ConfigError, match="allowed"):
-            QuadratureGrid.build(1.0, vi.MAX_POINTS + 1)
+            QuadratureGrid.build(1.0, core.MAX_POINTS + 1)
 
 
 class TestCaviFixedModel:
@@ -227,12 +227,6 @@ class TestFeatureCache:
             np.testing.assert_array_equal(
                 feats, basis.features(feature_matrix(ev, basis, [0, 2], times)))
 
-    def test_unbuilt_size_is_a_key_error(self):
-        ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
-        cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A, [1])
-        with pytest.raises(KeyError):  # finer than the table
-            cache.stack(SubModel(column=(1,), depth=1), 0)
-
     def test_table_is_read_only(self):
         ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
         cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A, [1, 2])
@@ -347,6 +341,15 @@ class TestFeatureCache:
                             lambda *a: pytest.fail("a feature table was built"))
         monkeypatch.setattr(vi, "_fit_dimension", lambda *a: pytest.fail("a fit ran"))
         with pytest.raises(ConfigError, match="prior dimension 5 of dimension 1"):
+            fit_candidates(tasks, cache, LINK, 5, 1e-3, threads=1)
+
+    def test_task_finer_than_the_cache_fails_before_any_fit(self, monkeypatch):
+        ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
+        cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A, [1])
+        tasks = [(0, SubModel(column=(1,), depth=d), GaussianPrior.isotropic(1 + 2 ** d))
+                 for d in (0, 1)]  # a ladder whose second rung is finer than the table
+        monkeypatch.setattr(vi, "_fit_dimension", lambda *a: pytest.fail("a fit ran"))
+        with pytest.raises(ConfigError, match="feature cache's 1 bins do not sum to 2 bins"):
             fit_candidates(tasks, cache, LINK, 5, 1e-3, threads=1)
 
 
