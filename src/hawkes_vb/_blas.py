@@ -15,24 +15,28 @@ nothing.
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 import threading
 from contextlib import contextmanager
 
-import numpy
-import scipy
-
 # package -> (file pattern inside ``<package>.libs``, symbol suffix)
-_BUNDLED = {"numpy": (numpy, "libscipy_openblas64_*.so", "64_"),
-            "scipy": (scipy, "libscipy_openblas-*.so", "")}
+_BUNDLED = {"numpy": ("libscipy_openblas64_*.so", "64_"),
+            "scipy": ("libscipy_openblas-*.so", "")}
 
 
 @functools.cache
 def _controls():
-    """``{package: (get_num_threads, set_num_threads)}`` of the bundled copies found."""
+    """``{package: (get_num_threads, set_num_threads)}`` of the bundled copies found.
+
+    The packages are located with ``find_spec``, which imports nothing, so
+    this loads no SciPy module; the library opened is the one SciPy's
+    extensions link to, whether or not they are loaded yet.
+    """
     found = {}
-    for name, (pkg, pattern, suffix) in _BUNDLED.items():
-        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), name + ".libs")
+    for name, (pattern, suffix) in _BUNDLED.items():
+        origin = importlib.util.find_spec(name).origin
+        libs = os.path.join(os.path.dirname(os.path.dirname(origin)), name + ".libs")
         for path in sorted(glob.glob(os.path.join(libs, pattern))):
             try:
                 lib = ctypes.CDLL(path)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from hawkes_vb.core import check_points
 from hawkes_vb.errors import ConfigError, DomainError, NoGapError
@@ -170,6 +169,8 @@ def expected_l1_norm(mean, cov):
 
 def folded_normal_mean(mu, sigma):
     """E|X| for X ~ N(mu, sigma^2), elementwise; sigma = 0 degenerates to |mu|."""
+    from scipy.special import ndtr
+
     scalar = np.ndim(mu) == 0 and np.ndim(sigma) == 0
     mu, sigma = np.broadcast_arrays(np.atleast_1d(np.asarray(mu, dtype=np.float64)),
                                     np.atleast_1d(np.asarray(sigma, dtype=np.float64)))

@@ -45,6 +45,11 @@ h_{l}_{k}.csv plot data: grid x, posterior mean of h_lk, pointwise 2.5% and
 
 Output files are overwritten in place: the old file is cut to the new
 length, never truncated to zero, replaced or unlinked first.
+
+Importing this module loads no SciPy: ``simulate`` never does, a VI fit
+imports ``scipy.linalg`` when its first prior is factorised, and the Gibbs
+oracle, ``eval`` and the two-step norm matrix import ``scipy.special`` on
+first use.
 """
 
 import argparse

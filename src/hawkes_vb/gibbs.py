@@ -19,8 +19,6 @@ are passed as absolute values.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import expit
 
 from hawkes_vb import _blas
 from hawkes_vb.core import HistogramBasis, check_points, feature_matrix
@@ -64,6 +62,8 @@ class GibbsResult:
 
 def _draw_gaussian(mean, prec_chol, rng):
     """Sample N(mean, P^{-1}) given the lower Cholesky factor of P."""
+    from scipy.linalg import solve_triangular
+
     z = rng.standard_normal(mean.size)
     return mean + solve_triangular(prec_chol[0], z, lower=True, trans="T")
 
@@ -82,6 +82,8 @@ def gibbs_sample(events, config, link, model, prior):
     runs on one thread meanwhile, as in the variational fits.  Too many
     latent candidates per sweep is a ConfigError (``check_latent_candidates``).
     """
+    from scipy.special import expit
+
     check_link(link)
     rng = np.random.default_rng(config.seed)
     k_dims = events.dims_K

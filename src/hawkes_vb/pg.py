@@ -23,7 +23,6 @@ all pending entries at once in NumPy.
 import math
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 from hawkes_vb.errors import DomainError
 
@@ -68,6 +67,8 @@ def _series_coef(n, x):
 def _right_piece_mass(z, fz):
     # Probability that the proposal falls in the exponential tail (x > 0.64),
     # 1 / (1 + q/p), with q/p formed in log space so large z cannot overflow.
+    from scipy.special import expit, log_ndtr
+
     rt = math.sqrt(1.0 / _TRUNC)
     x0 = np.log(fz) + fz * _TRUNC
     xb = x0 - z + log_ndtr(rt * (_TRUNC * z - 1.0))

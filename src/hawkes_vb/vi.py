@@ -34,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from hawkes_vb import _blas
 from hawkes_vb.core import SIGMOID, HistogramBasis, check_points, feature_matrix
@@ -47,6 +46,8 @@ _PANEL_ORDER = 10  # Gauss-Legendre order of one panel of the composite rule
 
 def _chol_with_jitter(a):
     """Cholesky factor of a, retrying once with a diagonal jitter."""
+    from scipy.linalg import cho_factor
+
     try:
         return cho_factor(a, lower=True)
     except np.linalg.LinAlgError:  # a ValueError too, so caught first
@@ -79,6 +80,10 @@ class GaussianPrior:
     _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a fit's first scipy.linalg import: every prior is made in the
+        # calling thread before fit_candidates starts its pool
+        from scipy.linalg import cho_solve
+
         m = np.asarray(self.mean, dtype=np.float64)
         c = np.asarray(self.cov, dtype=np.float64)
         if c.shape != (m.size, m.size):
@@ -183,6 +188,8 @@ def conjugate_update(feats, marks, is_event, alpha, eta, prior, weights=1.0):
 
     A right-hand side that is not finite is a NumericalError.
     """
+    from scipy.linalg import cho_solve
+
     prior_prec, prior_prec_mean, _ = prior.factors()
     prec = prior_prec + alpha**2 * (feats * (weights * marks)) @ feats.T
     s = np.where(is_event, 0.5, -0.5)
@@ -222,6 +229,8 @@ class _DimensionProblem:
 
     def update(self, mom):
         """Next (mean, cov) from the moments of the current factor."""
+        from scipy.linalg import cho_solve
+
         c, m = mom
         n = self.n_events
         weights = np.concatenate([np.ones(n), self.v * self.latent_rate(c[n:], m[n:])])
@@ -452,7 +461,10 @@ def cavi_fixed_model(events, model, link, prior, quad, max_iter=100, tol=1e-3,
 
     ``prior[k]`` is the GaussianPrior of dimension k.  Dimensions are
     independent and run as parallel tasks; the result order is deterministic.
+    The link and every prior are checked before the features are counted.
     """
-    tasks = [(k, model.submodel(k), prior[k]) for k in range(events.dims_K)]
+    check_link(link)
+    subs = [model.submodel(k) for k in range(events.dims_K)]
+    tasks = [(k, sm, _checked_prior(prior[k], k, sm)) for k, sm in enumerate(subs)]
     cache = FeatureCache(events, quad, model.memory_A, model.bins_J)
     return fit_candidates(tasks, cache, link, max_iter, tol, threads)

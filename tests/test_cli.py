@@ -254,6 +254,28 @@ class TestSimulateCommand:
         assert stats["num_events_total"] == len(lines) - 1
         assert stats["seed"] == 1
 
+    def test_simulate_loads_no_scipy_and_a_prior_loads_it_in_the_caller(self, tmp_path):
+        # a fresh interpreter, so no other test has imported SciPy yet; the
+        # verdict is which modules are loaded, not how long the import took
+        path = _sim_config(tmp_path, fx.excitation_1d(), 5.0)
+        probe = ("import json, sys; from hawkes_vb import cli; "
+                 "from hawkes_vb.vi import GaussianPrior; "
+                 "loaded = lambda: sorted(m for m in sys.modules "
+                 "if m.startswith(('scipy.linalg', 'scipy.special'))); "
+                 "code = cli.main(['simulate', '--config', sys.argv[1]]); "
+                 "after_simulate = loaded(); GaussianPrior.isotropic(3); "
+                 "print(json.dumps([code, after_simulate, loaded()]))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path_entries = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+        done = subprocess.run([sys.executable, "-c", probe, path], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        code, after_simulate, after_prior = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0 and (tmp_path / "out" / "events.csv").exists()
+        assert after_simulate == []
+        assert "scipy.linalg" in after_prior
+
     def test_empty_simulation_header_only(self, tmp_path):
         quiet = fx.HawkesParams.build(
             [-50.0], [[None]], fx.HistogramBasis(fx.MEMORY_A, 1))

@@ -36,6 +36,13 @@ def _float_features(events, basis, sources, times):
     return np.array(rows)
 
 
+def _count_tables(monkeypatch):
+    """The list that every later ``vi.feature_matrix`` call appends its arguments to."""
+    calls, build = [], vi.feature_matrix
+    monkeypatch.setattr(vi, "feature_matrix", lambda *a: calls.append(a) or build(*a))
+    return calls
+
+
 def _empty_events(dims=1):
     return EventData(dims_K=dims, horizon_T=0.0,
                      times=tuple(np.array([]) for _ in range(dims)))
@@ -84,17 +91,21 @@ class TestCaviFixedModel:
         np.testing.assert_allclose(posts[0].cov, prior[0].cov, rtol=1e-12)
         assert posts[0].elbo == pytest.approx(0.0, abs=1e-10)
 
-    def test_non_sigmoid_rejected(self):
+    def test_non_sigmoid_rejected(self, monkeypatch):
+        tables = _count_tables(monkeypatch)
         relu = LinkFunction("relu", theta=1.0, alpha=1.0, eta=0.0)
         with pytest.raises(UnsupportedLinkError):
             cavi_fixed_model(_empty_events(), _model(1, 1), relu,
                              [GaussianPrior.isotropic(2)],
                              QuadratureGrid.build(0.0, 0))
+        assert tables == []  # refused before the features are counted
 
-    def test_prior_of_the_wrong_size_is_config_error(self):
+    def test_prior_of_the_wrong_size_is_config_error(self, monkeypatch):
+        tables = _count_tables(monkeypatch)
         with pytest.raises(ConfigError, match="prior dimension 3"):
             cavi_fixed_model(_empty_events(), _model(1, 1), LINK,
                              [GaussianPrior.isotropic(3)], QuadratureGrid.build(0.0, 0))
+        assert tables == []
 
     def test_fixed_point_self_consistency(self):
         # three events, two parameters: polish to a parameter-level fixed
