@@ -24,7 +24,8 @@ import numpy as np
 
 from hawkes_vb.core import check_points
 from hawkes_vb.errors import ConfigError, DomainError, NoGapError
-from hawkes_vb.vi import FeatureCache, QuadratureGrid, VIConfig, fit_candidates
+from hawkes_vb.vi import (FeatureCache, QuadratureGrid, VIConfig, check_link,
+                          fit_candidates)
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,7 @@ def fully_adaptive(events, model_set, link, prior, vi_config=VIConfig(), *,
     priors = {d: prior(d) for d in {sm.param_dim for subs in model_set for sm in subs}}
     tasks = [(k, sm, priors[sm.param_dim]) for k in range(k_dims) for sm in model_set[k]]
     if cache is None:
+        check_link(link)  # before the table is counted
         quad = QuadratureGrid.default(events.horizon_T, memory_A) if quad is None else quad
         cache = FeatureCache(events, quad, memory_A, {sm.num_bins for _, sm, _ in tasks})
     fits = iter(fit_candidates(tasks, cache, link, vi_config.max_iter, vi_config.tol,
@@ -282,6 +284,7 @@ def two_step(events, link, max_depth, prior, vi_config=VIConfig(), *,
     is the quadrature of both steps (default: ``QuadratureGrid.default``).
     """
     k_dims = events.dims_K
+    check_link(link)  # before the table is counted
     if quad is None:
         quad = QuadratureGrid.default(events.horizon_T, memory_A)
     cache = FeatureCache(events, quad, memory_A, [2 ** max_depth])

@@ -7,10 +7,11 @@ code (see ``hawkes_vb.errors``), and failures additionally emit a
 machine-readable ``{"error": {...}}`` object on stderr.  A ``truth`` section
 that does not fit its ``bins_J`` or ``dims_K`` is a config error, and so is a
 fit depth (``basis.D`` or ``adaptive.D_max``) whose bins memory_A/2^D are
-finer than the 1e-6 resolution of event times, a fit link other than the
-sigmoid or whose alpha^2 overflows, a prior, candidate, quadrature node or
-Gibbs latent candidate count past the ``core.check_points`` cap or bad Gibbs
-settings; a fit checks these before any event is read or simulated.
+finer than the 1e-6 resolution of event times, a fit link whose alpha^2
+overflows, a prior, candidate, quadrature node or Gibbs latent candidate
+count past the ``core.check_points`` cap or bad Gibbs settings; a fit checks
+these, and refuses a link other than the sigmoid (exit 1), before any event
+is read or simulated.
 ``eval`` scores ``result.json`` against the truth; a result whose
 ``memory_A`` differs from the config's, whose ``bins_J`` is not a power of
 two, whose column does not have ``dims_K`` entries or that holds a NaN or
@@ -46,10 +47,15 @@ h_{l}_{k}.csv plot data: grid x, posterior mean of h_lk, pointwise 2.5% and
 Output files are overwritten in place: the old file is cut to the new
 length, never truncated to zero, replaced or unlinked first.
 
-Importing this module loads no SciPy: ``simulate`` never does, a VI fit
-imports ``scipy.linalg`` when its first prior is factorised, and the Gibbs
-oracle, ``eval`` and the two-step norm matrix import ``scipy.special`` on
-first use.
+A config is checked against the key table ``_CONFIG_KEYS``: each key's type
+and lower bound or allowed strings, the required keys, and no unknown key in
+any section.  ``--seed``, ``--out`` and ``--threads`` replace their config keys
+before the check, so the same rules cover them.
+
+Importing this module loads no SciPy and no validator package: ``simulate``
+never loads SciPy, a VI fit imports ``scipy.linalg`` when its first prior is
+factorised, and the Gibbs oracle, ``eval`` and the two-step norm matrix import
+``scipy.special`` on first use.
 """
 
 import argparse
@@ -66,7 +72,6 @@ from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
-import jsonschema
 
 from hawkes_vb import _blas, adaptive, metrics, vi
 from hawkes_vb.core import EventData, HawkesParams, HistogramBasis, LinkFunction
@@ -83,89 +88,38 @@ EXIT_NUMERICAL = NumericalError.exit_code
 
 _TIME_RESOLUTION = 1e-6  # events.csv stores times to 6 decimals
 
-_LINK_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["sigmoid", "relu", "softplus"]},
-        "theta": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "eta": {"type": "number"},
-        "theta_base": {"type": "number", "minimum": 0},
-    },
-    "additionalProperties": False,
+# Each config key maps to its rule: a "type" or "type op bound" string (types
+# number, integer, string and null; a number is never true or false, and an
+# integer is an int literal), a set of allowed strings, a tuple of alternative
+# rules, a list [rule] or [rule, fewest entries] of such values, or a dict of
+# the keys of a section.  _REQUIRED names the keys a section must hold.
+_CONFIG_KEYS = {
+    "mode": {"simulate", "fit", "eval"},
+    "link": {"kind": {"sigmoid", "relu", "softplus"}, "theta": "number > 0",
+             "alpha": "number > 0", "eta": "number", "theta_base": "number >= 0"},
+    "memory_A": "number > 0",
+    "dims_K": "integer >= 1",
+    "horizon_T": "number >= 0",
+    "truth": {"nu": ["number", 1], "weights": [[(["number"], "null")]],
+              "bins_J": "integer >= 1"},
+    "events_csv": "string",
+    "result_json": "string",
+    "burn_in": "number >= 0",
+    "basis": {"D": "integer >= 0"},
+    "prior": {"mu": "number", "sigma": "number > 0"},
+    "vi": {"max_iter": "integer >= 1", "tol": "number > 0"},
+    "adaptive": {"D_max": "integer >= 0", "threshold": ({"auto"}, "number")},
+    "gibbs": {"n_iter": "integer >= 2", "burn_in": "integer >= 0", "thin": "integer >= 1"},
+    "fit_method": {"fixed", "adaptive", "two-step", "gibbs"},
+    "seed": "integer",
+    "out_dir": "string",
+    "threads": "integer >= 1",
 }
-
-_TRUTH_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "nu": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "weights": {"type": "array", "items": {"type": "array", "items": {
-            "anyOf": [{"type": "array", "items": {"type": "number"}},
-                      {"type": "null"}]}}},
-        "bins_J": {"type": "integer", "minimum": 1},
-    },
-    "required": ["nu", "weights", "bins_J"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "mode": {"enum": ["simulate", "fit", "eval"]},
-        "link": _LINK_SCHEMA,
-        "memory_A": {"type": "number", "exclusiveMinimum": 0},
-        "dims_K": {"type": "integer", "minimum": 1},
-        "horizon_T": {"type": "number", "minimum": 0},
-        "truth": _TRUTH_SCHEMA,
-        "events_csv": {"type": "string"},
-        "result_json": {"type": "string"},
-        "burn_in": {"type": "number", "minimum": 0},
-        "basis": {
-            "type": "object",
-            "properties": {"D": {"type": "integer", "minimum": 0}},
-            "additionalProperties": False,
-        },
-        "prior": {
-            "type": "object",
-            "properties": {"mu": {"type": "number"},
-                           "sigma": {"type": "number", "exclusiveMinimum": 0}},
-            "additionalProperties": False,
-        },
-        "vi": {
-            "type": "object",
-            "properties": {"max_iter": {"type": "integer", "minimum": 1},
-                           "tol": {"type": "number", "exclusiveMinimum": 0}},
-            "additionalProperties": False,
-        },
-        "adaptive": {
-            "type": "object",
-            "properties": {
-                "D_max": {"type": "integer", "minimum": 0},
-                "threshold": {"anyOf": [{"enum": ["auto"]}, {"type": "number"}]},
-            },
-            "additionalProperties": False,
-        },
-        "gibbs": {
-            "type": "object",
-            "properties": {"n_iter": {"type": "integer", "minimum": 2},
-                           "burn_in": {"type": "integer", "minimum": 0},
-                           "thin": {"type": "integer", "minimum": 1}},
-            "additionalProperties": False,
-        },
-        "fit_method": {"enum": ["fixed", "adaptive", "two-step", "gibbs"]},
-        "seed": {"type": "integer"},
-        "out_dir": {"type": "string"},
-        "threads": {"type": "integer", "minimum": 1},
-    },
-    "required": ["mode", "memory_A", "dims_K"],
-    "additionalProperties": False,
-}
-
-# JSON Schema counts 1e154 as an integer; the config takes only integer literals
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, value: type(value) is int))(CONFIG_SCHEMA)
+_REQUIRED = {"": ("mode", "memory_A", "dims_K"), "truth": ("nu", "weights", "bins_J")}
+_TYPES = {"number": lambda v: type(v) in (int, float),
+          "integer": lambda v: type(v) is int,
+          "string": lambda v: type(v) is str,
+          "null": lambda v: v is None}
 
 # link, vi and gibbs take their defaults from LinkFunction, VIConfig, GibbsConfig
 _DEFAULTS = {
@@ -202,20 +156,69 @@ def _read_json(path, error):
         raise error(f"{path} is not UTF-8 JSON of finite numbers: {exc}") from exc
 
 
-def load_config(path):
+def _describe(rule):
+    """The values ``rule`` allows, in words."""
+    if isinstance(rule, tuple):
+        return " or ".join(map(_describe, rule))
+    if isinstance(rule, set):
+        return " or ".join(map(json.dumps, sorted(rule)))
+    if isinstance(rule, list):
+        return f"a list of {rule[1]} or more entries" if len(rule) > 1 else "a list"
+    if isinstance(rule, dict):
+        return "an object"
+    return rule if rule == "null" else ("an " if rule[0] == "i" else "a ") + rule
+
+
+def _violation(value, rule, path=""):
+    """Where and how ``value`` at ``path`` first breaks ``rule``; None if it does not."""
+    if isinstance(rule, tuple):
+        keeps = not all(_violation(value, alt, path) for alt in rule)
+    elif isinstance(rule, set):
+        keeps = type(value) is str and value in rule
+    elif isinstance(rule, list):
+        keeps = type(value) is list and len(value) >= (rule[1] if len(rule) > 1 else 0)
+    elif isinstance(rule, dict):
+        keeps = type(value) is dict
+    else:
+        kind, *bound = rule.split()
+        keeps = _TYPES[kind](value)
+        if keeps and bound:
+            low = float(bound[1])
+            keeps = value > low if bound[0] == ">" else value >= low
+    if not keeps:
+        got = json.dumps(value)[:60]
+        return f"{path or 'the config'} must be {_describe(rule)}, got {got}"
+    if isinstance(rule, list):
+        return next(filter(None, (_violation(entry, rule[0], f"{path}[{i}]")
+                                  for i, entry in enumerate(value))), None)
+    if isinstance(rule, dict):
+        prefix = f"{path}." if path else ""
+        for key in _REQUIRED.get(path, ()):
+            if key not in value:
+                return f"{prefix}{key} is required"
+        for key, entry in value.items():
+            if key not in rule:
+                return f"{prefix}{key} is not a known key"
+            if why := _violation(entry, rule[key], prefix + key):
+                return why
+    return None
+
+
+def load_config(path, **flags):
+    """The config at ``path`` with its defaults filled in.
+
+    Each flag that is not None replaces the config's key of that name before
+    the config is checked against ``_CONFIG_KEYS``.
+    """
     raw = _read_json(path, ConfigError)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
-    cfg = {}
+    if type(raw) is dict:  # any other value fails the check
+        raw.update((key, val) for key, val in flags.items() if val is not None)
+    if why := _violation(raw, _CONFIG_KEYS):
+        raise ConfigError(f"config schema violation: {why}")
+    cfg = {**_DEFAULTS, **raw}
     for key, val in _DEFAULTS.items():
-        if isinstance(val, dict):
+        if isinstance(val, dict):  # a section takes each of its keys from the defaults
             cfg[key] = {**val, **raw.get(key, {})}
-        else:
-            cfg[key] = raw.get(key, val)
-    for key in raw:
-        if key not in cfg:
-            cfg[key] = raw[key]
     return cfg
 
 
@@ -461,8 +464,6 @@ def cmd_fit(cfg):
     method = cfg.get("fit_method", "fixed")
     depth = _fit_depth(cfg, method)
     link = _link_from(cfg)
-    if link.kind != "sigmoid":
-        raise ConfigError("fitting requires the sigmoid link")
     vi.check_link(link)
     memory_A = cfg["memory_A"]
     k_dims = cfg["dims_K"]
@@ -609,18 +610,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, seed=args.seed, out_dir=args.out,
+                          threads=args.threads)
         if cfg["mode"] != args.command:
             raise ConfigError(
                 f"config mode {cfg['mode']!r} does not match command {args.command!r}")
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.out is not None:
-            cfg["out_dir"] = args.out
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(f"threads must be at least 1, got {args.threads}")
-            cfg["threads"] = args.threads
         handler = {"simulate": cmd_simulate, "fit": cmd_fit, "eval": cmd_eval}
         return handler[args.command](cfg)
     except HawkesVBError as exc:

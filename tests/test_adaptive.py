@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _fixtures as fx
-from hawkes_vb import SimConfig, adaptive, simulate
+from hawkes_vb import LinkFunction, SimConfig, adaptive, simulate, vi
 from hawkes_vb.adaptive import (AdaptiveResult, DimensionWeights, Model, SubModel,
                                 detect_gap_threshold, enumerate_submodels,
                                 expected_l1_norm, folded_normal_mean, fully_adaptive,
                                 norm_matrix, two_step,
                                 _log_sum_exp_weights, _select_index)
-from hawkes_vb.errors import ConfigError, DomainError, NoGapError
+from hawkes_vb.errors import ConfigError, DomainError, NoGapError, UnsupportedLinkError
 from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, VIConfig,
                           cavi_fixed_model)
 
@@ -237,6 +237,22 @@ class TestFullyAdaptive:
             with pytest.raises(ConfigError, match="feature cache"):
                 fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2,
                                cache=cache, **kwargs)
+
+    @pytest.mark.parametrize("fit", ["fully_adaptive", "two_step"])
+    def test_non_sigmoid_link_is_refused_before_the_table_is_counted(self, monkeypatch,
+                                                                     fit):
+        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                horizon_T=5.0, seed=3))
+        calls, count = [], vi.feature_matrix
+        monkeypatch.setattr(vi, "feature_matrix", lambda *a: calls.append(a) or count(*a))
+        relu = LinkFunction("relu", theta=1.0, alpha=1.0, eta=0.0)
+        with pytest.raises(UnsupportedLinkError):
+            if fit == "two_step":
+                two_step(ev, relu, 1, GaussianPrior.isotropic, memory_A=fx.MEMORY_A)
+            else:
+                fully_adaptive(ev, [[SubModel(column=(1,), depth=1)]], relu,
+                               GaussianPrior.isotropic, memory_A=fx.MEMORY_A)
+        assert calls == []
 
     def test_empty_model_set_rejected(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,

@@ -11,7 +11,6 @@ import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -154,9 +153,27 @@ class TestConfigValidation:
         assert error["type"] == "ConfigError" and literal in error["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_config_schema_is_a_valid_schema(self):
-        # load_config validates with a prebuilt validator, which skips this check
-        jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+    @pytest.mark.parametrize("mode, changes", [
+        ("fit", {"memory_A": True}),
+        ("fit", {"dims_K": None}),
+        ("simulate", {"truth": {"nu": [4.0], "weights": [[None]]}}),
+        ("simulate", {"truth": {"nu": [], "weights": [[None]], "bins_J": 1}}),
+        ("fit", {"adaptive": {"threshold": "x"}}),
+        ("fit", {"link": {"kind": "tanh"}}),
+        ("simulate", {"truth": {"nu": [4.0], "weights": [["0.1"]], "bins_J": 1}}),
+        ("fit", {"vi": []}),
+    ], ids=["memory_A_true", "no_dims_K", "no_truth_bins_J", "empty_truth_nu",
+            "threshold_string", "link_kind_tanh", "weights_entry_string", "vi_list"])
+    def test_value_that_breaks_a_config_rule_is_exit_1(self, tmp_path, capsys, mode,
+                                                      changes):
+        config = {"mode": mode, "memory_A": 0.1, "dims_K": 1, "horizon_T": 5.0,
+                  "out_dir": str(tmp_path / "out"), **changes}
+        path = _write(tmp_path, "c.json",
+                      {key: val for key, val in config.items() if val is not None})
+        assert cli.main([mode, "--config", path]) == cli.EXIT_CONFIG
+        error = _error_of(capsys)
+        assert error["type"] == "ConfigError" and "schema" in error["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_every_package_error_has_a_documented_code(self):
         pending, seen = [errors.HawkesVBError], []
@@ -258,21 +275,27 @@ class TestSimulateCommand:
         # a fresh interpreter, so no other test has imported SciPy yet; the
         # verdict is which modules are loaded, not how long the import took
         path = _sim_config(tmp_path, fx.excitation_1d(), 5.0)
-        probe = ("import json, sys; from hawkes_vb import cli; "
-                 "from hawkes_vb.vi import GaussianPrior; "
+        # every command pays for what the import loads: no third-party package
+        # besides NumPy, so the config check needs none
+        probe = ("import json, sys; before = {m.split('.')[0] for m in sys.modules}; "
+                 "from hawkes_vb import cli; from hawkes_vb.vi import GaussianPrior; "
+                 "third_party = sorted({m.split('.')[0] for m in sys.modules} - before"
+                 " - set(sys.stdlib_module_names) - {'numpy', 'hawkes_vb'}); "
                  "loaded = lambda: sorted(m for m in sys.modules "
                  "if m.startswith(('scipy.linalg', 'scipy.special'))); "
                  "code = cli.main(['simulate', '--config', sys.argv[1]]); "
                  "after_simulate = loaded(); GaussianPrior.isotropic(3); "
-                 "print(json.dumps([code, after_simulate, loaded()]))")
+                 "print(json.dumps([code, third_party, after_simulate, loaded()]))")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path_entries = [src, os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
         done = subprocess.run([sys.executable, "-c", probe, path], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        code, after_simulate, after_prior = json.loads(done.stdout.splitlines()[-1])
+        code, third_party, after_simulate, after_prior = json.loads(
+            done.stdout.splitlines()[-1])
         assert code == 0 and (tmp_path / "out" / "events.csv").exists()
+        assert third_party == []
         assert after_simulate == []
         assert "scipy.linalg" in after_prior
 
@@ -568,7 +591,7 @@ class TestFitCommand:
             "out_dir": str(tmp_path / "fit")})
         assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
         error = _error_of(capsys)
-        assert error["type"] == "ConfigError" and "sigmoid" in error["message"]
+        assert error["type"] == "UnsupportedLinkError" and "sigmoid" in error["message"]
         assert not (tmp_path / "fit").exists()
 
     def test_adaptive_fit_scores_every_candidate(self, tmp_path):
