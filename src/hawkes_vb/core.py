@@ -281,23 +281,52 @@ def feature_matrix(events, basis, sources, times):
     return out
 
 
-def drive_breakpoints(params, events, k):
-    """Sorted breakpoints of the drive of dimension k within [0, T].
+def segment_points(events, basis, sources):
+    """Sorted breakpoints within [0, T] of features counted from ``sources``.
 
-    The drive is constant between consecutive breakpoints: each event of an
-    influencing source contributes shifts {T_i + j A/J, j=0..J}.
+    ``feature_matrix`` is constant in t between consecutive points: each event
+    T_i of a source contributes the shifts T_i + j A/J, j = 0..J, and 0 and T
+    close the window.
     """
-    basis = params.basis[k]
     pieces = [np.array([0.0, events.horizon_T])]
     offsets = np.arange(basis.num_bins_J + 1) * basis.bin_width
-    for l in range(params.dims_K):
-        if params.weights[l][k] is None:
-            continue
+    for l in sources:
         src = events.times[l]
         if src.size:
             pieces.append((src[:, None] + offsets[None, :]).ravel())
     pts = np.unique(np.concatenate(pieces))
     return pts[(pts >= 0.0) & (pts <= events.horizon_T)]
+
+
+def distinct_columns(counts):
+    """Distinct columns of a count table, with the one each column maps to.
+
+    Returns ``(columns, inverse)`` with ``columns[:, inverse]`` equal to
+    ``counts``.  Each column is keyed as one byte record, so one 1-d
+    ``np.unique`` does the reduction; the order of the distinct columns is
+    that of their bytes.
+    """
+    table = np.ascontiguousarray(counts.T)
+    keys = table.view(np.dtype((np.void, table.shape[1] * table.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return counts[:, first], inverse
+
+
+def _drive_parameter(params, k):
+    """Sources of dimension k and its stacked parameter [nu_k, w_{l_1 k}, ...]."""
+    sources = [l for l in range(params.dims_K) if params.weights[l][k] is not None]
+    f_k = np.concatenate([params.nu[k:k + 1]] + [params.weights[l][k] for l in sources])
+    return sources, f_k
+
+
+def drive_breakpoints(params, events, k):
+    """Sorted breakpoints of the drive of dimension k within [0, T].
+
+    The drive is constant between consecutive breakpoints
+    (``segment_points`` of the sources that influence k).
+    """
+    sources, _ = _drive_parameter(params, k)
+    return segment_points(events, params.basis[k], sources)
 
 
 def linear_drive(params, events, k, times):
@@ -310,8 +339,7 @@ def linear_drive(params, events, k, times):
     times = np.asarray(times, dtype=np.float64)
     if np.any((times < 0.0) | (times > events.horizon_T)):
         raise DomainError(f"times outside the observation window [0, {events.horizon_T}]")
-    sources = [l for l in range(params.dims_K) if params.weights[l][k] is not None]
-    f_k = np.concatenate([params.nu[k:k + 1]] + [params.weights[l][k] for l in sources])
+    sources, f_k = _drive_parameter(params, k)
     basis = params.basis[k]
     return f_k @ basis.features(feature_matrix(events, basis, sources, times))
 
@@ -319,34 +347,43 @@ def linear_drive(params, events, k, times):
 def log_likelihood(params, events, link, method="exact", grid_step=None):
     """Log-likelihood sum_k [ sum_i log lambda^k_{T_i^k} - int_0^T lambda^k dt ].
 
-    ``method`` selects the compensator integral: "exact" enumerates the
-    breakpoints of the piecewise-constant drive (exact for every link since
-    phi(constant) is constant), "riemann" uses a left-endpoint grid with step
-    ``grid_step`` (default A/1e4).  Returns -inf when some event has zero
-    intensity.
+    ``method`` selects the compensator integral: "exact" sums over the
+    segments between the breakpoints of the piecewise-constant drive (exact
+    for every link since phi(constant) is constant), "riemann" uses a
+    left-endpoint grid with step ``grid_step`` (default A/1e4).  Both sums run
+    over the distinct feature columns: m_c log phi_c over the events, of
+    multiplicity m_c, and phi_c w_c over the segments or grid cells, of total
+    width w_c.  Returns -inf when some event has zero intensity.
     """
     if method not in ("exact", "riemann"):
         raise DomainError(f"unknown integration method {method!r}")
+    horizon = events.horizon_T
     total = 0.0
     for k in range(params.dims_K):
+        sources, f_k = _drive_parameter(params, k)
+        basis = params.basis[k]
         own = events.times[k]
-        drive = linear_drive(params, events, k, own[own >= 0.0])
-        lam_at_events = [link(x) for x in drive.tolist()]
-        if any(v <= 0.0 for v in lam_at_events):
-            return -math.inf
-        total += sum(math.log(v) for v in lam_at_events)
+        own = own[own >= 0.0]
         if method == "exact":
-            pts = drive_breakpoints(params, events, k)
+            pts = segment_points(events, basis, sources)
             # drive constant on each open segment; the midpoint avoids the
             # closed-right endpoint convention of the kernel support
-            drive = linear_drive(params, events, k, 0.5 * (pts[:-1] + pts[1:]))
-            for x, width in zip(drive.tolist(), np.diff(pts).tolist()):
-                total -= link(x) * width
+            times, widths = 0.5 * (pts[:-1] + pts[1:]), np.diff(pts)
         else:
             step = grid_step if grid_step is not None else params.memory_A / 1e4
-            n = max(1, int(math.ceil(events.horizon_T / step)))
-            grid = np.linspace(0.0, events.horizon_T, n, endpoint=False)
-            h = events.horizon_T / n
-            drive = linear_drive(params, events, k, grid)
-            total -= h * sum(link(x) for x in drive.tolist())
+            n = max(1, int(math.ceil(horizon / step)))
+            times = np.linspace(0.0, horizon, n, endpoint=False)
+            widths = np.full(n, horizon / n)
+        cols, inverse = distinct_columns(
+            feature_matrix(events, basis, sources, np.concatenate([own, times])))
+        mult = np.bincount(inverse[:own.size], minlength=cols.shape[1])
+        width = np.bincount(inverse[own.size:], weights=widths, minlength=cols.shape[1])
+        drive = f_k @ basis.features(cols)
+        for x, m, w in zip(drive.tolist(), mult.tolist(), width.tolist()):
+            lam = link(x)
+            if m:
+                if lam <= 0.0:
+                    return -math.inf
+                total += m * math.log(lam)
+            total -= lam * w
     return total

@@ -5,11 +5,21 @@ problems.  Per sweep and per dimension k it alternates
 
   1. Polya-Gamma marks at the observed events,  w_i ~ PG(1, |lam~_{T_i}|);
   2. a latent Poisson process on [0, T] with rate theta_k sigmoid(-lam~_t),
-     sampled exactly by thinning against the constant bound theta_k, with
-     PG marks at the accepted points;
+     drawn exactly per distinct feature column.  The features are constant
+     between the breakpoints T_i + jA/J of the sources
+     (``core.segment_points``), so a column c of summed segment width w_c
+     holds N_c ~ Poisson(theta_k sigmoid(-lam~_c) w_c) latent points, each
+     with a PG(1, |lam~_c|) mark.  A dimension with more than
+     ``SEGMENTS_PER_CANDIDATE`` segments per expected candidate (theta_k T)
+     instead thins uniform candidates against the bound theta_k;
   3. a draw of the parameter from its Gaussian full conditional,
-     ``vi.conjugate_update`` with every point counted once (the same update
-     that CAVI runs at expected marks; see ``hawkes_vb.vi``).
+     ``vi.conjugate_update`` with the points of one column counted together:
+     weight N_c at the mean of their marks (the same update that CAVI runs
+     at expected marks; see ``hawkes_vb.vi``).
+
+Features are counted once per chain, at the events and at the segment
+midpoints, and reduced to distinct columns (``core.distinct_columns``); the
+events enter step 1 as those columns with multiplicities.
 
 The recentred drive is lam~_t = alpha (H(t)' f - eta); its sign is
 irrelevant to the PG tilt (the distribution is symmetric in c), so tilts
@@ -21,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hawkes_vb import _blas
-from hawkes_vb.core import HistogramBasis, check_points, feature_matrix
+from hawkes_vb.core import (HistogramBasis, check_points, distinct_columns,
+                            feature_matrix, segment_points)
 from hawkes_vb.errors import ConfigError
 from hawkes_vb.pg import pg_sample_arr
 from hawkes_vb.vi import _checked_prior, check_link, conjugate_update
@@ -74,6 +85,77 @@ def check_latent_candidates(link, horizon_T):
     check_points(link.theta * horizon_T, "theta * horizon_T", "latent candidates per sweep")
 
 
+# A dimension draws its latent points per segment column when it has at most
+# this many segments per expected thinning candidate (theta T): the uint8
+# count table of its segments is then no larger than the float64 features of
+# one thinning sweep's candidates.
+SEGMENTS_PER_CANDIDATE = 8
+
+
+@dataclass(frozen=True)
+class _Dimension:
+    """One dimension's sampling inputs, counted once per chain.
+
+    The events enter as their distinct feature columns ``feats_ev``, with
+    multiplicities ``n_ev``.  ``feats_seg`` holds the distinct columns of the
+    segments between breakpoints and ``widths`` their summed widths; both are
+    None when the latent points are drawn by thinning.
+    """
+
+    sources: list
+    basis: HistogramBasis
+    prior: object
+    feats_ev: np.ndarray
+    n_ev: np.ndarray
+    feats_seg: object
+    widths: object
+
+
+def _dimension(events, k, sm, memory_A, prior, link):
+    """Count dimension k's features once, at its events and, under the
+    segment rule, at the midpoints of its segments."""
+    basis = HistogramBasis(memory_A, sm.num_bins)
+    own = events.times[k]
+    own = own[own >= 0.0]
+    pts = segment_points(events, basis, sm.active_sources)
+    if pts.size - 1 <= SEGMENTS_PER_CANDIDATE * link.theta * events.horizon_T:
+        times = np.concatenate([own, 0.5 * (pts[:-1] + pts[1:])])
+    else:
+        times, pts = own, None
+    cols, inverse = distinct_columns(feature_matrix(events, basis, sm.active_sources, times))
+    feats = basis.features(cols)
+    n_ev = np.bincount(inverse[:own.size], minlength=cols.shape[1])
+    feats_seg = widths = None
+    if pts is not None:
+        widths = np.bincount(inverse[own.size:], weights=np.diff(pts),
+                             minlength=cols.shape[1])
+        feats_seg, widths = feats[:, widths > 0.0], widths[widths > 0.0]
+    return _Dimension(sm.active_sources, basis, prior, feats[:, n_ev > 0], n_ev[n_ev > 0],
+                      feats_seg, widths)
+
+
+def _latent_columns(events, dim, f, link, rng):
+    """One draw of the latent points as (columns, tilts, points per column).
+
+    On segments, column c holds N_c ~ Poisson(theta sigmoid(-lam~_c) w_c)
+    points, and only the columns with N_c > 0 are returned; by thinning, each
+    accepted candidate is a column of one point.
+    """
+    from scipy.special import expit
+
+    if dim.feats_seg is not None:
+        tilts = link.alpha * (dim.feats_seg.T @ f - link.eta)
+        counts = rng.poisson(link.theta * expit(-tilts) * dim.widths)
+        drawn = counts > 0
+        return dim.feats_seg[:, drawn], tilts[drawn], counts[drawn]
+    n_cand = rng.poisson(link.theta * events.horizon_T)
+    cand = rng.random(n_cand) * events.horizon_T
+    feats = dim.basis.features(feature_matrix(events, dim.basis, dim.sources, cand))
+    tilts = link.alpha * (feats.T @ f - link.eta)
+    accept = rng.random(n_cand) < expit(-tilts)
+    return feats[:, accept], tilts[accept], np.ones(np.count_nonzero(accept), dtype=np.int64)
+
+
 def gibbs_sample(events, config, link, model, prior):
     """Run the sampler; returns one chain of parameter draws per dimension.
 
@@ -82,59 +164,42 @@ def gibbs_sample(events, config, link, model, prior):
     runs on one thread meanwhile, as in the variational fits.  Too many
     latent candidates per sweep is a ConfigError (``check_latent_candidates``).
     """
-    from scipy.special import expit
-
     check_link(link)
     rng = np.random.default_rng(config.seed)
-    k_dims = events.dims_K
-    horizon = events.horizon_T
-    alpha, eta, theta = link.alpha, link.eta, link.theta
-    check_latent_candidates(link, horizon)
+    alpha, eta = link.alpha, link.eta
+    check_latent_candidates(link, events.horizon_T)
 
     dims = []
-    for k in range(k_dims):
+    for k in range(events.dims_K):
         sm = model.submodel(k)
         pk = _checked_prior(prior[k], k, sm)
-        basis = HistogramBasis(model.memory_A, sm.num_bins)
-        own = events.times[k]
-        own = own[own >= 0.0]
-        feats_ev = basis.features(feature_matrix(events, basis, sm.active_sources, own))
-        dims.append((sm.active_sources, basis, feats_ev, pk))
+        dims.append(_dimension(events, k, sm, model.memory_A, pk, link))
 
     # A wide draw from the prior (sigma = 5) can start the chain inside the
     # saturated phase of the sigmoid, where the latent-point rate collapses
     # and the chain is effectively absorbed; starting at the prior mean keeps
     # the first sweep in the responsive region.
-    state = [pk.mean.copy() for _, _, _, pk in dims]
+    state = [dim.prior.mean.copy() for dim in dims]
 
-    kept = [[] for _ in range(k_dims)]
+    kept = [[] for _ in dims]
     with _blas.single_threaded():  # small products; see hawkes_vb._blas
         for sweep in range(config.n_iter):
-            for k in range(k_dims):
-                sources, basis, feats_ev, pk = dims[k]
+            for k, dim in enumerate(dims):
                 f = state[k]
-
-                tilt_ev = alpha * (feats_ev.T @ f - eta)
-                marks_ev = pg_sample_arr(np.abs(tilt_ev), rng)
-
-                # latent Poisson with rate theta * sigmoid(-lam~) by thinning
-                n_cand = rng.poisson(theta * horizon)
-                cand = np.sort(rng.random(n_cand) * horizon)
-                feats_cand = basis.features(feature_matrix(events, basis, sources, cand))
-                tilt_cand = alpha * (feats_cand.T @ f - eta)
-                accept = rng.random(n_cand) < expit(-tilt_cand)
-                feats_lat = feats_cand[:, accept]
-                marks_lat = pg_sample_arr(np.abs(tilt_cand[accept]), rng)
-
-                feats = np.concatenate([feats_ev, feats_lat], axis=1)
-                marks = np.concatenate([marks_ev, marks_lat])
-                is_event = np.concatenate([np.ones(marks_ev.size, dtype=bool),
-                                           np.zeros(marks_lat.size, dtype=bool)])
-                mean, cf = conjugate_update(feats, marks, is_event, alpha, eta, pk)
+                feats_lat, tilt_lat, n_lat = _latent_columns(events, dim, f, link, rng)
+                feats = np.concatenate([dim.feats_ev, feats_lat], axis=1)
+                tilts = np.concatenate([alpha * (dim.feats_ev.T @ f - eta), tilt_lat])
+                reps = np.concatenate([dim.n_ev, n_lat])
+                # one PG(1, |lam~|) mark per point, summed per column
+                marks = pg_sample_arr(np.repeat(np.abs(tilts), reps), rng)
+                sums = np.add.reduceat(marks, np.cumsum(reps) - reps) if marks.size else marks
+                is_event = np.arange(reps.size) < dim.n_ev.size
+                mean, cf = conjugate_update(feats, sums / reps, is_event, alpha, eta,
+                                            dim.prior, reps)
                 state[k] = _draw_gaussian(mean, cf, rng)
 
             if sweep >= config.burn_in and (sweep - config.burn_in) % config.thin == 0:
-                for k in range(k_dims):
+                for k in range(len(dims)):
                     kept[k].append(state[k].copy())
 
     return GibbsResult(samples=tuple(np.asarray(c) for c in kept),

@@ -11,7 +11,8 @@ import _fixtures as fx
 from hawkes_vb import (EventData, HawkesParams, HistogramBasis, LinkFunction, SimConfig,
                        core, linear_drive, log_likelihood, simulate)
 from hawkes_vb.adaptive import enumerate_submodels
-from hawkes_vb.core import drive_breakpoints, feature_matrix
+from hawkes_vb.core import (distinct_columns, drive_breakpoints, feature_matrix,
+                            segment_points)
 from hawkes_vb.errors import ConfigError, DataError, DomainError
 from hawkes_vb.gibbs import check_latent_candidates
 from hawkes_vb.vi import GaussianPrior, QuadratureGrid
@@ -214,6 +215,75 @@ class TestLinearDrive:
             qs = left + (right - left) * np.array([0.25, 0.5, 0.75])
             vals = linear_drive(p, ev, 0, qs)
             assert max(vals) - min(vals) < 1e-12
+
+
+class TestSegmentTable:
+    """Breakpoints and distinct count columns against feature_matrix itself."""
+
+    @staticmethod
+    def _two_dims(seed, n=40, horizon=2.0):
+        rng = np.random.default_rng(seed)
+        times = np.sort(rng.uniform(-A, horizon, size=n))
+        return _events(times, horizon, dims=2, dim_of=rng.integers(0, 2, size=n))
+
+    def test_widths_sum_to_the_horizon(self):
+        ev = self._two_dims(4)
+        pts = segment_points(ev, HistogramBasis(A, 4), [0, 1])
+        assert pts[0] == 0.0 and pts[-1] == ev.horizon_T
+        assert np.all(np.diff(pts) > 0.0)
+        assert np.diff(pts).sum() == pytest.approx(ev.horizon_T, rel=1e-12)
+
+    def test_breakpoints_of_the_drive_are_the_segment_points(self):
+        ev = self._two_dims(5)
+        basis = HistogramBasis(A, 2)
+        p = HawkesParams.build([1.0, 1.0], [[np.ones(2), None], [np.ones(2), np.ones(2)]],
+                               (basis, basis))
+        np.testing.assert_array_equal(drive_breakpoints(p, ev, 0),
+                                      segment_points(ev, basis, [0, 1]))
+        np.testing.assert_array_equal(drive_breakpoints(p, ev, 1),
+                                      segment_points(ev, basis, [1]))
+
+    @pytest.mark.parametrize("j_bins, sources", [(1, [0]), (4, [0, 1]), (8, [1])])
+    def test_segment_column_is_the_count_at_any_interior_point(self, j_bins, sources):
+        rng = np.random.default_rng(6)
+        ev = self._two_dims(6)
+        basis = HistogramBasis(A, j_bins)
+        pts = segment_points(ev, basis, sources)
+        cols, inverse = distinct_columns(
+            feature_matrix(ev, basis, sources, 0.5 * (pts[:-1] + pts[1:])))
+        inside = pts[:-1] + rng.uniform(0.01, 0.99, size=pts.size - 1) * np.diff(pts)
+        np.testing.assert_array_equal(cols[:, inverse],
+                                      feature_matrix(ev, basis, sources, inside))
+
+    def test_multiplicities_sum_to_the_events(self):
+        ev = self._two_dims(7, n=200)
+        basis = HistogramBasis(A, 4)
+        own = ev.times[0][ev.times[0] >= 0.0]
+        counts = feature_matrix(ev, basis, [0, 1], own)
+        cols, inverse = distinct_columns(counts)
+        mult = np.bincount(inverse, minlength=cols.shape[1])
+        assert np.all(mult > 0) and mult.sum() == own.size
+        np.testing.assert_array_equal(cols[:, inverse], counts)
+
+    @pytest.mark.parametrize("burst, dtype", [(0, np.uint8), (300, np.uint16)])
+    def test_columns_match_a_unique_by_column_reference(self, burst, dtype):
+        rng = np.random.default_rng(8)
+        basis = HistogramBasis(A, 4)
+        # a burst of more than 255 events within A/4 widens the table to uint16
+        burst_times = 0.452 + np.arange(burst) * (0.02 / max(burst, 1))
+        times = np.concatenate([np.sort(rng.uniform(0.0, 0.45, size=60)), burst_times])
+        ev = _events(times, 1.0, dims=2, dim_of=[0] * 60 + [1] * burst)
+        counts = feature_matrix(ev, basis, [0, 1], rng.uniform(0.0, 1.0, size=3000))
+        assert counts.dtype == dtype
+        cols, inverse = distinct_columns(counts)
+        assert cols.dtype == dtype
+        np.testing.assert_array_equal(cols[:, np.lexsort(cols[::-1])],
+                                      np.unique(counts, axis=1))
+        np.testing.assert_array_equal(cols[:, inverse], counts)
+
+    def test_empty_table(self):
+        cols, inverse = distinct_columns(np.ones((5, 0), dtype=np.uint8))
+        assert cols.shape == (5, 0) and inverse.shape == (0,)
 
 
 class TestIntensity:

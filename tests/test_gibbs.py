@@ -8,13 +8,24 @@ import pytest
 
 import _fixtures as fx
 from hawkes_vb import (EventData, HawkesParams, HistogramBasis, LinkFunction,
-                       SimConfig, log_likelihood, simulate)
+                       SimConfig, gibbs, log_likelihood, simulate)
 from hawkes_vb.adaptive import Model
 from hawkes_vb.errors import ConfigError, UnsupportedLinkError
 from hawkes_vb.gibbs import GibbsConfig, conjugate_update, gibbs_sample
 from hawkes_vb.vi import GaussianPrior
 
 LINK = fx.SIM_LINK
+
+
+def _spy(monkeypatch, name, seen):
+    """Wrap ``gibbs.<name>`` so that each call appends its positional args to seen."""
+    real = getattr(gibbs, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gibbs, name, wrapper)
 
 
 def _model(dims, j_bins):
@@ -62,7 +73,7 @@ class TestGibbsSample:
                            _model(1, 4), [GaussianPrior.isotropic(5, 5.0)])
         assert res.samples[0].shape == (6, 5)
         assert hashlib.sha256(res.samples[0].tobytes()).hexdigest() == (
-            "6b4871eaa15f552688dbefb02d14a6e175d260b33d661ad2716541831f337ec7")
+            "d4b4dd0eecad7954f2fdca0c7decac1411cc4726fee10975187db439727e3674")
 
     def test_reproducible_given_seed(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
@@ -147,6 +158,65 @@ class TestGibbsSample:
         var_plus = (n - 1) / n * within + between / n
         r_hat = math.sqrt(var_plus / within)
         assert r_hat < 1.1
+
+    def test_segment_path_counts_features_once_per_dimension(self, monkeypatch):
+        calls = []
+        _spy(monkeypatch, "feature_matrix", calls)
+        truth = fx.sparse_truth(2)
+        ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=10.0, seed=1))
+        model = Model(graph_delta=truth.graph(), bins_J=(2, 4), memory_A=fx.MEMORY_A)
+        prior = [GaussianPrior.isotropic(model.submodel(k).param_dim, 5.0)
+                 for k in range(2)]
+        gibbs_sample(ev, GibbsConfig(n_iter=30, burn_in=5, seed=0), LINK, model, prior)
+        assert len(calls) == 2
+
+    def test_thinning_path_runs_past_the_segment_rule(self, monkeypatch):
+        calls = []
+        _spy(monkeypatch, "feature_matrix", calls)
+        monkeypatch.setattr(gibbs, "SEGMENTS_PER_CANDIDATE", 0)
+        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                horizon_T=10.0, seed=1))
+        res = gibbs_sample(ev, GibbsConfig(n_iter=30, burn_in=5, seed=0), LINK,
+                           _model(1, 4), [GaussianPrior.isotropic(5, 5.0)])
+        assert len(calls) == 1 + 30  # the events once, then candidates each sweep
+        assert np.all(np.isfinite(res.samples[0]))
+
+    def test_segment_and_thinning_paths_agree_on_toy(self, monkeypatch):
+        basis = HistogramBasis(fx.MEMORY_A, 1)
+        truth = HawkesParams.build([7.0], [[np.array([0.4])]], basis)
+        ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=30.0, seed=3))
+        cfg = GibbsConfig(n_iter=3000, burn_in=500, seed=4)
+        prior = [GaussianPrior.isotropic(2, 5.0)]
+        segments = gibbs_sample(ev, cfg, LINK, _model(1, 1), prior)
+        monkeypatch.setattr(gibbs, "SEGMENTS_PER_CANDIDATE", 0)
+        thinning = gibbs_sample(ev, cfg, LINK, _model(1, 1), prior)
+        sd = thinning.sd(0)
+        assert np.all(np.abs(segments.mean(0) - thinning.mean(0)) < 0.25 * sd)
+
+    def test_dimension_without_events(self):
+        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                horizon_T=10.0, seed=1))
+        two = EventData(dims_K=2, horizon_T=10.0, times=(ev.times[0], np.array([])))
+        model = Model(graph_delta=np.ones((2, 2), dtype=np.int8), bins_J=(2, 2),
+                      memory_A=fx.MEMORY_A)
+        res = gibbs_sample(two, GibbsConfig(n_iter=30, burn_in=5, seed=0), LINK,
+                           model, [GaussianPrior.isotropic(5, 5.0)] * 2)
+        assert all(np.all(np.isfinite(s)) for s in res.samples)
+
+    def test_chain_where_most_columns_draw_no_latent_point(self, monkeypatch):
+        # a drive held near nu = 100 puts the latent rate at theta sigmoid(-18),
+        # so nearly every segment column draws N_c = 0
+        updates = []
+        _spy(monkeypatch, "conjugate_update", updates)
+        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                horizon_T=10.0, seed=1))
+        prior = GaussianPrior(mean=np.array([100.0, 0.0, 0.0, 0.0, 0.0]),
+                              cov=1e-4 * np.eye(5))
+        res = gibbs_sample(ev, GibbsConfig(n_iter=30, burn_in=5, seed=0), LINK,
+                           _model(1, 4), [prior])
+        assert np.all(np.isfinite(res.samples[0]))
+        latent_columns = [np.count_nonzero(~is_event) for _, _, is_event, *_ in updates]
+        assert len(latent_columns) == 30 and max(latent_columns) <= 1
 
     def test_negative_drive_sign_handling(self):
         # strongly inhibitory parameters give negative tilts; the PG tilt

@@ -65,7 +65,8 @@ class TestPgSample:
         assert abs(draws.mean() - pg.pg_mean(c)) < 4.0 * se
 
     def test_empty_and_shaped_input(self):
-        # gibbs_sample passes an empty array when no latent point is accepted
+        # gibbs_sample passes an empty array when a dimension has no events
+        # and draws no latent point
         rng = np.random.default_rng(4)
         empty = pg.pg_sample_arr(np.zeros(0), rng)
         assert empty.shape == (0,) and empty.dtype == np.float64
