@@ -471,7 +471,7 @@ def cmd_fit(cfg):
         raise ConfigError("fitting requires horizon_T")
     # one prior per parameter count, shared by all fits; the complete sub-model's
     # is the largest, and it, the candidates, GibbsConfig and the time caps (the
-    # quadrature, or the Gibbs latent candidates) are made before any read
+    # quadrature, or the Gibbs latent points) are made before any read
     prior = functools.cache(functools.partial(
         GaussianPrior.isotropic, sigma=cfg["prior"]["sigma"], mean=cfg["prior"]["mu"]))
     complete = adaptive.SubModel(column=(1,) * k_dims, depth=depth)

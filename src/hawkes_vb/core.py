@@ -26,8 +26,8 @@ import numpy as np
 
 from hawkes_vb.errors import ConfigError, DataError, DomainError
 
-# The most points a run may draw or use: quadrature nodes, expected Gibbs
-# latent candidates per sweep and dimension (theta T), expected thinning
+# The most points a run may draw or use: quadrature nodes, the bound theta T
+# on the Gibbs latent points per sweep and dimension, expected thinning
 # candidates of a simulation, entries of a prior covariance and candidates of
 # an adaptive fit.  A run past it is a ConfigError (``check_points``), raised
 # before anything of that size is allocated or drawn.
@@ -319,21 +319,12 @@ def _drive_parameter(params, k):
     return sources, f_k
 
 
-def drive_breakpoints(params, events, k):
-    """Sorted breakpoints of the drive of dimension k within [0, T].
-
-    The drive is constant between consecutive breakpoints
-    (``segment_points`` of the sources that influence k).
-    """
-    sources, _ = _drive_parameter(params, k)
-    return segment_points(events, params.basis[k], sources)
-
-
 def linear_drive(params, events, k, times):
     """Linear drive nu_k + sum_l sum_{T_i^l in [t-A, t)} h_lk(t - T_i^l) per t.
 
     ``times`` is a 1-d array; returns the drive at each entry.  The drive is
-    right-continuous and piecewise constant in t (see ``drive_breakpoints``).
+    right-continuous and constant in t between the ``segment_points`` of
+    its sources.
     Raises DomainError for times outside [0, T].
     """
     times = np.asarray(times, dtype=np.float64)

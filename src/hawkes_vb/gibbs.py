@@ -1,7 +1,9 @@
 """Gibbs sampler for the augmented sigmoid Hawkes posterior.
 
 Serves as the MCMC oracle for validating variational output on small
-problems.  Per sweep and per dimension k it alternates
+problems.  The full conditional of dimension k involves no other
+dimension's parameter, so each dimension runs its own chain, and each sweep
+of it alternates
 
   1. Polya-Gamma marks at the observed events,  w_i ~ PG(1, |lam~_{T_i}|);
   2. a latent Poisson process on [0, T] with rate theta_k sigmoid(-lam~_t),
@@ -9,9 +11,7 @@ problems.  Per sweep and per dimension k it alternates
      between the breakpoints T_i + jA/J of the sources
      (``core.segment_points``), so a column c of summed segment width w_c
      holds N_c ~ Poisson(theta_k sigmoid(-lam~_c) w_c) latent points, each
-     with a PG(1, |lam~_c|) mark.  A dimension with more than
-     ``SEGMENTS_PER_CANDIDATE`` segments per expected candidate (theta_k T)
-     instead thins uniform candidates against the bound theta_k;
+     with a PG(1, |lam~_c|) mark;
   3. a draw of the parameter from its Gaussian full conditional,
      ``vi.conjugate_update`` with the points of one column counted together:
      weight N_c at the mean of their marks (the same update that CAVI runs
@@ -19,7 +19,8 @@ problems.  Per sweep and per dimension k it alternates
 
 Features are counted once per chain, at the events and at the segment
 midpoints, and reduced to distinct columns (``core.distinct_columns``); the
-events enter step 1 as those columns with multiplicities.
+events enter step 1 as those columns with multiplicities.  Only the running
+dimension's columns are held.
 
 The recentred drive is lam~_t = alpha (H(t)' f - eta); its sign is
 irrelevant to the PG tilt (the distribution is symmetric in c), so tilts
@@ -80,16 +81,9 @@ def _draw_gaussian(mean, prec_chol, rng):
 
 
 def check_latent_candidates(link, horizon_T):
-    """ConfigError if a sweep's expected latent candidates per dimension,
-    theta T, are more than ``core.MAX_POINTS``."""
-    check_points(link.theta * horizon_T, "theta * horizon_T", "latent candidates per sweep")
-
-
-# A dimension draws its latent points per segment column when it has at most
-# this many segments per expected thinning candidate (theta T): the uint8
-# count table of its segments is then no larger than the float64 features of
-# one thinning sweep's candidates.
-SEGMENTS_PER_CANDIDATE = 8
+    """ConfigError if theta T, the bound on a sweep's expected latent points
+    per dimension, is more than ``core.MAX_POINTS``."""
+    check_points(link.theta * horizon_T, "theta * horizon_T", "latent points per sweep")
 
 
 @dataclass(frozen=True)
@@ -97,63 +91,84 @@ class _Dimension:
     """One dimension's sampling inputs, counted once per chain.
 
     The events enter as their distinct feature columns ``feats_ev``, with
-    multiplicities ``n_ev``.  ``feats_seg`` holds the distinct columns of the
-    segments between breakpoints and ``widths`` their summed widths; both are
-    None when the latent points are drawn by thinning.
+    multiplicities ``n_ev``.  ``counts_seg`` holds the distinct count columns
+    of the segments between breakpoints, kept as integers, and ``widths``
+    their summed widths.
     """
 
-    sources: list
     basis: HistogramBasis
     prior: object
     feats_ev: np.ndarray
     n_ev: np.ndarray
-    feats_seg: object
-    widths: object
+    counts_seg: np.ndarray
+    widths: np.ndarray
 
 
-def _dimension(events, k, sm, memory_A, prior, link):
-    """Count dimension k's features once, at its events and, under the
-    segment rule, at the midpoints of its segments."""
+def _dimension(events, k, sm, memory_A, prior):
+    """Count dimension k's features once, at its events and at the midpoints
+    of its segments, and keep the distinct columns of each."""
     basis = HistogramBasis(memory_A, sm.num_bins)
     own = events.times[k]
     own = own[own >= 0.0]
     pts = segment_points(events, basis, sm.active_sources)
-    if pts.size - 1 <= SEGMENTS_PER_CANDIDATE * link.theta * events.horizon_T:
-        times = np.concatenate([own, 0.5 * (pts[:-1] + pts[1:])])
-    else:
-        times, pts = own, None
+    times = np.concatenate([own, 0.5 * (pts[:-1] + pts[1:])])
     cols, inverse = distinct_columns(feature_matrix(events, basis, sm.active_sources, times))
-    feats = basis.features(cols)
     n_ev = np.bincount(inverse[:own.size], minlength=cols.shape[1])
-    feats_seg = widths = None
-    if pts is not None:
-        widths = np.bincount(inverse[own.size:], weights=np.diff(pts),
-                             minlength=cols.shape[1])
-        feats_seg, widths = feats[:, widths > 0.0], widths[widths > 0.0]
-    return _Dimension(sm.active_sources, basis, prior, feats[:, n_ev > 0], n_ev[n_ev > 0],
-                      feats_seg, widths)
+    widths = np.bincount(inverse[own.size:], weights=np.diff(pts), minlength=cols.shape[1])
+    return _Dimension(basis, prior, basis.features(cols[:, n_ev > 0]), n_ev[n_ev > 0],
+                      cols[:, widths > 0.0], widths[widths > 0.0])
 
 
-def _latent_columns(events, dim, f, link, rng):
-    """One draw of the latent points as (columns, tilts, points per column).
+# Segment columns turned into float64 features at once by ``_drive_at``.
+_BLOCK_COLUMNS = 1024
 
-    On segments, column c holds N_c ~ Poisson(theta sigmoid(-lam~_c) w_c)
-    points, and only the columns with N_c > 0 are returned; by thinning, each
-    accepted candidate is a column of one point.
+
+def _drive_at(basis, counts, f):
+    """H' f at every column of a count table, one block of columns at a time,
+    so that only the integer table (an eighth of the features) is held."""
+    out = np.empty(counts.shape[1])
+    for lo in range(0, out.size, _BLOCK_COLUMNS):
+        out[lo:lo + _BLOCK_COLUMNS] = basis.features(counts[:, lo:lo + _BLOCK_COLUMNS]).T @ f
+    return out
+
+
+def _sweep(dim, f, link, rng):
+    """One Gibbs sweep of one dimension from its state f; returns the new state.
+
+    Segment column c holds N_c ~ Poisson(theta sigmoid(-lam~_c) w_c) latent
+    points; the columns with N_c = 0 are dropped before any division.
     """
     from scipy.special import expit
 
-    if dim.feats_seg is not None:
-        tilts = link.alpha * (dim.feats_seg.T @ f - link.eta)
-        counts = rng.poisson(link.theta * expit(-tilts) * dim.widths)
-        drawn = counts > 0
-        return dim.feats_seg[:, drawn], tilts[drawn], counts[drawn]
-    n_cand = rng.poisson(link.theta * events.horizon_T)
-    cand = rng.random(n_cand) * events.horizon_T
-    feats = dim.basis.features(feature_matrix(events, dim.basis, dim.sources, cand))
-    tilts = link.alpha * (feats.T @ f - link.eta)
-    accept = rng.random(n_cand) < expit(-tilts)
-    return feats[:, accept], tilts[accept], np.ones(np.count_nonzero(accept), dtype=np.int64)
+    alpha, eta = link.alpha, link.eta
+    tilts_seg = alpha * (_drive_at(dim.basis, dim.counts_seg, f) - eta)
+    n_lat = rng.poisson(link.theta * expit(-tilts_seg) * dim.widths)
+    drawn = n_lat > 0
+    feats = np.concatenate([dim.feats_ev, dim.basis.features(dim.counts_seg[:, drawn])],
+                           axis=1)
+    tilts = np.concatenate([alpha * (dim.feats_ev.T @ f - eta), tilts_seg[drawn]])
+    reps = np.concatenate([dim.n_ev, n_lat[drawn]])
+    # one PG(1, |lam~|) mark per point, summed per column
+    marks = pg_sample_arr(np.repeat(np.abs(tilts), reps), rng)
+    sums = np.add.reduceat(marks, np.cumsum(reps) - reps) if marks.size else marks
+    is_event = np.arange(reps.size) < dim.n_ev.size
+    mean, cf = conjugate_update(feats, sums / reps, is_event, alpha, eta, dim.prior, reps)
+    return _draw_gaussian(mean, cf, rng)
+
+
+def _chain(dim, config, link, rng):
+    """The kept draws of one dimension's chain, shape (n_kept, d)."""
+    # A wide draw from the prior (sigma = 5) can start the chain inside the
+    # saturated phase of the sigmoid, where the latent-point rate collapses
+    # and the chain is effectively absorbed; starting at the prior mean keeps
+    # the first sweep in the responsive region.
+    f = dim.prior.mean.copy()
+    kept = []
+    for sweep in range(config.n_iter):
+        f = _sweep(dim, f, link, rng)
+        if sweep >= config.burn_in and (sweep - config.burn_in) % config.thin == 0:
+            kept.append(f)
+    return np.asarray(kept)
 
 
 def gibbs_sample(events, config, link, model, prior):
@@ -161,47 +176,21 @@ def gibbs_sample(events, config, link, model, prior):
 
     ``model.submodel(k)`` fixes the column and depth of dimension k, and
     ``prior[k]`` is its GaussianPrior.  Reproducible for a fixed seed.  BLAS
-    runs on one thread meanwhile, as in the variational fits.  Too many
-    latent candidates per sweep is a ConfigError (``check_latent_candidates``).
+    runs on one thread meanwhile, as in the variational fits.  A bound on the
+    latent points per sweep, theta T, past ``core.MAX_POINTS`` is a
+    ConfigError (``check_latent_candidates``).
     """
     check_link(link)
-    rng = np.random.default_rng(config.seed)
-    alpha, eta = link.alpha, link.eta
     check_latent_candidates(link, events.horizon_T)
+    subs = [model.submodel(k) for k in range(events.dims_K)]
+    priors = [_checked_prior(prior[k], k, sm) for k, sm in enumerate(subs)]
+    rng = np.random.default_rng(config.seed)
 
-    dims = []
-    for k in range(events.dims_K):
-        sm = model.submodel(k)
-        pk = _checked_prior(prior[k], k, sm)
-        dims.append(_dimension(events, k, sm, model.memory_A, pk, link))
-
-    # A wide draw from the prior (sigma = 5) can start the chain inside the
-    # saturated phase of the sigmoid, where the latent-point rate collapses
-    # and the chain is effectively absorbed; starting at the prior mean keeps
-    # the first sweep in the responsive region.
-    state = [dim.prior.mean.copy() for dim in dims]
-
-    kept = [[] for _ in dims]
     with _blas.single_threaded():  # small products; see hawkes_vb._blas
-        for sweep in range(config.n_iter):
-            for k, dim in enumerate(dims):
-                f = state[k]
-                feats_lat, tilt_lat, n_lat = _latent_columns(events, dim, f, link, rng)
-                feats = np.concatenate([dim.feats_ev, feats_lat], axis=1)
-                tilts = np.concatenate([alpha * (dim.feats_ev.T @ f - eta), tilt_lat])
-                reps = np.concatenate([dim.n_ev, n_lat])
-                # one PG(1, |lam~|) mark per point, summed per column
-                marks = pg_sample_arr(np.repeat(np.abs(tilts), reps), rng)
-                sums = np.add.reduceat(marks, np.cumsum(reps) - reps) if marks.size else marks
-                is_event = np.arange(reps.size) < dim.n_ev.size
-                mean, cf = conjugate_update(feats, sums / reps, is_event, alpha, eta,
-                                            dim.prior, reps)
-                state[k] = _draw_gaussian(mean, cf, rng)
+        kept = tuple(_chain(_dimension(events, k, sm, model.memory_A, priors[k]),
+                            config, link, rng)
+                     for k, sm in enumerate(subs))
 
-            if sweep >= config.burn_in and (sweep - config.burn_in) % config.thin == 0:
-                for k in range(len(dims)):
-                    kept[k].append(state[k].copy())
-
-    return GibbsResult(samples=tuple(np.asarray(c) for c in kept),
+    return GibbsResult(samples=kept,
                        n_iter=config.n_iter, burn_in=config.burn_in,
                        thin=config.thin)

@@ -512,7 +512,7 @@ class TestFitCommand:
     @pytest.mark.parametrize("method", ["fixed", "two-step", "gibbs"])
     @pytest.mark.parametrize("horizon", [1e12, 1e300])
     def test_fit_past_the_work_cap_is_exit_1(self, tmp_path, capsys, method, horizon):
-        # 5 T / A quadrature nodes, or theta T Gibbs latent candidates per
+        # 5 T / A quadrature nodes, or theta T Gibbs latent points per
         # sweep, past core.MAX_POINTS: refused before anything that size exists
         path = self._fit_file_config(tmp_path, ["0,0.5", "1,1.5"], horizon_T=horizon,
                                      fit_method=method, basis={"D": 1})
@@ -1163,7 +1163,7 @@ class TestErrorContract:
                                       "fit_gibbs"])
     def test_fit_past_the_time_cap_is_exit_1_before_any_read(self, contract_dir,
                                                              tmp_path, capsys, name):
-        # 5 T / A quadrature nodes, or theta T Gibbs latent candidates per sweep,
+        # 5 T / A quadrature nodes, or theta T Gibbs latent points per sweep,
         # past core.MAX_POINTS; the events file does not exist
         code, error = self._run(contract_dir, tmp_path, capsys, name, horizon_T=1e12,
                                 events_csv=str(tmp_path / "missing.csv"))

@@ -11,8 +11,7 @@ import _fixtures as fx
 from hawkes_vb import (EventData, HawkesParams, HistogramBasis, LinkFunction, SimConfig,
                        core, linear_drive, log_likelihood, simulate)
 from hawkes_vb.adaptive import enumerate_submodels
-from hawkes_vb.core import (distinct_columns, drive_breakpoints, feature_matrix,
-                            segment_points)
+from hawkes_vb.core import distinct_columns, feature_matrix, segment_points
 from hawkes_vb.errors import ConfigError, DataError, DomainError
 from hawkes_vb.gibbs import check_latent_candidates
 from hawkes_vb.vi import GaussianPrior, QuadratureGrid
@@ -210,7 +209,7 @@ class TestLinearDrive:
         basis = HistogramBasis(A, 4)
         p = HawkesParams.build([1.0], [[np.array([0.2, 0.1, -0.1, 0.05])]], basis)
         ev = _events(np.sort(rng.uniform(0.0, 0.8, 6)), 1.0)
-        pts = drive_breakpoints(p, ev, 0)
+        pts = segment_points(ev, p.basis[0], [0])
         for left, right in zip(pts[:-1], pts[1:]):
             qs = left + (right - left) * np.array([0.25, 0.5, 0.75])
             vals = linear_drive(p, ev, 0, qs)
@@ -232,16 +231,6 @@ class TestSegmentTable:
         assert pts[0] == 0.0 and pts[-1] == ev.horizon_T
         assert np.all(np.diff(pts) > 0.0)
         assert np.diff(pts).sum() == pytest.approx(ev.horizon_T, rel=1e-12)
-
-    def test_breakpoints_of_the_drive_are_the_segment_points(self):
-        ev = self._two_dims(5)
-        basis = HistogramBasis(A, 2)
-        p = HawkesParams.build([1.0, 1.0], [[np.ones(2), None], [np.ones(2), np.ones(2)]],
-                               (basis, basis))
-        np.testing.assert_array_equal(drive_breakpoints(p, ev, 0),
-                                      segment_points(ev, basis, [0, 1]))
-        np.testing.assert_array_equal(drive_breakpoints(p, ev, 1),
-                                      segment_points(ev, basis, [1]))
 
     @pytest.mark.parametrize("j_bins, sources", [(1, [0]), (4, [0, 1]), (8, [1])])
     def test_segment_column_is_the_count_at_any_interior_point(self, j_bins, sources):

@@ -159,39 +159,23 @@ class TestGibbsSample:
         r_hat = math.sqrt(var_plus / within)
         assert r_hat < 1.1
 
-    def test_segment_path_counts_features_once_per_dimension(self, monkeypatch):
+    def test_each_dimension_counts_its_features_once_and_runs_its_chain(self, monkeypatch):
+        # one count per dimension, then that dimension's 30 sweeps, so only one
+        # dimension's columns are held at a time
         calls = []
-        _spy(monkeypatch, "feature_matrix", calls)
+        for name in ("feature_matrix", "conjugate_update"):
+            def named(*args, real=getattr(gibbs, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(gibbs, name, named)
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=10.0, seed=1))
         model = Model(graph_delta=truth.graph(), bins_J=(2, 4), memory_A=fx.MEMORY_A)
         prior = [GaussianPrior.isotropic(model.submodel(k).param_dim, 5.0)
                  for k in range(2)]
         gibbs_sample(ev, GibbsConfig(n_iter=30, burn_in=5, seed=0), LINK, model, prior)
-        assert len(calls) == 2
-
-    def test_thinning_path_runs_past_the_segment_rule(self, monkeypatch):
-        calls = []
-        _spy(monkeypatch, "feature_matrix", calls)
-        monkeypatch.setattr(gibbs, "SEGMENTS_PER_CANDIDATE", 0)
-        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
-                                horizon_T=10.0, seed=1))
-        res = gibbs_sample(ev, GibbsConfig(n_iter=30, burn_in=5, seed=0), LINK,
-                           _model(1, 4), [GaussianPrior.isotropic(5, 5.0)])
-        assert len(calls) == 1 + 30  # the events once, then candidates each sweep
-        assert np.all(np.isfinite(res.samples[0]))
-
-    def test_segment_and_thinning_paths_agree_on_toy(self, monkeypatch):
-        basis = HistogramBasis(fx.MEMORY_A, 1)
-        truth = HawkesParams.build([7.0], [[np.array([0.4])]], basis)
-        ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=30.0, seed=3))
-        cfg = GibbsConfig(n_iter=3000, burn_in=500, seed=4)
-        prior = [GaussianPrior.isotropic(2, 5.0)]
-        segments = gibbs_sample(ev, cfg, LINK, _model(1, 1), prior)
-        monkeypatch.setattr(gibbs, "SEGMENTS_PER_CANDIDATE", 0)
-        thinning = gibbs_sample(ev, cfg, LINK, _model(1, 1), prior)
-        sd = thinning.sd(0)
-        assert np.all(np.abs(segments.mean(0) - thinning.mean(0)) < 0.25 * sd)
+        assert calls == (["feature_matrix"] + ["conjugate_update"] * 30) * 2
 
     def test_dimension_without_events(self):
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
@@ -217,6 +201,15 @@ class TestGibbsSample:
         assert np.all(np.isfinite(res.samples[0]))
         latent_columns = [np.count_nonzero(~is_event) for _, _, is_event, *_ in updates]
         assert len(latent_columns) == 30 and max(latent_columns) <= 1
+
+    def test_drive_over_blocks_of_columns_is_the_drive_of_the_features(self):
+        # a table wider than one block, ending in a partial one
+        rng = np.random.default_rng(3)
+        basis = HistogramBasis(fx.MEMORY_A, 4)
+        counts = rng.integers(0, 6, size=(9, 2 * gibbs._BLOCK_COLUMNS + 17), dtype=np.uint8)
+        f = rng.normal(size=9)
+        np.testing.assert_allclose(gibbs._drive_at(basis, counts, f),
+                                   basis.features(counts).T @ f, rtol=1e-13, atol=1e-12)
 
     def test_negative_drive_sign_handling(self):
         # strongly inhibitory parameters give negative tilts; the PG tilt
