@@ -52,6 +52,12 @@ class GibbsConfig:
                               f"burn_in={self.burn_in}")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
+        if self.n_iter - self.burn_in <= self.thin:
+            # the kept draws are sweeps burn_in, burn_in + thin, ... below n_iter;
+            # one draw has no standard deviation
+            raise ConfigError(f"need n_iter - burn_in > thin to keep at least two draws, "
+                              f"got n_iter={self.n_iter}, burn_in={self.burn_in}, "
+                              f"thin={self.thin}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -148,8 +154,8 @@ def _sweep(dim, f, link, rng):
                            axis=1)
     tilts = np.concatenate([alpha * (dim.feats_ev.T @ f - eta), tilts_seg[drawn]])
     reps = np.concatenate([dim.n_ev, n_lat[drawn]])
-    # one PG(1, |lam~|) mark per point, summed per column
-    marks = pg_sample_arr(np.repeat(np.abs(tilts), reps), rng)
+    # one PG(1, |lam~|) mark per point: reps[i] at column i's tilt, summed per column
+    marks = pg_sample_arr(np.abs(tilts), rng, reps)
     sums = np.add.reduceat(marks, np.cumsum(reps) - reps) if marks.size else marks
     is_event = np.arange(reps.size) < dim.n_ev.size
     mean, cf = conjugate_update(feats, sums / reps, is_event, alpha, eta, dim.prior, reps)

@@ -1189,6 +1189,18 @@ class TestErrorContract:
         assert code == cli.EXIT_CONFIG
         assert error["type"] == "ConfigError" and "burn_in" in error["message"]
 
+    @pytest.mark.parametrize("gibbs", [{"n_iter": 2, "burn_in": 1},
+                                       {"n_iter": 10, "burn_in": 2, "thin": 8}],
+                             ids=["one_after_burn_in", "thin_past_the_chain"])
+    def test_gibbs_keeping_fewer_than_two_draws_is_exit_1_before_any_read(
+            self, contract_dir, tmp_path, capsys, gibbs):
+        # one kept draw has no sd, and result.json could not be written after
+        # the whole chain had run
+        code, error = self._run(contract_dir, tmp_path, capsys, "fit_gibbs",
+                                events_csv=str(tmp_path / "missing.csv"), gibbs=gibbs)
+        assert code == cli.EXIT_CONFIG
+        assert error["type"] == "ConfigError" and "two draws" in error["message"]
+
     @pytest.mark.parametrize("name, changes", [
         ("fit_fixed", {"dims_K": 1e154}), ("fit_fixed", {"vi": {"max_iter": 1e300}}),
         ("simulate_k1", {"seed": 1.7e308}),

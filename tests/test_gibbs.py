@@ -84,6 +84,34 @@ class TestGibbsSample:
         b = gibbs_sample(ev, cfg, LINK, _model(1, 4), prior)
         np.testing.assert_array_equal(a.samples[0], b.samples[0])
 
+    @pytest.mark.parametrize("n_iter, burn_in, thin", [(2, 1, 1), (10, 2, 8), (5, 0, 9)])
+    def test_fewer_than_two_kept_draws_is_config_error(self, n_iter, burn_in, thin):
+        with pytest.raises(ConfigError, match="two draws"):
+            GibbsConfig(n_iter=n_iter, burn_in=burn_in, thin=thin)
+
+    def test_two_kept_draws_are_enough(self):
+        ev = EventData(dims_K=1, horizon_T=0.0, times=(np.array([]),))
+        res = gibbs_sample(ev, GibbsConfig(n_iter=10, burn_in=2, thin=7, seed=0),
+                           LINK, _model(1, 1), [GaussianPrior.isotropic(2)])
+        assert res.samples[0].shape == (2, 2) and np.all(np.isfinite(res.sd(0)))
+
+    def test_sweep_draws_marks_once_per_column(self, monkeypatch):
+        # one sampler call per sweep: a tilt per event or latent column, its
+        # points as reps, and the column's mark mean passed with weight reps
+        draws, updates = [], []
+        _spy(monkeypatch, "pg_sample_arr", draws)
+        _spy(monkeypatch, "conjugate_update", updates)
+        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
+                                horizon_T=10.0, seed=1))
+        gibbs_sample(ev, GibbsConfig(n_iter=12, burn_in=2, seed=3), LINK, _model(1, 4),
+                     [GaussianPrior.isotropic(5, 5.0)])
+        assert len(draws) == len(updates) == 12
+        for (tilts, _, reps), (feats, _, is_event, *_, weights) in zip(draws, updates):
+            assert tilts.shape == reps.shape == (feats.shape[1],)
+            assert np.array_equal(reps, weights) and np.all(reps > 0)
+            assert reps[is_event].sum() == ev.times[0].size
+            assert reps.sum() > ev.times[0].size  # and latent points beside them
+
     def test_non_sigmoid_rejected(self):
         relu = LinkFunction("relu", theta=1.0, alpha=1.0, eta=0.0)
         ev = EventData(dims_K=1, horizon_T=0.0, times=(np.array([]),))

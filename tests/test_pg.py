@@ -101,6 +101,156 @@ class TestPgSample:
             assert ks_2samp(a, b).pvalue > 1e-3
 
 
+# A frozen copy of the sampler as it drew one entry of c at a time, before
+# ``reps``: every draw of ``pg_sample_arr`` must stay byte-equal to it.
+def _ref_series_coef(n, x):
+    k = (n + 0.5) * math.pi
+    right = k * np.exp(-0.5 * k * k * x)
+    left = k * np.exp(-1.5 * np.log(0.5 * math.pi * x) - 2.0 * (n + 0.5) ** 2 / x)
+    return np.where(x > 0.64, right, left)
+
+
+def _ref_right_piece_mass(z, fz):
+    from scipy.special import expit, log_ndtr
+
+    rt = math.sqrt(1.0 / 0.64)
+    x0 = np.log(fz) + fz * 0.64
+    xb = x0 - z + log_ndtr(rt * (0.64 * z - 1.0))
+    xa = x0 + z + log_ndtr(-rt * (0.64 * z + 1.0))
+    return expit(-(math.log(4.0 / math.pi) + np.logaddexp(xb, xa)))
+
+
+def _ref_trunc_inv_gauss(z, rng):
+    x = np.empty(z.size)
+    todo = np.arange(z.size)
+    while todo.size:
+        zt = z[todo]
+        prop = np.empty(zt.size)
+        ok = np.empty(zt.size, dtype=bool)
+        low = zt * 0.64 < 1.0
+        n = np.count_nonzero(low)
+        e1 = rng.standard_exponential(n)
+        e2 = rng.standard_exponential(n)
+        prop[low] = 0.64 / (1.0 + 0.64 * e1) ** 2
+        ok[low] = ((e1 * e1 <= 2.0 * e2 / 0.64)
+                   & (rng.random(n) <= np.exp(-0.5 * zt[low] ** 2 * prop[low])))
+        mu = 1.0 / zt[~low]
+        a = mu * rng.standard_normal(mu.size) ** 2
+        root = mu / (1.0 + 0.5 * a + np.sqrt(a + 0.25 * a * a))
+        root = np.where(rng.random(mu.size) > mu / (mu + root), mu * mu / root, root)
+        prop[~low] = root
+        ok[~low] = root <= 0.64
+        x[todo[ok]] = prop[ok]
+        todo = todo[~ok]
+    return x
+
+
+def _ref_series_accepts(x, rng):
+    s = _ref_series_coef(0, x)
+    y = rng.random(x.size) * s
+    accept = np.zeros(x.size, dtype=bool)
+    open_ = np.arange(x.size)
+    n = 0
+    while open_.size:
+        n += 1
+        term = _ref_series_coef(n, x[open_])
+        if n % 2:
+            s[open_] -= term
+            done = y[open_] <= s[open_]
+            accept[open_[done]] = True
+        else:
+            s[open_] += term
+            done = y[open_] > s[open_]
+        open_ = open_[~done]
+    return accept
+
+
+def _ref_pg_sample_arr(c, rng):
+    c = np.asarray(c, dtype=np.float64)
+    z = 0.5 * c.ravel()
+    fz = math.pi * math.pi / 8.0 + 0.5 * z * z
+    right = _ref_right_piece_mass(z, fz)
+    out = np.empty(z.size)
+    todo = np.arange(z.size)
+    while todo.size:
+        tail = rng.random(todo.size) < right[todo]
+        x = np.empty(todo.size)
+        x[tail] = 0.64 + rng.standard_exponential(np.count_nonzero(tail)) / fz[todo[tail]]
+        x[~tail] = _ref_trunc_inv_gauss(z[todo[~tail]], rng)
+        accept = _ref_series_accepts(x, rng)
+        out[todo[accept]] = 0.25 * x[accept]
+        todo = todo[~accept]
+    return out.reshape(c.shape)
+
+
+def _tilt_sets():
+    """(c, reps) pairs: both body branches (z 0.64 < 1 below c = 3.125, the
+    inverse-Gaussian draw above it), c = 0, the largest tilt, and counts of
+    0, 1 and hundreds."""
+    yield (np.array([0.0, 1.0, 3.125, 3.2, 10.0, 1e3, 1e150]),
+           np.array([5, 0, 1, 300, 2, 7, 3]))
+    yield np.array([2.0, 50.0]), np.array([0, 400])
+    yield np.array([0.0]), np.array([1])
+    rng = np.random.default_rng(2013)
+    for _ in range(30):
+        m = int(rng.integers(1, 40))
+        c = rng.uniform(0.0, 60.0, m)
+        c[rng.random(m) < 0.1] = 0.0
+        c[rng.random(m) < 0.05] = 1e150
+        yield c, rng.integers(0, 300, m) * (rng.random(m) < 0.8)
+
+
+_TILT_SETS = list(_tilt_sets())
+
+
+class TestPgSampleStream:
+    @pytest.mark.parametrize("case", range(len(_TILT_SETS)))
+    def test_reps_draws_are_those_of_the_repeated_tilts(self, case):
+        c, reps = _TILT_SETS[case]
+        rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        draws = pg.pg_sample_arr(c, rng, reps)
+        ref = _ref_pg_sample_arr(np.repeat(c, reps), ref_rng)
+        assert draws.dtype == np.float64 and draws.shape == (reps.sum(),)
+        assert draws.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("c", [
+        np.array([0.0, 1.0, 3.125, 3.2, 10.0, 1e3, 1e150]),
+        np.linspace(0.0, 60.0, 500).reshape(20, 25),
+        np.float64(4.0)], ids=["1-d", "shaped", "scalar"])
+    def test_draws_without_reps_are_the_reference(self, c):
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        draws = pg.pg_sample_arr(c, rng)
+        ref = _ref_pg_sample_arr(c, ref_rng)
+        assert draws.shape == np.shape(c)
+        assert draws.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_all_zero_reps_draw_nothing(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        draws = pg.pg_sample_arr([1.0, 20.0, 0.0], rng, np.zeros(3, dtype=np.int64))
+        assert draws.shape == (0,) and draws.dtype == np.float64
+        assert rng.bit_generator.state == before
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            pg.pg_sample_arr([1.0, 2.0], np.random.default_rng(0), np.array([3, -1]))
+
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(DomainError, match="integers"):
+            pg.pg_sample_arr([1.0, 2.0], np.random.default_rng(0), np.array([3.0, 1.0]))
+
+    def test_count_per_tilt_mismatch_rejected(self):
+        with pytest.raises(DomainError, match="one count per tilt"):
+            pg.pg_sample_arr([1.0, 2.0], np.random.default_rng(0), np.array([3, 1, 2]))
+
+    def test_reps_with_shaped_tilts_rejected(self):
+        with pytest.raises(DomainError, match="1-d"):
+            pg.pg_sample_arr(np.ones((2, 2)), np.random.default_rng(0),
+                             np.ones(4, dtype=int))
+
+
 class TestLogG:
     def test_at_zero(self):
         assert pg.log_g(1.0, 0.0) == pytest.approx(-math.log(2.0))
