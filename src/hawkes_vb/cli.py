@@ -8,10 +8,11 @@ machine-readable ``{"error": {...}}`` object on stderr.  A ``truth`` section
 that does not fit its ``bins_J`` or ``dims_K`` is a config error, and so is a
 fit depth (``basis.D`` or ``adaptive.D_max``) whose bins memory_A/2^D are
 finer than the 1e-6 resolution of event times, a fit link whose alpha^2
-overflows, a prior, candidate, quadrature node or Gibbs latent candidate
-count past the ``core.check_points`` cap or bad Gibbs settings; a fit checks
-these, and refuses a link other than the sigmoid (exit 1), before any event
-is read or simulated.
+overflows, a prior, candidate, quadrature node, posterior covariance entry
+(K d^2 at the complete sub-model's d, for a VI fit) or Gibbs latent
+candidate count past the ``core.check_points`` cap or bad Gibbs settings; a
+fit checks these, and refuses a link other than the sigmoid (exit 1), before
+any event is read or simulated.
 ``eval`` scores ``result.json`` against the truth; a result whose
 ``memory_A`` differs from the config's, whose ``bins_J`` is not a power of
 two, whose column does not have ``dims_K`` entries or that holds a NaN or
@@ -74,7 +75,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from hawkes_vb import _blas, adaptive, metrics, vi
-from hawkes_vb.core import EventData, HawkesParams, HistogramBasis, LinkFunction
+from hawkes_vb.core import (EventData, HawkesParams, HistogramBasis, LinkFunction,
+                            check_points)
 from hawkes_vb.errors import ConfigError, DataError, HawkesVBError, NumericalError
 from hawkes_vb.gibbs import GibbsConfig, check_latent_candidates, gibbs_sample
 from hawkes_vb.simulate import SimConfig, excursion_stats, simulate
@@ -480,6 +482,9 @@ def cmd_fit(cfg):
         gc = GibbsConfig(**cfg.get("gibbs", {}), seed=cfg["seed"])
         check_latent_candidates(link, cfg["horizon_T"])
     else:
+        # every dimension's posterior holds a covariance of the complete sub-model's size
+        d = complete.param_dim
+        check_points(k_dims * d * d, f"{k_dims} x {d}^2", "posterior covariance entries")
         quad = QuadratureGrid.default(cfg["horizon_T"], memory_A)
     if method == "adaptive":
         subs = adaptive.enumerate_submodels(k_dims, depth)

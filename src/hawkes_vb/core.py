@@ -261,23 +261,56 @@ def feature_matrix(events, basis, sources, times):
     type that holds the largest count: uint8 unless a bin holds more than 255
     events.  Sources are counted one bin at a time, so no table of all sources
     is ever held wider than the result.
+
+    The times are sorted once.  The events before t - x, at a bin edge x, are
+    then counted by merging: each event is placed among the sorted shifts
+    t - x (``np.searchsorted``), and a cumulative sum of the places gives the
+    count at every time.
     """
     times = np.asarray(times, dtype=np.float64)
     j_bins = basis.num_bins_J
     offsets = np.arange(j_bins + 1) * (basis.memory_A / j_bins)
-    out = np.ones((1 + len(sources) * j_bins, times.size), dtype=np.uint8)
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    if np.array_equal(ordered, times):
+        order = slice(None)  # already sorted: the rows need no scatter
+    n = times.size
+    out = np.ones((1 + len(sources) * j_bins, n), dtype=np.uint8)
+
+    def before(src, edge):
+        # event s is before t - edge from the first sorted time whose shift exceeds it
+        first = np.searchsorted(ordered - edge, src, side="right")
+        return np.cumsum(np.bincount(first, minlength=n + 1)[:n])
+
     for pos, l in enumerate(sources):
         src = events.times[l]
         # events before t - (j-1)A/J minus those before t - jA/J
-        upper = np.searchsorted(src, times - offsets[0], side="left")
+        upper = before(src, offsets[0])
         for j in range(1, j_bins + 1):
-            lower = np.searchsorted(src, times - offsets[j], side="left")
+            lower = before(src, offsets[j])
             counts = upper - lower
             peak = counts.max(initial=0)
             if peak > np.iinfo(out.dtype).max:
                 out = out.astype(np.min_scalar_type(peak))
-            out[pos * j_bins + j] = counts
+            out[pos * j_bins + j, order] = counts
             upper = lower
+    return out
+
+
+def summed_bins(fine, group):
+    """A count table at 1/``group`` of the resolution of ``fine``.
+
+    ``fine`` holds the bin rows of a ``feature_matrix`` table, without its row
+    of ones; each run of ``group`` adjacent bins is summed, which is the count
+    of their union, in an unsigned type that holds the sum.  Row 0 of the
+    result is all ones again.
+    """
+    fine = np.ascontiguousarray(fine)  # whole rows, for the reshape to sum without a copy
+    rows, n = fine.shape
+    out = np.empty((1 + rows // group, n),
+                   dtype=np.min_scalar_type(group * np.iinfo(fine.dtype).max))
+    out[0] = 1
+    np.add.reduce(fine.reshape(rows // group, group, n), axis=1, out=out[1:])
     return out
 
 
@@ -302,14 +335,64 @@ def distinct_columns(counts):
     """Distinct columns of a count table, with the one each column maps to.
 
     Returns ``(columns, inverse)`` with ``columns[:, inverse]`` equal to
-    ``counts``.  Each column is keyed as one byte record, so one 1-d
-    ``np.unique`` does the reduction; the order of the distinct columns is
-    that of their bytes.
+    ``counts``.  Each column is keyed by its bytes, so one 1-d ``np.unique``
+    does the reduction, and the order of the distinct columns is that of
+    their bytes.  Byte positions equal in every column order nothing and are
+    dropped.  When the others fit into 64 bits, each in the bits of its
+    largest value, the key is that integer, first byte most significant,
+    which sorts several times faster than a byte record.
     """
-    table = np.ascontiguousarray(counts.T)
-    keys = table.view(np.dtype((np.void, table.shape[1] * table.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return counts[:, first], inverse
+    n = counts.shape[1]
+    size = counts.itemsize
+    # each column's bytes in memory order: row by row, least significant first
+    rows = [row.view(np.uint8)[k::size] for row in np.ascontiguousarray(counts)
+            for k in range(size)]
+    rows = [row for row in rows if row.size and row.min() != row.max()]
+    bits = [int(row.max()).bit_length() for row in rows]
+    if sum(bits) <= 64:
+        keys = np.zeros(n, dtype=np.uint64)
+        for row, width in zip(rows, bits):
+            keys <<= np.uint64(width)
+            keys |= row
+    else:
+        table = np.stack(rows, axis=1)
+        keys = table.view(np.dtype((np.void, table.shape[1]))).ravel()
+    _, inverse = np.unique(keys, return_inverse=True)
+    # any column of a key stands for it, since they are equal
+    pick = np.empty(inverse.max(initial=-1) + 1, dtype=np.intp)
+    pick[inverse] = np.arange(n)
+    return counts[:, pick], inverse
+
+
+def segment_widths(inverse, pts, size):
+    """Summed widths of ``size`` distinct columns over the segments between
+    consecutive ``pts``, where segment s has column ``inverse[s]``.
+
+    Adjacent segments of one column are merged into one run first, of width
+    pts[end] - pts[start].  So a table summed from a finer one
+    (``summed_bins``), on the finer segments, gives the widths, bit for bit,
+    of the table counted on its own segments.
+    """
+    starts = np.ones(inverse.size, dtype=bool)
+    starts[1:] = inverse[1:] != inverse[:-1]
+    bounds = np.append(np.flatnonzero(starts), inverse.size)
+    return np.bincount(inverse[bounds[:-1]], weights=pts[bounds[1:]] - pts[bounds[:-1]],
+                       minlength=size)
+
+
+def segment_table(counts, n_events, pts):
+    """The distinct columns of a count table at events and on segments.
+
+    ``counts`` holds one column per event, ``n_events`` of them, then one per
+    segment between consecutive ``pts`` (the constant count on it, taken at
+    an interior point).  Returns ``(event_columns, multiplicities,
+    segment_columns, widths)``: each part in the order of
+    ``distinct_columns``, with the widths of ``segment_widths``.
+    """
+    event_cols, inverse = distinct_columns(counts[:, :n_events])
+    mult = np.bincount(inverse, minlength=event_cols.shape[1])
+    seg_cols, inverse = distinct_columns(counts[:, n_events:])
+    return event_cols, mult, seg_cols, segment_widths(inverse, pts, seg_cols.shape[1])
 
 
 def _drive_parameter(params, k):
@@ -342,9 +425,9 @@ def log_likelihood(params, events, link, method="exact", grid_step=None):
     segments between the breakpoints of the piecewise-constant drive (exact
     for every link since phi(constant) is constant), "riemann" uses a
     left-endpoint grid with step ``grid_step`` (default A/1e4).  Both sums run
-    over the distinct feature columns: m_c log phi_c over the events, of
-    multiplicity m_c, and phi_c w_c over the segments or grid cells, of total
-    width w_c.  Returns -inf when some event has zero intensity.
+    over the distinct feature columns of ``segment_table``: m_c log phi_c over
+    the events, of multiplicity m_c, and phi_c w_c over the segments or grid
+    cells, of total width w_c.  Returns -inf when some event has zero intensity.
     """
     if method not in ("exact", "riemann"):
         raise DomainError(f"unknown integration method {method!r}")
@@ -359,22 +442,20 @@ def log_likelihood(params, events, link, method="exact", grid_step=None):
             pts = segment_points(events, basis, sources)
             # drive constant on each open segment; the midpoint avoids the
             # closed-right endpoint convention of the kernel support
-            times, widths = 0.5 * (pts[:-1] + pts[1:]), np.diff(pts)
+            times = 0.5 * (pts[:-1] + pts[1:])
         else:
             step = grid_step if grid_step is not None else params.memory_A / 1e4
             n = max(1, int(math.ceil(horizon / step)))
-            times = np.linspace(0.0, horizon, n, endpoint=False)
-            widths = np.full(n, horizon / n)
-        cols, inverse = distinct_columns(
-            feature_matrix(events, basis, sources, np.concatenate([own, times])))
-        mult = np.bincount(inverse[:own.size], minlength=cols.shape[1])
-        width = np.bincount(inverse[own.size:], weights=widths, minlength=cols.shape[1])
-        drive = f_k @ basis.features(cols)
-        for x, m, w in zip(drive.tolist(), mult.tolist(), width.tolist()):
+            # each grid cell counted at its left end
+            pts = np.linspace(0.0, horizon, n + 1)
+            times = pts[:-1]
+        ev_cols, mult, seg_cols, widths = segment_table(
+            feature_matrix(events, basis, sources, np.concatenate([own, times])), own.size, pts)
+        for x, m in zip((f_k @ basis.features(ev_cols)).tolist(), mult.tolist()):
             lam = link(x)
-            if m:
-                if lam <= 0.0:
-                    return -math.inf
-                total += m * math.log(lam)
-            total -= lam * w
+            if lam <= 0.0:
+                return -math.inf
+            total += m * math.log(lam)
+        for x, w in zip((f_k @ basis.features(seg_cols)).tolist(), widths.tolist()):
+            total -= link(x) * w
     return total

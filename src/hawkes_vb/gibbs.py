@@ -18,7 +18,7 @@ of it alternates
      at expected marks; see ``hawkes_vb.vi``).
 
 Features are counted once per chain, at the events and at the segment
-midpoints, and reduced to distinct columns (``core.distinct_columns``); the
+midpoints, and reduced to distinct columns (``core.segment_table``); the
 events enter step 1 as those columns with multiplicities.  Only the running
 dimension's columns are held.
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hawkes_vb import _blas
-from hawkes_vb.core import (HistogramBasis, check_points, distinct_columns,
-                            feature_matrix, segment_points)
+from hawkes_vb.core import (HistogramBasis, check_points, feature_matrix, segment_points,
+                            segment_table)
 from hawkes_vb.errors import ConfigError
 from hawkes_vb.pg import pg_sample_arr
 from hawkes_vb.vi import _checked_prior, check_link, conjugate_update
@@ -118,11 +118,9 @@ def _dimension(events, k, sm, memory_A, prior):
     own = own[own >= 0.0]
     pts = segment_points(events, basis, sm.active_sources)
     times = np.concatenate([own, 0.5 * (pts[:-1] + pts[1:])])
-    cols, inverse = distinct_columns(feature_matrix(events, basis, sm.active_sources, times))
-    n_ev = np.bincount(inverse[:own.size], minlength=cols.shape[1])
-    widths = np.bincount(inverse[own.size:], weights=np.diff(pts), minlength=cols.shape[1])
-    return _Dimension(basis, prior, basis.features(cols[:, n_ev > 0]), n_ev[n_ev > 0],
-                      cols[:, widths > 0.0], widths[widths > 0.0])
+    ev_cols, n_ev, seg_cols, widths = segment_table(
+        feature_matrix(events, basis, sm.active_sources, times), own.size, pts)
+    return _Dimension(basis, prior, basis.features(ev_cols), n_ev, seg_cols, widths)
 
 
 # Segment columns turned into float64 features at once by ``_drive_at``.

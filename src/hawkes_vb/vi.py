@@ -6,18 +6,19 @@ augmented posterior factorises over dimensions, and each factor over
 and recentred drive lam~_t = alpha (H(t)' f - eta), the optimal parameter
 factor is the Gibbs full conditional of the parameter (``conjugate_update``)
 at expected marks: each Polya-Gamma mark becomes its mean, and the latent
-Poisson points become their rate on the quadrature nodes,
+Poisson points become their rate on the compensator columns,
 
     Sigma~^{-1} = Sigma^{-1} + alpha^2 H diag(rho u) H'
     mu~ = Sigma~ ( H [rho (alpha s + alpha^2 eta u)] + Sigma^{-1} mu ).
 
-H stacks the features at the dimension's own events, then at the quadrature
-nodes t_j; u = E[w] is the tilted Polya-Gamma mean at tilt
-c = sqrt(E[lam~^2]); s is +1/2 at events and -1/2 at nodes; and rho is 1 at
-events and v_j Lam(t_j) at a node of weight v_j, where
-Lam(t) = theta exp(-E[lam~_t]/2) / (2 cosh(c_t/2)) is the latent-event rate.
-Iterating the two factor updates is coordinate ascent on the evidence lower
-bound, whose collapsed closed form (latent factor at its optimum) is
+H stacks the features at the dimension's event columns, then at its
+compensator columns; u = E[w] is the tilted Polya-Gamma mean at tilt
+c = sqrt(E[lam~^2]); s is +1/2 at events and -1/2 elsewhere; and rho is the
+multiplicity m of an event column and w Lam at a compensator column of
+weight w, where Lam = theta exp(-E[lam~]/2) / (2 cosh(c/2)) is the
+latent-event rate.  Iterating the two factor updates is coordinate ascent on
+the evidence lower bound, whose collapsed closed form (latent factor at its
+optimum) is
 
     ELBO = d/2 + log|Sigma~|/2 - tr(Sigma^{-1} Sigma~)/2
            - (mu~ - mu)' Sigma^{-1} (mu~ - mu)/2 - log|Sigma|/2
@@ -26,6 +27,14 @@ bound, whose collapsed closed form (latent factor at its optimum) is
 
 up to a constant that does not depend on the model, so the same convention
 serves model comparison.
+
+The features are constant between the breakpoints T_i + jA/J of the
+sub-model's sources, so the event sum runs over the distinct event columns,
+each m times, and the integral is exactly a sum over the distinct segment
+columns, each weighted by its summed width w_c.  A sub-model integrates so
+when its distinct segment columns are fewer than the quadrature nodes; else
+the compensator columns are the nodes t_j, of weights v_j, and each own
+event is a column of its own.
 """
 
 import math
@@ -36,7 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hawkes_vb import _blas
-from hawkes_vb.core import SIGMOID, HistogramBasis, check_points, feature_matrix
+from hawkes_vb.core import (SIGMOID, HistogramBasis, check_points, distinct_columns,
+                            feature_matrix, segment_points, segment_widths, summed_bins)
 from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
 from hawkes_vb.pg import pg_mean
 
@@ -186,12 +196,15 @@ def conjugate_update(feats, marks, is_event, alpha, eta, prior, weights=1.0):
         P = Sigma^{-1} + alpha^2 H diag(rho u) H',
         mean = P^{-1} ( H [rho (alpha s + alpha^2 eta u)] + Sigma^{-1} mu ).
 
-    A right-hand side that is not finite is a NumericalError.
+    The Gram is formed as S S' with S = H diag(sqrt(rho u)), a symmetric
+    product that takes half the flops.  A right-hand side that is not finite
+    is a NumericalError.
     """
     from scipy.linalg import cho_solve
 
     prior_prec, prior_prec_mean, _ = prior.factors()
-    prec = prior_prec + alpha**2 * (feats * (weights * marks)) @ feats.T
+    scaled = feats * np.sqrt(weights * marks)
+    prec = prior_prec + alpha**2 * (scaled @ scaled.T)
     s = np.where(is_event, 0.5, -0.5)
     rhs = feats @ (weights * (alpha * s + alpha**2 * eta * marks)) + prior_prec_mean
     if not np.all(np.isfinite(rhs)):
@@ -201,13 +214,21 @@ def conjugate_update(feats, marks, is_event, alpha, eta, prior, weights=1.0):
 
 
 class _DimensionProblem:
-    """Per-dimension sufficient statistics shared by the CAVI iterations."""
+    """One dimension's CAVI problem: feature columns with per-column weights.
 
-    def __init__(self, feats, n_events, quad_weights, link, prior, horizon_T):
-        self.feats = feats              # (d, N_k + n_q): own events, then nodes
-        self.n_events = n_events        # N_k
-        self.is_event = np.arange(feats.shape[1]) < n_events
-        self.v = quad_weights           # (n_q,)
+    The first ``n_events`` columns of ``feats`` are events, each counted
+    ``mult`` times: once at an own event, its multiplicity at a distinct
+    event column.  The rest are compensator columns of weights ``weights``:
+    the quadrature weights v_j at the nodes, or the summed widths w_c of the
+    distinct segment columns.
+    """
+
+    def __init__(self, feats, n_events, weights, link, prior, horizon_T, mult=1.0):
+        self.feats = feats              # (d, events + compensator columns)
+        self.n_events = n_events
+        self.mult = np.broadcast_to(np.asarray(mult, dtype=np.float64), (n_events,))
+        self.is_event = np.arange(feats.shape[1]) < self.n_events
+        self.weights = weights
         self.link = link
         self.prior = prior
         self.horizon_T = horizon_T
@@ -220,20 +241,22 @@ class _DimensionProblem:
         return np.exp(log_rate)
 
     def moments(self, mean, cov):
-        """(c, m) at every column: c = sqrt(E[lam~^2]) and m = E[lam~]."""
+        """(c, m, rate): c = sqrt(E[lam~^2]) and m = E[lam~] at every column,
+        and the latent rate Lam at the compensator columns."""
         alpha, eta = self.link.alpha, self.link.eta
         proj = self.feats.T @ mean - eta
         quad = np.einsum("ij,ij->j", self.feats, cov @ self.feats)
         quad = np.maximum(quad, 0.0)
-        return alpha * np.sqrt(quad + proj ** 2), alpha * proj
+        c, m = alpha * np.sqrt(quad + proj ** 2), alpha * proj
+        n = self.n_events
+        return c, m, self.latent_rate(c[n:], m[n:])
 
     def update(self, mom):
         """Next (mean, cov) from the moments of the current factor."""
         from scipy.linalg import cho_solve
 
-        c, m = mom
-        n = self.n_events
-        weights = np.concatenate([np.ones(n), self.v * self.latent_rate(c[n:], m[n:])])
+        c, _, rate = mom
+        weights = np.concatenate([self.mult, self.weights * rate])
         new_mean, cf = conjugate_update(self.feats, pg_mean(c), self.is_event,
                                         self.link.alpha, self.link.eta, self.prior,
                                         weights)
@@ -250,14 +273,14 @@ class _DimensionProblem:
         val = 0.5 * d + 0.5 * logdet_cov - 0.5 * float(np.sum(self.prior_prec * cov))
         val -= 0.5 * float(diff @ self.prior_prec @ diff)
         val -= 0.5 * self.prior_logdet
-        c, m = mom
+        c, m, rate = mom
         n = self.n_events
         c_e, m_e = c[:n], m[:n]
         # log theta - log 2 + m/2 - log cosh(c/2), with the stable
         # log(2 cosh(c/2)) = c/2 + log1p(exp(-c))
-        val += float(np.sum(math.log(link.theta) + 0.5 * m_e
-                            - (0.5 * c_e + np.log1p(np.exp(-c_e)))))
-        val += float(self.v @ self.latent_rate(c[n:], m[n:]))
+        val += float(self.mult @ (math.log(link.theta) + 0.5 * m_e
+                                  - (0.5 * c_e + np.log1p(np.exp(-c_e)))))
+        val += float(self.weights @ rate)
         val -= link.theta * self.horizon_T
         return val
 
@@ -337,32 +360,111 @@ class FeatureCache:
                                     range(events.dims_K), points)  # (1 + K bins, N + n_q)
         self.table.setflags(write=False)
 
+    def _counts(self, submodel, cols):
+        """Counts of ``submodel`` at the table's columns ``cols``, summed to its size.
+
+        ``bins`` must be a multiple of the sub-model's size, which
+        ``fit_candidates`` checks.
+        """
+        rows = [1 + l * self.bins + b for l in submodel.active_sources
+                for b in range(self.bins)]
+        return summed_bins(self.table[rows, cols], self.bins // submodel.num_bins)
+
+    def event_counts(self, submodel, k):
+        """Counts of ``submodel`` at the own events of receiving dimension k."""
+        return self._counts(submodel, slice(self._starts[k], self._starts[k + 1]))
+
     def stack(self, submodel, k):
         """(features, N_k) of ``submodel`` for receiving dimension k.
 
         The features are one (d, N_k + n_q) matrix: a column per own event of
-        dimension k, then a column per quadrature node.  ``bins`` must be a
-        multiple of the sub-model's size, which ``fit_candidates`` checks.
+        dimension k, then a column per quadrature node.
         """
-        j = submodel.num_bins
-        group = self.bins // j  # fine bins per bin of the sub-model
-        rows = [1 + l * self.bins + b for l in submodel.active_sources
-                for b in range(self.bins)]
-        start, n = self._starts[k], self._starts[k + 1] - self._starts[k]
-        basis = HistogramBasis(self.memory_A, j)
-        # an unsigned type that holds the sum of ``group`` counts
-        wide = np.min_scalar_type(group * np.iinfo(self.table.dtype).max)
-        d = submodel.param_dim
-        feats = np.empty((d, n + self.quad.n_gq))
-        # two row gathers into one buffer: several times faster than np.ix_
-        for cols, dest in ((slice(start, start + n), feats[:, :n]),
-                           (slice(self._starts[-1], None), feats[:, n:])):
-            fine = self.table[rows, cols].reshape(d - 1, group, dest.shape[1])
-            counts = np.empty(dest.shape, dtype=wide)
-            counts[0] = 1
-            np.add.reduce(fine, axis=1, out=counts[1:])
-            basis.features(counts, out=dest)
+        n = self._starts[k + 1] - self._starts[k]
+        basis = HistogramBasis(self.memory_A, submodel.num_bins)
+        feats = np.empty((submodel.param_dim, n + self.quad.n_gq))
+        basis.features(self.event_counts(submodel, k), out=feats[:, :n])
+        basis.features(self._counts(submodel, slice(self._starts[-1], None)),
+                       out=feats[:, n:])
         return feats, n
+
+
+def _column_segments(cache, column, depths):
+    """The distinct segment columns and widths of ``column`` at ``depths``.
+
+    Returns ``{depth: (columns, widths)}`` for the depths whose distinct
+    segment columns are fewer than the quadrature nodes; the others keep the
+    nodes.  Depth 0 decides first: each of its segments splits into finer
+    ones, so no finer depth has fewer distinct columns, and a column that
+    fails at depth 0 counts no finer table.  Depth 0 is counted for the
+    decision only when it has no fewer segments than there are nodes.  The
+    finest depth is then counted once, on its segments, and reduced to its
+    distinct columns; every depth sums their bins (``core.summed_bins``),
+    which is exact because every size is a power of two, and takes the
+    widths of the finer segments (``core.segment_widths``), which are those
+    of a table counted on the depth's own segments.
+    """
+    sources = [l for l, flag in enumerate(column) if flag]
+    n_nodes = cache.quad.n_gq
+
+    def distinct(depth):
+        basis = HistogramBasis(cache.memory_A, 2 ** depth)
+        pts = segment_points(cache.events, basis, sources)
+        counts = feature_matrix(cache.events, basis, sources, 0.5 * (pts[:-1] + pts[1:]))
+        return (pts,) + distinct_columns(counts)
+
+    finest = max(depths)
+    if finest > 0:
+        pts = segment_points(cache.events, HistogramBasis(cache.memory_A, 1), sources)
+        if pts.size - 1 >= n_nodes and distinct(0)[1].shape[1] >= n_nodes:
+            return {}
+    pts, cols, inverse = distinct(finest)
+    tables = {}
+    for depth in depths:
+        coarse, to_coarse = distinct_columns(summed_bins(cols[1:], 2 ** (finest - depth)))
+        if coarse.shape[1] < n_nodes:
+            tables[depth] = (coarse, segment_widths(to_coarse[inverse], pts, coarse.shape[1]))
+    return tables
+
+
+def _segment_tables(tasks, cache):
+    """The exact tables of the tasks that integrate on segments.
+
+    Returns ``{(k, submodel): (event_columns, multiplicities,
+    segment_columns, widths)}``, the parts of ``core.segment_table``.  The
+    segment part is counted once per column (``_column_segments``) and shared
+    by every receiving dimension; the event part reduces dimension k's
+    own-event counts from the cache.  A task missing from the result
+    integrates on the quadrature nodes.
+    """
+    depths = {}
+    for _, submodel, _ in tasks:
+        depths.setdefault(submodel.column, set()).add(submodel.depth)
+    segments = {(column, depth): part for column, ds in depths.items()
+                for depth, part in _column_segments(cache, column, sorted(ds)).items()}
+    tables = {}
+    for k, submodel, _ in tasks:
+        part = segments.get((submodel.column, submodel.depth))
+        if part is not None and (k, submodel) not in tables:
+            events, inverse = distinct_columns(cache.event_counts(submodel, k))
+            mult = np.bincount(inverse, minlength=events.shape[1])
+            tables[(k, submodel)] = (events, mult) + part
+    return tables
+
+
+def _problem(task, table, cache, link):
+    """The ``_DimensionProblem`` of ``task``: on its exact ``table`` from
+    ``_segment_tables``, or on the quadrature nodes when ``table`` is None."""
+    k, submodel, prior = task
+    if table is None:
+        feats, n = cache.stack(submodel, k)
+        return _DimensionProblem(feats, n, cache.quad.weights, link, prior,
+                                 cache.events.horizon_T)
+    events, mult, segments, widths = table
+    basis = HistogramBasis(cache.memory_A, submodel.num_bins)
+    feats = basis.features(np.concatenate([events, segments], axis=1))
+    return _DimensionProblem(feats, mult.size, widths, link, prior, cache.events.horizon_T,
+                             mult)
 
 
 def _checked_prior(prior, k, submodel):
@@ -415,8 +517,9 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
 
     ``cache`` is the ``FeatureCache`` of the data.  The calling thread checks
     the thread count, the link (``check_link``), every prior and that the
-    cache's bins sum to every task's size before any fit starts; the workers
-    only read.  Each depth ladder (see ``_ladders``) is one chain: its first
+    cache's bins sum to every task's size, and counts the exact segment
+    tables (``_segment_tables``), before any fit starts; the workers only
+    read.  Each depth ladder (see ``_ladders``) is one chain: its first
     fit starts at the prior mean, and each later fit at the previous fit's
     mean split onto the finer bins, which has the same kernel.  Every chain
     runs in one pool of ``threads`` workers (default: the usable cores), at
@@ -424,18 +527,14 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
     meanwhile, so ``threads`` is the whole core budget, and each chain is the
     same computation either way: results do not depend on any thread count.
     """
-    def problem(k, submodel, prior):
-        feats, n = cache.stack(submodel, k)
-        return _DimensionProblem(feats, n, cache.quad.weights, link, prior,
-                                 cache.events.horizon_T)
-
     def solve(ladder):
         posts = []
         for task in ladder:
             start = _split_mean(posts[-1].mean) if posts else None
-            # no reference outlives the fit, so its stacked features are freed
-            # before the next rung stacks its own
-            posts.append(_fit_dimension(problem(*task), max_iter, tol, start))
+            # no reference outlives the fit, so its features are freed before
+            # the next rung makes its own
+            posts.append(_fit_dimension(_problem(task, tables.get(task[:2]), cache, link),
+                                        max_iter, tol, start))
         return posts
 
     if threads is None:
@@ -448,6 +547,7 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
         if cache.bins % submodel.num_bins:
             raise ConfigError(f"the feature cache's {cache.bins} bins do not sum to "
                               f"{submodel.num_bins} bins of dimension {k}")
+    tables = _segment_tables(tasks, cache)
     ladders = _ladders(tasks)
     workers = max(1, min(threads, len(ladders)))
     with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1159,6 +1159,28 @@ class TestErrorContract:
         assert code == cli.EXIT_CONFIG
         assert error["type"] == "ConfigError" and "allowed" in error["message"]
 
+    @pytest.mark.parametrize("name, changes", [
+        ("fit_fixed", {"basis": {"D": 1}}),
+        ("fit_two_step", {"adaptive": {"D_max": 1, "threshold": "auto"}})],
+        ids=["fixed", "two_step"])
+    def test_posteriors_too_large_to_hold_are_exit_1_before_any_read(
+            self, contract_dir, tmp_path, capsys, name, changes):
+        # each prior of 2001^2 entries passes, but the fit's 1000 posterior
+        # covariances would hold 4.0e9 entries; the events file does not exist
+        code, error = self._run(contract_dir, tmp_path, capsys, name, dims_K=1000,
+                                events_csv=str(tmp_path / "missing.csv"), **changes)
+        assert code == cli.EXIT_CONFIG
+        assert error["type"] == "ConfigError"
+        assert "posterior covariance entries" in error["message"]
+
+    def test_posteriors_under_the_cap_reach_the_read(self, contract_dir, tmp_path,
+                                                     capsys):
+        # K=64 at depth 2: 64 x 257^2 = 4.2 M entries, under the cap
+        code, error = self._run(contract_dir, tmp_path, capsys, "fit_fixed", dims_K=64,
+                                basis={"D": 2}, events_csv=str(tmp_path / "missing.csv"))
+        assert code == cli.EXIT_IO
+        assert "missing.csv" in error["message"]
+
     @pytest.mark.parametrize("name", ["fit_fixed", "fit_adaptive", "fit_two_step",
                                       "fit_gibbs"])
     def test_fit_past_the_time_cap_is_exit_1_before_any_read(self, contract_dir,

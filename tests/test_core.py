@@ -56,6 +56,27 @@ def _brute_features(times, basis, t):
     return want
 
 
+def _searchsorted_feature_matrix(events, basis, sources, times):
+    """Frozen copy of ``feature_matrix`` before the merge count: each time
+    searched among each source's events, one bin edge at a time."""
+    times = np.asarray(times, dtype=np.float64)
+    j_bins = basis.num_bins_J
+    offsets = np.arange(j_bins + 1) * (basis.memory_A / j_bins)
+    out = np.ones((1 + len(sources) * j_bins, times.size), dtype=np.uint8)
+    for pos, l in enumerate(sources):
+        src = events.times[l]
+        upper = np.searchsorted(src, times - offsets[0], side="left")
+        for j in range(1, j_bins + 1):
+            lower = np.searchsorted(src, times - offsets[j], side="left")
+            counts = upper - lower
+            peak = counts.max(initial=0)
+            if peak > np.iinfo(out.dtype).max:
+                out = out.astype(np.min_scalar_type(peak))
+            out[pos * j_bins + j] = counts
+            upper = lower
+    return out
+
+
 def _features(events, basis, l, t):
     """Features of the single source l at one time t."""
     return basis.features(feature_matrix(events, basis, [l], [t]))[1:, 0]
@@ -273,6 +294,79 @@ class TestSegmentTable:
     def test_empty_table(self):
         cols, inverse = distinct_columns(np.ones((5, 0), dtype=np.uint8))
         assert cols.shape == (5, 0) and inverse.shape == (0,)
+
+    @pytest.mark.parametrize("rows, top, dtype", [(5, 6, np.uint8), (5, 300, np.uint16),
+                                                  (20, 200, np.uint8)],
+                             ids=["packed", "packed_uint16", "byte_record"])
+    def test_columns_come_in_the_order_of_their_bytes(self, rows, top, dtype):
+        # keys packed into 64 bits, and the byte-record keys of a table whose
+        # varying bytes need more, both order columns as their bytes do
+        rng = np.random.default_rng(rows)
+        counts = rng.integers(0, top, size=(rows, 4000)).astype(dtype)
+        counts[0] = 1
+        counts[:, 2000:] = counts[:, :2000]  # every column twice
+        cols, inverse = distinct_columns(counts)
+        table = np.ascontiguousarray(counts.T)
+        records = table.view(np.dtype((np.void, table.shape[1] * table.itemsize))).ravel()
+        _, first = np.unique(records, return_index=True)
+        np.testing.assert_array_equal(cols, counts[:, first])
+        np.testing.assert_array_equal(cols[:, inverse], counts)
+
+    def test_adjacent_segments_of_one_column_merge_into_one_run(self):
+        pts = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
+        widths = core.segment_widths(np.array([0, 0, 1, 0]), pts, 2)
+        assert widths.tolist() == [(0.3 - 0.0) + (1.0 - 0.6), 0.6 - 0.3]
+
+
+class TestMergeCount:
+    """``feature_matrix`` against its frozen searchsorted copy: values and dtype."""
+
+    @staticmethod
+    def _check(events, basis, sources, times):
+        got = feature_matrix(events, basis, sources, times)
+        want = _searchsorted_feature_matrix(events, basis, sources, times)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("j_bins", [1, 2, 4, 8])
+    def test_unsorted_sorted_and_repeated_points(self, j_bins):
+        rng = np.random.default_rng(10)
+        ev = TestSegmentTable._two_dims(10, n=120)
+        times = rng.uniform(0.0, 2.0, size=300)
+        times = np.concatenate([times, times[:50], times[:7]])
+        rng.shuffle(times)
+        self._check(ev, HistogramBasis(A, j_bins), [0, 1], times)
+        self._check(ev, HistogramBasis(A, j_bins), [0, 1], np.sort(times))  # no scatter
+
+    @pytest.mark.parametrize("memory", [0.5, A])
+    def test_points_on_the_bin_edges(self, memory):
+        # every s + jA/J, the edges where a lag leaves one bin for the next
+        ev = TestSegmentTable._two_dims(11, n=30)
+        basis = HistogramBasis(memory, 4)
+        src = np.concatenate(ev.times)
+        edges = (src[:, None] + np.arange(5) * basis.bin_width).ravel()
+        counts = self._check(ev, basis, [1, 0], edges)
+        assert counts[1:].any()
+
+    def test_points_before_the_first_event_and_after_the_last(self):
+        ev = _events([0.3, 0.32, 0.35, 0.6], 1.0)
+        times = np.array([-1.0, 0.0, 0.3, 0.95, 1.0, 5.0, -0.2])
+        counts = self._check(ev, HistogramBasis(A, 2), [0], times)
+        np.testing.assert_array_equal(counts[1:, [0, 1, 3, 4, 5, 6]], 0)
+
+    def test_empty_source(self):
+        ev = _events([0.2, 0.4], 1.0, dims=2, dim_of=[0, 0])
+        counts = self._check(ev, HistogramBasis(A, 4), [1, 0, 1], [0.25, 0.1, 0.45])
+        assert counts.shape == (13, 3) and not counts[1:5].any()
+
+    @pytest.mark.parametrize("burst, dtype", [(255, np.uint8), (256, np.uint16),
+                                              (70_000, np.uint32)])
+    def test_a_bin_past_255_events_widens_the_type(self, burst, dtype):
+        times = np.concatenate([[0.1], 0.452 + np.arange(burst) * (0.02 / burst)])
+        ev = _events(times, 1.0, dims=2, dim_of=[0] + [1] * burst)
+        counts = self._check(ev, HistogramBasis(A, 4), [0, 1], [0.5, 0.3, 0.5, 0.9])
+        assert counts.dtype == dtype and counts[6, 0] == burst
 
 
 class TestIntensity:

@@ -36,6 +36,24 @@ def _float_features(events, basis, sources, times):
     return np.array(rows)
 
 
+def _per_segment_problem(events, k, submodel, prior):
+    """Reference exact problem with no deduplication: a column per own event
+    of dimension k and per segment between breakpoints, of its width."""
+    basis = HistogramBasis(fx.MEMORY_A, submodel.num_bins)
+    pts = core.segment_points(events, basis, submodel.active_sources)
+    own = events.times[k][events.times[k] >= 0.0]
+    times = np.concatenate([own, 0.5 * (pts[:-1] + pts[1:])])
+    feats = _float_features(events, basis, submodel.active_sources, times)
+    return _DimensionProblem(feats, own.size, np.diff(pts), LINK, prior, events.horizon_T)
+
+
+def _fit_problem(task, tasks, cache):
+    """The problem ``fit_candidates`` fits for ``task`` among ``tasks``."""
+    k, submodel, _ = task
+    return vi._problem(task, vi._segment_tables(tasks, cache).get((k, submodel)), cache,
+                       LINK)
+
+
 def _count_tables(monkeypatch):
     """The list that every later ``vi.feature_matrix`` call appends its arguments to."""
     calls, build = [], vi.feature_matrix
@@ -160,18 +178,22 @@ class TestCaviFixedModel:
     def test_quadrature_doubling_stability(self):
         # the piecewise-constant integrand limits the composite rule to
         # first-order convergence, so the 1e-4 doubling criterion is
-        # checked past the knee (panel width well under one bin)
+        # checked past the knee (panel width well under one bin); the fits
+        # run on the nodes, which ``fit_candidates`` would replace by the
+        # fewer segment columns, and the exact fit meets the same criterion
         ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
                                 horizon_T=50.0, seed=6))
+        task = (0, _model(1, 4).submodel(0), GaussianPrior.isotropic(5, 5.0))
         out = []
         for n in (40_000, 80_000):
-            posts = cavi_fixed_model(ev, _model(1, 4), LINK,
-                                     [GaussianPrior.isotropic(5, 5.0)],
-                                     QuadratureGrid.build(50.0, n), tol=1e-10,
-                                     max_iter=300)
-            out.append(posts[0].mean)
-        rel = np.max(np.abs(out[1] - out[0])) / np.max(np.abs(out[0]))
-        assert rel < 1e-4
+            cache = FeatureCache(ev, QuadratureGrid.build(50.0, n), fx.MEMORY_A, [4])
+            out.append(vi._fit_dimension(vi._problem(task, None, cache, LINK), 300,
+                                         1e-10).mean)
+        exact = cavi_fixed_model(ev, _model(1, 4), LINK, [task[2]],
+                                 QuadratureGrid.default(50.0, fx.MEMORY_A), tol=1e-10,
+                                 max_iter=300)[0].mean
+        for mean in (out[0], exact):
+            assert np.max(np.abs(out[1] - mean)) / np.max(np.abs(out[1])) < 1e-4
 
     def test_threaded_equals_serial(self):
         truth = fx.sparse_truth(2)
@@ -198,23 +220,30 @@ class TestCaviFixedModel:
                              QuadratureGrid.default(2.0, fx.MEMORY_A), max_iter=5)
 
     def test_dimension_without_events_matches_pinned_fit(self):
-        # dimension 1 has no events of its own: its event features are (3, 0)
+        # dimension 1 has no events of its own: it has no event columns, and
+        # two segment columns (no event of dimension 0 within A, or one), of
+        # widths 1.6 and 0.4
         ev = EventData(dims_K=2, horizon_T=2.0,
                        times=(np.array([0.31, 0.55, 1.2, 1.6]), np.array([])))
-        post = cavi_fixed_model(ev, _model(2, 1), LINK,
-                                [GaussianPrior.isotropic(3, 5.0)] * 2,
+        prior = GaussianPrior.isotropic(3, 5.0)
+        post = cavi_fixed_model(ev, _model(2, 1), LINK, [prior] * 2,
                                 QuadratureGrid.default(2.0, fx.MEMORY_A),
                                 max_iter=4, tol=1e-14)[1]
+        ref = vi._fit_dimension(_per_segment_problem(ev, 1, _model(2, 1).submodel(1), prior),
+                                4, 1e-14)
+        np.testing.assert_allclose(post.mean, ref.mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(post.cov, ref.cov, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(post.elbo_trace, ref.elbo_trace, rtol=1e-10)
         np.testing.assert_allclose(
-            post.mean, [-5.453065794978313, -0.37933263992636096, 0.0],
+            post.mean, [-5.446365648148267, -0.3778740881790285, 0.0],
             rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(post.cov.ravel(), [
-            4.51031615369481, -0.4462284674600765, 0.0,
-            -0.4462284674600765, 0.31037886809245246, 0.0,
+            4.524357423054798, -0.44770265526247094, 0.0,
+            -0.44770265526247094, 0.30583556931870676, 0.0,
             0.0, 0.0, 25.0], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(post.elbo_trace, [
-            -17.09071034781173, -6.322203060338609, -5.676664429743951,
-            -5.409788479271114, -5.275741890964888], rtol=1e-12, atol=1e-12)
+            -17.090815769019123, -6.328469035613907, -5.682723435935486,
+            -5.415466686491953, -5.2810168346887565], rtol=1e-12, atol=1e-12)
 
 
 class TestFeatureCache:
@@ -332,8 +361,12 @@ class TestFeatureCache:
         monkeypatch.setattr(cache, "stack", recording)
         posts = fit_candidates(tasks, cache, LINK, 3, 1e-3, threads=4)
         assert len(posts) == len(tasks)
-        # fit_candidates counts no table: the workers only fit
-        assert [entry[0] for entry in log] == ["fit"] * len(tasks)
+        # the set-up counts each column once, at depth 0, in the calling
+        # thread: both have more segments than the 30 nodes, and more distinct
+        # columns too, so every depth keeps the nodes; the workers only fit
+        counted = [entry[:4] for entry in log if entry[0] == "table"]
+        assert counted == [("table", caller, (0, 1, 2), 1), ("table", caller, (1, 2), 1)]
+        assert [entry[0] for entry in log[len(counted):]] == ["fit"] * len(tasks)
         assert stacked.keys() == expected.keys()
         for job, (feats, n) in stacked.items():
             ref_feats, ref_n = expected[job]
@@ -364,6 +397,95 @@ class TestFeatureCache:
             fit_candidates(tasks, cache, LINK, 5, 1e-3, threads=1)
 
 
+class TestExactIntegration:
+    """Sub-models on their distinct segment columns instead of the nodes."""
+
+    @staticmethod
+    def _data(seed=3, horizon=20.0):
+        return simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=horizon,
+                                  seed=seed))
+
+    def test_elbo_and_update_equal_the_per_segment_problem(self):
+        ev = self._data()
+        cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A, [2])
+        for k, column in ((0, (1, 0)), (1, (1, 1))):
+            sm = SubModel(column=column, depth=1)
+            task = (k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0))
+            exact = _fit_problem(task, [task], cache)
+            ref = _per_segment_problem(ev, k, sm, task[2])
+            # distinct columns: fewer than the segments and the events
+            assert exact.feats.shape[1] < ref.feats.shape[1] / 4
+            mean = np.random.default_rng(k).normal(size=sm.param_dim)
+            mean[0] += 3.0
+            cov = 0.02 * np.eye(sm.param_dim) + 0.005
+            want = ref.elbo(mean, cov, ref.moments(mean, cov))
+            got = exact.elbo(mean, cov, exact.moments(mean, cov))
+            assert abs(got - want) <= 1e-10 * abs(want)
+            for a, b in zip(exact.update(exact.moments(mean, cov)),
+                            ref.update(ref.moments(mean, cov))):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    def test_exact_fit_is_closer_to_a_fine_quadrature_than_five_nodes_per_memory(self):
+        ev = self._data(seed=5, horizon=30.0)
+        model = Model(graph_delta=fx.sparse_truth(2).graph(), bins_J=(2, 2),
+                      memory_A=fx.MEMORY_A)
+        priors = [GaussianPrior.isotropic(model.submodel(k).param_dim, 5.0)
+                  for k in range(2)]
+        quad = QuadratureGrid.default(30.0, fx.MEMORY_A)
+        exact = cavi_fixed_model(ev, model, LINK, priors, quad, tol=1e-10, max_iter=300)
+        fine = FeatureCache(ev, QuadratureGrid.build(30.0, 200 * 300), fx.MEMORY_A, [2])
+        coarse = FeatureCache(ev, quad, fx.MEMORY_A, [2])
+        for k in range(2):
+            task = (k, model.submodel(k), priors[k])
+            ref, five = (vi._fit_dimension(vi._problem(task, None, cache, LINK), 300, 1e-10)
+                         for cache in (fine, coarse))
+            assert abs(exact[k].elbo - ref.elbo) < abs(five.elbo - ref.elbo)
+            assert (np.max(np.abs(exact[k].mean - ref.mean))
+                    < np.max(np.abs(five.mean - ref.mean)))
+
+    @pytest.mark.parametrize("column", [(1, 0), (1, 1)])
+    def test_rungs_summed_from_the_finest_table_equal_tables_counted_directly(self, column):
+        cache = FeatureCache(self._data(), QuadratureGrid.default(20.0, fx.MEMORY_A),
+                             fx.MEMORY_A, [4])
+        ladder = vi._column_segments(cache, column, [0, 1, 2])
+        assert sorted(ladder) == [0, 1, 2]
+        for depth, (cols, widths) in ladder.items():
+            direct_cols, direct_widths = vi._column_segments(cache, column, [depth])[depth]
+            np.testing.assert_array_equal(cols, direct_cols)  # values, in the same order
+            np.testing.assert_array_equal(widths.view(np.uint64),
+                                          direct_widths.view(np.uint64))
+
+    def test_widths_sum_to_the_horizon_and_multiplicities_to_the_events(self):
+        ev = self._data()
+        cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A, [4])
+        tasks = [(k, sm, None) for k in range(2) for sm in enumerate_submodels(2, 2)]
+        tables = vi._segment_tables(tasks, cache)
+        assert len(tables) == len(tasks)
+        for (k, sm), (events, mult, segments, widths) in tables.items():
+            assert events.shape[0] == segments.shape[0] == sm.param_dim
+            assert mult.sum() == np.count_nonzero(ev.times[k] >= 0.0)
+            assert np.all(mult > 0) and np.all(widths > 0.0)
+            assert widths.sum() == pytest.approx(20.0, rel=1e-12)
+
+    def test_column_not_fewer_than_the_nodes_at_depth_0_keeps_them_everywhere(self,
+                                                                             monkeypatch):
+        ev = self._data()
+        cache = FeatureCache(ev, QuadratureGrid.build(20.0, 20), fx.MEMORY_A, [4])
+        tables = _count_tables(monkeypatch)
+        sm = [SubModel(column=(1, 1), depth=d) for d in range(3)]
+        tasks = [(k, s, GaussianPrior.isotropic(s.param_dim, 5.0)) for k in range(2)
+                 for s in sm]
+        assert vi._segment_tables(tasks, cache) == {}
+        # one table, at depth 0 (J = 1), shared by both dimensions
+        assert [(tuple(sources), basis.num_bins_J) for _, basis, sources, _ in tables] == [
+            ((0, 1), 1)]
+        # each ladder's first rung, which starts cold, is the fit on the nodes
+        posts = fit_candidates(tasks, cache, LINK, 5, 1e-3, threads=1)
+        for task, post in zip(tasks[::3], posts[::3]):
+            cold = vi._fit_dimension(vi._problem(task, None, cache, LINK), 5, 1e-3)
+            assert post.elbo_trace == cold.elbo_trace
+
+
 class TestDepthLadder:
     def _cache(self):
         ev = simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=20.0,
@@ -371,11 +493,6 @@ class TestDepthLadder:
         cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A,
                              [1, 2, 4, 8])
         return cache
-
-    def _problem(self, cache, submodel, k, prior):
-        feats, n = cache.stack(submodel, k)
-        return _DimensionProblem(feats, n, cache.quad.weights, LINK, prior,
-                                 cache.events.horizon_T)
 
     def _blocks(self, cache, submodel, k):
         """(event features, quadrature features) of the stacked matrix."""
@@ -410,9 +527,9 @@ class TestDepthLadder:
         cache = self._cache()
         subs = [SubModel(column=(1, 1), depth=d) for d in range(2)]
         priors = [GaussianPrior.isotropic(sm.param_dim, 5.0) for sm in subs]
-        coarse, fine = fit_candidates([(0, sm, p) for sm, p in zip(subs, priors)], cache,
-                                      LINK, 100, 1e-4, threads=1)
-        problem = self._problem(cache, subs[1], 0, priors[1])
+        tasks = [(0, sm, p) for sm, p in zip(subs, priors)]
+        coarse, fine = fit_candidates(tasks, cache, LINK, 100, 1e-4, threads=1)
+        problem = _fit_problem(tasks[1], tasks, cache)
         start = vi._split_mean(coarse.mean)
         cov = priors[1].cov * vi._INIT_COV_SCALE
         assert fine.elbo_trace[0] == problem.elbo(start, cov, problem.moments(start, cov))
@@ -429,10 +546,10 @@ class TestDepthLadder:
                              [1])
         sm = SubModel(column=(1, 1), depth=0)
         prior = GaussianPrior.isotropic(3, 5.0)
-        posts = fit_candidates([(0, sm, prior), (1, sm, prior)], cache, LINK, 4,
-                               1e-14, threads=2)
-        for k, post in enumerate(posts):
-            cold = vi._fit_dimension(self._problem(cache, sm, k, prior), 4, 1e-14)
+        tasks = [(0, sm, prior), (1, sm, prior)]
+        posts = fit_candidates(tasks, cache, LINK, 4, 1e-14, threads=2)
+        for task, post in zip(tasks, posts):
+            cold = vi._fit_dimension(_fit_problem(task, tasks, cache), 4, 1e-14)
             np.testing.assert_array_equal(post.mean, cold.mean)
             np.testing.assert_array_equal(post.cov, cold.cov)
             assert post.elbo_trace == cold.elbo_trace
@@ -479,9 +596,9 @@ class TestSharedUpdate:
 
         alpha, eta, v = LINK.alpha, LINK.eta, quad.weights
         e, q = feats[:, :n], feats[:, n:]
-        c, m = mom
+        c, m, rate_q = mom
         w_e, w_q = pg_mean(c[:n]), pg_mean(c[n:])
-        rate_q = problem.latent_rate(c[n:], m[n:])
+        np.testing.assert_array_equal(rate_q, problem.latent_rate(c[n:], m[n:]))
         prior_prec = np.linalg.inv(prior.cov)
         prec = (prior_prec + alpha**2 * (e * w_e) @ e.T
                 + alpha**2 * (q * (v * w_q * rate_q)) @ q.T)
