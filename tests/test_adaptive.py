@@ -301,6 +301,24 @@ class TestTwoStep:
         edges = truth.graph().astype(bool)
         assert s[edges].min() > res.graph.threshold > s[~edges].max()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_node_density_keeps_the_graph_of_a_fine_grid(self, seed):
+        # at 2.5 nodes per memory length the complete column integrates on the
+        # nodes at depth 1; 20 per memory length is a reference.  Measured:
+        # step 1's norms differ by at most 0.021 over these seeds (partly as
+        # dimensions select another depth), against a smallest threshold
+        # margin of 0.120, so 0.04 leaves room on both sides
+        ev = simulate(SimConfig(params=fx.sparse_truth(4), link=LINK, horizon_T=200.0,
+                                seed=seed))
+        default = QuadratureGrid.default(200.0, fx.MEMORY_A)
+        assert sorted(vi._column_segments(FeatureCache(ev, default, fx.MEMORY_A, [2]),
+                                          (1, 1, 1, 1), [0, 1])) == [0]
+        coarse, fine = (two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-4),
+                                 memory_A=fx.MEMORY_A, quad=quad).graph
+                        for quad in (default, QuadratureGrid.build(200.0, 40000)))
+        np.testing.assert_array_equal(coarse.delta_hat, fine.delta_hat)
+        np.testing.assert_allclose(coarse.s_hat, fine.s_hat, rtol=0, atol=0.04)
+
     def test_numeric_threshold_is_used_as_given(self):
         truth = fx.sparse_truth(2)
         ev = simulate(SimConfig(params=truth, link=LINK, horizon_T=60.0, seed=9))

@@ -14,7 +14,7 @@ import numpy as np
 import _fixtures as fx
 from hawkes_vb import SimConfig, simulate
 from hawkes_vb import adaptive, cli, gibbs, metrics, vi
-from hawkes_vb.vi import GaussianPrior, VIConfig
+from hawkes_vb.vi import GaussianPrior, QuadratureGrid, VIConfig
 
 LINK = fx.SIM_LINK
 
@@ -48,12 +48,12 @@ def test_two_step_calls_every_traced_attribute(monkeypatch):
     _counting(monkeypatch, adaptive, "fully_adaptive", calls["fully_adaptive"])
 
     adaptive.two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-3),
-                      memory_A=fx.MEMORY_A)
+                      memory_A=fx.MEMORY_A, quad=QuadratureGrid.build(30.0, 1500))
 
     # one node table serves both steps; each step then counts one segment
     # table per column in its set-up: the complete column, then the two
-    # estimated ones (each has fewer segments at depth 0 than there are
-    # nodes, so it is counted at its finest depth only)
+    # estimated ones (each has fewer segments at depth 0 than the 1,500
+    # nodes, 5 per memory length, so it is counted at its finest depth only)
     counted = [(tuple(sources), basis.num_bins_J)
                for (_, basis, sources, _), _ in calls["feature_matrix"]]
     assert counted == [((0, 1), 2), ((0, 1), 2), ((0,), 2), ((0, 1), 2)]

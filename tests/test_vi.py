@@ -89,8 +89,12 @@ class TestQuadratureGrid:
         assert val == pytest.approx(1.0 - math.cos(10.0), rel=1e-10)
 
     def test_default_resolution_rule(self):
-        g = QuadratureGrid.default(500.0, 0.1)
-        assert g.n_gq >= 25000
+        # 2.5 nodes per memory length, in whole panels, and at least 100
+        assert QuadratureGrid.default(500.0, 0.1).n_gq == 12500
+        assert QuadratureGrid.default(41.0, 0.1).n_gq == 1030
+        assert QuadratureGrid.default(3.0, 0.1).n_gq == 100
+        with pytest.raises(ConfigError, match=r"2\.5 horizon_T / memory_A"):
+            QuadratureGrid.default(1e12, 0.1)
 
     @pytest.mark.parametrize("horizon", [1e12, 1e300])
     def test_more_nodes_than_the_cap_is_config_error(self, horizon):
@@ -431,7 +435,7 @@ class TestExactIntegration:
                       memory_A=fx.MEMORY_A)
         priors = [GaussianPrior.isotropic(model.submodel(k).param_dim, 5.0)
                   for k in range(2)]
-        quad = QuadratureGrid.default(30.0, fx.MEMORY_A)
+        quad = QuadratureGrid.build(30.0, 1500)  # 5 T/A
         exact = cavi_fixed_model(ev, model, LINK, priors, quad, tol=1e-10, max_iter=300)
         fine = FeatureCache(ev, QuadratureGrid.build(30.0, 200 * 300), fx.MEMORY_A, [2])
         coarse = FeatureCache(ev, quad, fx.MEMORY_A, [2])
@@ -445,8 +449,8 @@ class TestExactIntegration:
 
     @pytest.mark.parametrize("column", [(1, 0), (1, 1)])
     def test_rungs_summed_from_the_finest_table_equal_tables_counted_directly(self, column):
-        cache = FeatureCache(self._data(), QuadratureGrid.default(20.0, fx.MEMORY_A),
-                             fx.MEMORY_A, [4])
+        # 5 nodes per memory length, so that both columns integrate exactly
+        cache = FeatureCache(self._data(), QuadratureGrid.build(20.0, 1000), fx.MEMORY_A, [4])
         ladder = vi._column_segments(cache, column, [0, 1, 2])
         assert sorted(ladder) == [0, 1, 2]
         for depth, (cols, widths) in ladder.items():
@@ -457,7 +461,8 @@ class TestExactIntegration:
 
     def test_widths_sum_to_the_horizon_and_multiplicities_to_the_events(self):
         ev = self._data()
-        cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A, [4])
+        # 5 nodes per memory length, so that every column integrates exactly
+        cache = FeatureCache(ev, QuadratureGrid.build(20.0, 1000), fx.MEMORY_A, [4])
         tasks = [(k, sm, None) for k in range(2) for sm in enumerate_submodels(2, 2)]
         tables = vi._segment_tables(tasks, cache)
         assert len(tables) == len(tasks)
@@ -466,6 +471,29 @@ class TestExactIntegration:
             assert mult.sum() == np.count_nonzero(ev.times[k] >= 0.0)
             assert np.all(mult > 0) and np.all(widths > 0.0)
             assert widths.sum() == pytest.approx(20.0, rel=1e-12)
+
+    def test_exact_fit_is_the_same_at_either_node_density(self):
+        # the sparse column (1, 0) has 6 / 19 / 86 distinct segment columns at
+        # depths 0-2, fewer than the 500 and the 1,000 nodes of 2.5 and of 5
+        # nodes per memory length: its fits never read the nodes
+        ev = self._data()
+        caches = [FeatureCache(ev, quad, fx.MEMORY_A, [4]) for quad in
+                  (QuadratureGrid.default(20.0, fx.MEMORY_A), QuadratureGrid.build(20.0, 1000))]
+        assert [cache.quad.n_gq for cache in caches] == [500, 1000]
+        tasks = [(k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0)) for k in range(2)
+                 for sm in (SubModel(column=(1, 0), depth=d) for d in range(3))]
+        for cache in caches:
+            assert len(vi._segment_tables(tasks, cache)) == len(tasks)
+        coarse, fine = (fit_candidates(tasks, cache, LINK, 50, 1e-6, threads=1)
+                        for cache in caches)
+        for a, b in zip(coarse, fine):
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.cov, b.cov)
+            assert a.elbo_trace == b.elbo_trace
+        # on the nodes, the same fit differs between the two densities
+        on_nodes = [vi._fit_dimension(vi._problem(tasks[0], None, cache, LINK), 50, 1e-6)
+                    for cache in caches]
+        assert on_nodes[0].elbo_trace != on_nodes[1].elbo_trace
 
     def test_column_not_fewer_than_the_nodes_at_depth_0_keeps_them_everywhere(self,
                                                                              monkeypatch):
