@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hawkes_vb.core import check_points
-from hawkes_vb.errors import ConfigError, DomainError, NoGapError
-from hawkes_vb.vi import (FeatureCache, QuadratureGrid, VIConfig, check_link,
-                          fit_candidates)
+from hawkes_vb.errors import DomainError, NoGapError
+from hawkes_vb.vi import QuadratureGrid, VIConfig, check_link, fit_candidates
 
 
 @dataclass(frozen=True)
@@ -197,33 +196,27 @@ def _log_sum_exp_weights(scores):
 
 
 def fully_adaptive(events, model_set, link, prior, vi_config=VIConfig(), *,
-                   memory_A, quad=None, cache=None):
+                   memory_A, quad=None):
     """Fit every candidate sub-model of every dimension and score by ELBO.
 
     ``model_set[k]`` is the candidate list of dimension k, and ``prior(d)``
     is the Gaussian prior of every fit of d parameters, built once per d.
-    The depths of one column run as one warm-started chain (see
-    ``vi.fit_candidates``), chains run as independent tasks, and the
-    reduction is ordered, so results are reproducible.  A ``cache`` must be
-    the ``FeatureCache`` of these ``events`` at ``memory_A`` (and on ``quad``,
-    if given); any other is a ConfigError.
+    ``quad`` is the quadrature of the sub-models that do not integrate
+    exactly (default: ``QuadratureGrid.default``).  ``vi.fit_candidates``
+    counts every candidate's table, and runs the depths of one column as one
+    warm-started chain; chains run as independent tasks, and the reduction is
+    ordered, so results are reproducible.
     """
     k_dims = events.dims_K
     if len(model_set) != k_dims or any(len(s) == 0 for s in model_set):
         raise DomainError("need one non-empty candidate list per dimension")
-    if cache is not None and (cache.events is not events or cache.memory_A != memory_A
-                              or (quad is not None and quad is not cache.quad)):
-        raise ConfigError("the feature cache was built from other events, memory_A "
-                          "or quadrature")
 
     priors = {d: prior(d) for d in {sm.param_dim for subs in model_set for sm in subs}}
     tasks = [(k, sm, priors[sm.param_dim]) for k in range(k_dims) for sm in model_set[k]]
-    if cache is None:
-        check_link(link)  # before the table is counted
-        quad = QuadratureGrid.default(events.horizon_T, memory_A) if quad is None else quad
-        cache = FeatureCache(events, quad, memory_A, {sm.num_bins for _, sm, _ in tasks})
-    fits = iter(fit_candidates(tasks, cache, link, vi_config.max_iter, vi_config.tol,
-                               vi_config.threads))
+    check_link(link)  # before the quadrature is sized
+    quad = QuadratureGrid.default(events.horizon_T, memory_A) if quad is None else quad
+    fits = iter(fit_candidates(tasks, events, quad, memory_A, link, vi_config.max_iter,
+                               vi_config.tol, vi_config.threads))
 
     dim_results = []
     dim_posteriors = []
@@ -282,16 +275,16 @@ def two_step(events, link, max_depth, prior, vi_config=VIConfig(), *,
     ``prior(d)`` is the prior of a sub-model of d parameters in both steps.
     ``threshold`` is a number, or "auto" for the largest-gap rule.  ``quad``
     is the quadrature of both steps (default: ``QuadratureGrid.default``).
+    Each step counts its own tables (``vi.fit_candidates``).
     """
     k_dims = events.dims_K
-    check_link(link)  # before the table is counted
+    check_link(link)  # before the quadrature is sized
     if quad is None:
         quad = QuadratureGrid.default(events.horizon_T, memory_A)
-    cache = FeatureCache(events, quad, memory_A, [2 ** max_depth])
 
     complete = [enumerate_submodels(k_dims, max_depth, column=(1,) * k_dims)] * k_dims
     step1 = fully_adaptive(events, complete, link, prior, vi_config,
-                           memory_A=memory_A, quad=quad, cache=cache)
+                           memory_A=memory_A, quad=quad)
     s_hat = norm_matrix(step1)
     if threshold == "auto":
         values = s_hat.ravel()
@@ -306,5 +299,5 @@ def two_step(events, link, max_depth, prior, vi_config=VIConfig(), *,
                                       column=tuple(delta_hat[:, k]))
                   for k in range(k_dims)]
     step2 = fully_adaptive(events, restricted, link, prior, vi_config,
-                           memory_A=memory_A, quad=quad, cache=cache)
+                           memory_A=memory_A, quad=quad)
     return TwoStepResult(step1=step1, graph=graph, step2=step2)

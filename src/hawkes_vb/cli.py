@@ -564,7 +564,11 @@ def cmd_eval(cfg):
     truth = _truth_from(cfg)
     k_dims = cfg["dims_K"]
     try:
-        delta_hat = np.asarray(result["delta_hat"], dtype=np.int8)
+        delta_hat = result["delta_hat"]
+        # 0 or 1 only: a bool is not a number (the rule of _TYPES)
+        if any(type(v) is not int or v not in (0, 1) for row in delta_hat for v in row):
+            raise DataError("delta_hat entries must be 0 or 1")
+        delta_hat = np.asarray(delta_hat, dtype=np.int8)
         bins = result["bins_J"]
         dims = result["dimensions"]
         memory_A = float(result.get("memory_A", cfg["memory_A"]))
@@ -581,7 +585,7 @@ def cmd_eval(cfg):
                                 f"square covariance of its size")
             column = tuple(dd.get("column", delta_hat[:, k].tolist()))
             j = dd.get("bins_J", bins[k])
-            if not isinstance(j, int) or j < 1 or j & (j - 1):
+            if type(j) is not int or j < 1 or j & (j - 1):
                 raise DataError(f"bins_J {j} of dimension {k} is not a power of two")
             sm = adaptive.SubModel(column=column, depth=j.bit_length() - 1)
             if len(column) != k_dims or mean.size != sm.param_dim:

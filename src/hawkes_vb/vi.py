@@ -35,7 +35,9 @@ columns, each weighted by its summed width w_c.  A sub-model integrates so
 when its distinct segment columns are fewer than the quadrature nodes
 (``QuadratureGrid.default``: about 2.5 per memory length A); else the
 compensator columns are the nodes t_j, of weights v_j, and each own event is
-a column of its own.
+a column of its own.  A fit counts each column once, at its receivers' events
+and then its segments or the nodes, and every depth sums that table's bins
+(``_task_tables``).
 """
 
 import math
@@ -340,137 +342,89 @@ def _fit_dimension(problem, max_iter, tol, start=None):
                              elbo_trace=tuple(trace))
 
 
-class FeatureCache:
-    """Histogram features of the data at memory length ``memory_A``, shared by
-    every sub-model and dimension of a fit.
+def _task_tables(tasks, events, quad, memory_A):
+    """The count table of every task ``(k, submodel, prior)``.
 
-    One table of event counts (``core.feature_matrix``) holds every source's
-    rows at every point: each dimension's own events (t >= 0), in dimension
-    order, then the quadrature nodes.  It is counted once, at construction,
-    at ``bins``, the largest of ``sizes``; a coarser size J sums adjacent fine
-    bins, which is exact because every size is a power of two, so the bin
-    edges jA/J of J are edges of the finer table.  The table is read-only, so
-    workers share the cache without a lock.
+    Returns ``{(k, submodel): (event_counts, multiplicities,
+    compensator_counts, weights)}``.  Each column is counted once
+    (``feature_matrix``), at its finest depth: at the own events of every
+    dimension that receives it, in dimension order, then at the midpoints of
+    its segments, or at the quadrature nodes.  A depth integrates on its
+    distinct segment columns, of summed widths (``core.segment_widths``),
+    when they are fewer than the nodes; its counts, event columns with their
+    multiplicities and segment columns, sum the bins of that table
+    (``core.summed_bins``), which is exact because every size is a power of
+    two.  Otherwise the task gets the table's counts at its own events, each
+    of multiplicity 1, and at the nodes, of weights ``quad.weights``, and
+    ``_problem`` sums them to its depth.  Depth 0 decides first: each of its
+    segments splits into finer ones, so no finer depth has fewer distinct
+    columns, and a column not exact at depth 0 is counted on the nodes.
+    Depth 0 is counted for that decision only when it has no fewer segments
+    than there are nodes.  A column exact at depth 0 but not at a finer depth
+    counts its nodes once, for the finer depths.  The counts are read-only,
+    so workers share them without a lock.
     """
-
-    def __init__(self, events, quad, memory_A, sizes):
-        self.events = events
-        self.quad = quad
-        self.memory_A = memory_A
-        self.bins = max(sizes)
-        own = [t[t >= 0.0] for t in events.times]
-        # dimension k's own events are columns _starts[k]:_starts[k + 1]
-        self._starts = np.cumsum([0] + [t.size for t in own]).tolist()
-        points = np.concatenate(own + [quad.points])
-        self.table = feature_matrix(events, HistogramBasis(memory_A, self.bins),
-                                    range(events.dims_K), points)  # (1 + K bins, N + n_q)
-        self.table.setflags(write=False)
-
-    def _counts(self, submodel, cols):
-        """Counts of ``submodel`` at the table's columns ``cols``, summed to its size.
-
-        ``bins`` must be a multiple of the sub-model's size, which
-        ``fit_candidates`` checks.
-        """
-        rows = [1 + l * self.bins + b for l in submodel.active_sources
-                for b in range(self.bins)]
-        return summed_bins(self.table[rows, cols], self.bins // submodel.num_bins)
-
-    def event_counts(self, submodel, k):
-        """Counts of ``submodel`` at the own events of receiving dimension k."""
-        return self._counts(submodel, slice(self._starts[k], self._starts[k + 1]))
-
-    def stack(self, submodel, k):
-        """(features, N_k) of ``submodel`` for receiving dimension k.
-
-        The features are one (d, N_k + n_q) matrix: a column per own event of
-        dimension k, then a column per quadrature node.
-        """
-        n = self._starts[k + 1] - self._starts[k]
-        basis = HistogramBasis(self.memory_A, submodel.num_bins)
-        feats = np.empty((submodel.param_dim, n + self.quad.n_gq))
-        basis.features(self.event_counts(submodel, k), out=feats[:, :n])
-        basis.features(self._counts(submodel, slice(self._starts[-1], None)),
-                       out=feats[:, n:])
-        return feats, n
-
-
-def _column_segments(cache, column, depths):
-    """The distinct segment columns and widths of ``column`` at ``depths``.
-
-    Returns ``{depth: (columns, widths)}`` for the depths whose distinct
-    segment columns are fewer than the quadrature nodes; the others keep the
-    nodes.  Depth 0 decides first: each of its segments splits into finer
-    ones, so no finer depth has fewer distinct columns, and a column that
-    fails at depth 0 counts no finer table.  Depth 0 is counted for the
-    decision only when it has no fewer segments than there are nodes.  The
-    finest depth is then counted once, on its segments, and reduced to its
-    distinct columns; every depth sums their bins (``core.summed_bins``),
-    which is exact because every size is a power of two, and takes the
-    widths of the finer segments (``core.segment_widths``), which are those
-    of a table counted on the depth's own segments.
-    """
-    sources = [l for l, flag in enumerate(column) if flag]
-    n_nodes = cache.quad.n_gq
-
-    def distinct(depth):
-        basis = HistogramBasis(cache.memory_A, 2 ** depth)
-        pts = segment_points(cache.events, basis, sources)
-        counts = feature_matrix(cache.events, basis, sources, 0.5 * (pts[:-1] + pts[1:]))
-        return (pts,) + distinct_columns(counts)
-
-    finest = max(depths)
-    if finest > 0:
-        pts = segment_points(cache.events, HistogramBasis(cache.memory_A, 1), sources)
-        if pts.size - 1 >= n_nodes and distinct(0)[1].shape[1] >= n_nodes:
-            return {}
-    pts, cols, inverse = distinct(finest)
-    tables = {}
-    for depth in depths:
-        coarse, to_coarse = distinct_columns(summed_bins(cols[1:], 2 ** (finest - depth)))
-        if coarse.shape[1] < n_nodes:
-            tables[depth] = (coarse, segment_widths(to_coarse[inverse], pts, coarse.shape[1]))
-    return tables
-
-
-def _segment_tables(tasks, cache):
-    """The exact tables of the tasks that integrate on segments.
-
-    Returns ``{(k, submodel): (event_columns, multiplicities,
-    segment_columns, widths)}``, the parts of ``core.segment_table``.  The
-    segment part is counted once per column (``_column_segments``) and shared
-    by every receiving dimension; the event part reduces dimension k's
-    own-event counts from the cache.  A task missing from the result
-    integrates on the quadrature nodes.
-    """
-    depths = {}
-    for _, submodel, _ in tasks:
-        depths.setdefault(submodel.column, set()).add(submodel.depth)
-    segments = {(column, depth): part for column, ds in depths.items()
-                for depth, part in _column_segments(cache, column, sorted(ds)).items()}
-    tables = {}
+    n_nodes = quad.n_gq
+    wanted = {}
     for k, submodel, _ in tasks:
-        part = segments.get((submodel.column, submodel.depth))
-        if part is not None and (k, submodel) not in tables:
-            events, inverse = distinct_columns(cache.event_counts(submodel, k))
-            mult = np.bincount(inverse, minlength=events.shape[1])
-            tables[(k, submodel)] = (events, mult) + part
+        wanted.setdefault(submodel.column, set()).add((k, submodel))
+    tables = {}
+    for column, pairs in wanted.items():
+        sources = [l for l, flag in enumerate(column) if flag]
+        depths = {sm.depth for _, sm in pairs}
+        finest = max(depths)
+        basis = HistogramBasis(memory_A, 2 ** finest)
+        exact = True
+        if finest > 0:
+            coarse = HistogramBasis(memory_A, 1)
+            pts = segment_points(events, coarse, sources)
+            exact = pts.size - 1 < n_nodes or distinct_columns(feature_matrix(
+                events, coarse, sources, 0.5 * (pts[:-1] + pts[1:])))[0].shape[1] < n_nodes
+        points = quad.points
+        if exact:
+            pts = segment_points(events, basis, sources)
+            points = 0.5 * (pts[:-1] + pts[1:])
+        receivers = sorted({k for k, _ in pairs})
+        own = [events.times[k][events.times[k] >= 0.0] for k in receivers]
+        bounds = np.cumsum([0] + [t.size for t in own])
+        table = feature_matrix(events, basis, sources, np.concatenate(own + [points]))
+        table.setflags(write=False)
+        compensator = table[:, bounds[-1]:]  # at the midpoints or at the nodes
+        segments = {}  # depth: (distinct segment columns, widths), if fewer than the nodes
+        if exact:
+            cols, inverse = distinct_columns(compensator)
+            for depth in depths:
+                seg, to_seg = distinct_columns(summed_bins(cols[1:], 2 ** (finest - depth)))
+                if seg.shape[1] < n_nodes:
+                    seg.setflags(write=False)
+                    segments[depth] = seg, segment_widths(to_seg[inverse], pts, seg.shape[1])
+            if len(segments) < len(depths):
+                compensator = feature_matrix(events, basis, sources, quad.points)
+                compensator.setflags(write=False)
+        for k, submodel in pairs:
+            i = receivers.index(k)
+            counts = table[:, bounds[i]:bounds[i + 1]]
+            if submodel.depth not in segments:
+                tables[(k, submodel)] = counts, 1.0, compensator, quad.weights
+                continue
+            counts, to_event = distinct_columns(
+                summed_bins(counts[1:], 2 ** (finest - submodel.depth)))
+            counts.setflags(write=False)
+            mult = np.bincount(to_event, minlength=counts.shape[1])
+            tables[(k, submodel)] = (counts, mult) + segments[submodel.depth]
     return tables
 
 
-def _problem(task, table, cache, link):
-    """The ``_DimensionProblem`` of ``task``: on its exact ``table`` from
-    ``_segment_tables``, or on the quadrature nodes when ``table`` is None."""
-    k, submodel, prior = task
-    if table is None:
-        feats, n = cache.stack(submodel, k)
-        return _DimensionProblem(feats, n, cache.quad.weights, link, prior,
-                                 cache.events.horizon_T)
-    events, mult, segments, widths = table
-    basis = HistogramBasis(cache.memory_A, submodel.num_bins)
-    feats = basis.features(np.concatenate([events, segments], axis=1))
-    return _DimensionProblem(feats, mult.size, widths, link, prior, cache.events.horizon_T,
-                             mult)
+def _problem(task, table, memory_A, link, horizon_T):
+    """The ``_DimensionProblem`` of ``task`` on its ``table`` from ``_task_tables``:
+    the features of its event columns, then of its compensator columns."""
+    _, submodel, prior = task
+    events, mult, compensator, weights = table
+    counts = np.concatenate([events, compensator], axis=1)
+    if counts.shape[0] > submodel.param_dim:  # on the nodes, at a finer depth: sum its bins
+        counts = summed_bins(counts[1:], (counts.shape[0] - 1) // (submodel.param_dim - 1))
+    feats = HistogramBasis(memory_A, submodel.num_bins).features(counts)
+    return _DimensionProblem(feats, events.shape[1], weights, link, prior, horizon_T, mult)
 
 
 def _checked_prior(prior, k, submodel):
@@ -518,20 +472,21 @@ def _ladders(tasks):
     return ladders
 
 
-def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
+def fit_candidates(tasks, events, quad, memory_A, link, max_iter, tol, threads=None):
     """Fit every task ``(k, submodel, prior)``; posteriors come back in task order.
 
-    ``cache`` is the ``FeatureCache`` of the data.  The calling thread checks
-    the thread count, the link (``check_link``), every prior and that the
-    cache's bins sum to every task's size, and counts the exact segment
-    tables (``_segment_tables``), before any fit starts; the workers only
-    read.  Each depth ladder (see ``_ladders``) is one chain: its first
-    fit starts at the prior mean, and each later fit at the previous fit's
-    mean split onto the finer bins, which has the same kernel.  Every chain
-    runs in one pool of ``threads`` workers (default: the usable cores), at
-    least one and never more than there are chains.  BLAS runs on one thread
-    meanwhile, so ``threads`` is the whole core budget, and each chain is the
-    same computation either way: results do not depend on any thread count.
+    The calling thread checks the thread count, the link (``check_link``)
+    and every prior, and counts the tables of the ``events`` at memory length
+    ``memory_A``, on the quadrature ``quad`` where a sub-model does not
+    integrate exactly (``_task_tables``), before any fit starts; the workers
+    only turn them into float features (``_problem``) and fit.  Each depth
+    ladder (see ``_ladders``) is one chain: its first fit starts at the prior
+    mean, and each later fit at the previous fit's mean split onto the finer
+    bins, which has the same kernel.  Every chain runs in one pool of
+    ``threads`` workers (default: the usable cores), at least one and never
+    more than there are chains.  BLAS runs on one thread meanwhile, so
+    ``threads`` is the whole core budget, and each chain is the same
+    computation either way: results do not depend on any thread count.
     """
     def solve(ladder):
         posts = []
@@ -539,8 +494,8 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
             start = _split_mean(posts[-1].mean) if posts else None
             # no reference outlives the fit, so its features are freed before
             # the next rung makes its own
-            posts.append(_fit_dimension(_problem(task, tables.get(task[:2]), cache, link),
-                                        max_iter, tol, start))
+            posts.append(_fit_dimension(_problem(task, tables[task[:2]], memory_A, link,
+                                                 events.horizon_T), max_iter, tol, start))
         return posts
 
     if threads is None:
@@ -550,10 +505,7 @@ def fit_candidates(tasks, cache, link, max_iter, tol, threads=None):
     check_link(link)
     for k, submodel, prior in tasks:
         _checked_prior(prior, k, submodel)
-        if cache.bins % submodel.num_bins:
-            raise ConfigError(f"the feature cache's {cache.bins} bins do not sum to "
-                              f"{submodel.num_bins} bins of dimension {k}")
-    tables = _segment_tables(tasks, cache)
+    tables = _task_tables(tasks, events, quad, memory_A)
     ladders = _ladders(tasks)
     workers = max(1, min(threads, len(ladders)))
     with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
@@ -569,8 +521,5 @@ def cavi_fixed_model(events, model, link, prior, quad, max_iter=100, tol=1e-3,
     independent and run as parallel tasks; the result order is deterministic.
     The link and every prior are checked before the features are counted.
     """
-    check_link(link)
-    subs = [model.submodel(k) for k in range(events.dims_K)]
-    tasks = [(k, sm, _checked_prior(prior[k], k, sm)) for k, sm in enumerate(subs)]
-    cache = FeatureCache(events, quad, model.memory_A, model.bins_J)
-    return fit_candidates(tasks, cache, link, max_iter, tol, threads)
+    tasks = [(k, model.submodel(k), prior[k]) for k in range(events.dims_K)]
+    return fit_candidates(tasks, events, quad, model.memory_A, link, max_iter, tol, threads)

@@ -16,12 +16,13 @@ from scipy.optimize import minimize
 import _fixtures as fx
 from hawkes_vb import (EventData, HawkesParams, HistogramBasis, SimConfig,
                        excursion_stats, pg, simulate)
-from hawkes_vb.adaptive import (Model, SubModel, enumerate_submodels,
-                                expected_l1_norm, fully_adaptive, two_step)
+from hawkes_vb.adaptive import (Model, enumerate_submodels, expected_l1_norm,
+                                fully_adaptive, two_step)
+from hawkes_vb.core import feature_matrix
 from hawkes_vb.gibbs import GibbsConfig, conjugate_update, gibbs_sample
 from hawkes_vb.metrics import evaluate
-from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, VIConfig,
-                          _DimensionProblem, cavi_fixed_model)
+from hawkes_vb.vi import (GaussianPrior, QuadratureGrid, VIConfig, _DimensionProblem,
+                          cavi_fixed_model)
 
 LINK = fx.SIM_LINK
 A = fx.MEMORY_A
@@ -265,8 +266,8 @@ def test_criterion_11_oracle_equivalence():
     ev = EventData(dims_K=1, horizon_T=3.0, times=(np.array([0.4, 1.1, 2.3]),))
     quad = QuadratureGrid.default(3.0, A)
     prior = GaussianPrior.isotropic(2, 5.0)
-    cache = FeatureCache(ev, quad, A, [1])
-    feats, n = cache.stack(SubModel(column=(1,), depth=0), 0)
+    basis, n = HistogramBasis(A, 1), ev.times[0].size  # a column per event, then per node
+    feats = basis.features(feature_matrix(ev, basis, [0], np.append(ev.times[0], quad.points)))
     problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
     model = Model(graph_delta=np.ones((1, 1), dtype=np.int8), bins_J=(1,),
                   memory_A=A)

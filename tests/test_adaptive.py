@@ -15,8 +15,7 @@ from hawkes_vb.adaptive import (AdaptiveResult, DimensionWeights, Model, SubMode
                                 norm_matrix, two_step,
                                 _log_sum_exp_weights, _select_index)
 from hawkes_vb.errors import ConfigError, DomainError, NoGapError, UnsupportedLinkError
-from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, VIConfig,
-                          cavi_fixed_model)
+from hawkes_vb.vi import GaussianPrior, QuadratureGrid, VIConfig, cavi_fixed_model
 
 LINK = fx.SIM_LINK
 
@@ -216,28 +215,6 @@ class TestFullyAdaptive:
                            lambda d: GaussianPrior.isotropic(2, 5.0),
                            memory_A=fx.MEMORY_A)
 
-    def test_foreign_cache_is_config_error(self):
-        ev = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
-                                horizon_T=30.0, seed=3))
-        subs = [[SubModel(column=(1,), depth=1)]]
-        quad = QuadratureGrid.default(30.0, 0.2)
-        own = FeatureCache(ev, quad, 0.2, [2])
-        fit = fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2,
-                             quad=quad, cache=own)
-        bare = fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2)
-        np.testing.assert_array_equal(fit.selected_posterior(0).mean,
-                                      bare.selected_posterior(0).mean)
-        other = simulate(SimConfig(params=fx.excitation_1d(), link=LINK,
-                                   horizon_T=30.0, seed=3))
-        for cache, kwargs in [
-                (FeatureCache(ev, QuadratureGrid.default(30.0, 0.1), 0.1, [2]), {}),
-                (FeatureCache(other, quad, 0.2, [2]), {}),
-                (own, {"quad": QuadratureGrid.default(30.0, 0.2)}),
-                (FeatureCache(ev, quad, 0.2, [1]), {})]:  # coarser than the candidate
-            with pytest.raises(ConfigError, match="feature cache"):
-                fully_adaptive(ev, subs, LINK, GaussianPrior.isotropic, memory_A=0.2,
-                               cache=cache, **kwargs)
-
     @pytest.mark.parametrize("fit", ["fully_adaptive", "two_step"])
     def test_non_sigmoid_link_is_refused_before_the_table_is_counted(self, monkeypatch,
                                                                      fit):
@@ -311,8 +288,11 @@ class TestTwoStep:
         ev = simulate(SimConfig(params=fx.sparse_truth(4), link=LINK, horizon_T=200.0,
                                 seed=seed))
         default = QuadratureGrid.default(200.0, fx.MEMORY_A)
-        assert sorted(vi._column_segments(FeatureCache(ev, default, fx.MEMORY_A, [2]),
-                                          (1, 1, 1, 1), [0, 1])) == [0]
+        complete = [SubModel(column=(1, 1, 1, 1), depth=d) for d in (0, 1)]
+        tables = vi._task_tables([(0, sm, None) for sm in complete], ev, default,
+                                 fx.MEMORY_A)
+        # exact at depth 0, on the nodes (of their weights) at depth 1
+        assert [tables[(0, sm)][3] is default.weights for sm in complete] == [False, True]
         coarse, fine = (two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-4),
                                  memory_A=fx.MEMORY_A, quad=quad).graph
                         for quad in (default, QuadratureGrid.build(200.0, 40000)))

@@ -137,5 +137,5 @@ def test_gibbs_sweeps_run_on_one_blas_thread(monkeypatch, two_threads):
 def test_thread_count_below_one_rejected(threads):
     with pytest.raises(ConfigError):
         task = (0, SubModel(column=(1,), depth=0), GaussianPrior.isotropic(2))
-        vi.fit_candidates([task], None, LINK, 10, 1e-3, threads=threads)
+        vi.fit_candidates([task], None, None, 0.1, LINK, 10, 1e-3, threads=threads)
 

@@ -883,6 +883,30 @@ class TestEvalCommand:
         error = _error_of(capsys)
         assert error["type"] == "DataError" and "power of two" in error["message"]
 
+    @pytest.mark.parametrize("delta_hat, bins", [
+        ([[300]], 2), ([[-200]], 2), ([[1e300]], 2), ([[2]], 2), ([[1.0]], 2),
+        ([[True]], 2), ([[1]], True)])
+    def test_delta_hat_not_0_or_1_or_a_bool_bins_J_is_exit_3(self, tmp_path, capsys,
+                                                              delta_hat, bins):
+        # sizes that fit the model, so only the check refuses them: an entry
+        # out of the int8 range used to end in an OverflowError traceback, and
+        # a bool was scored as 1
+        truth = fx.sparse_truth(1)  # J=2
+        mean = [4.0] + [0.1] * (1 if bins is True else 2)
+        res = _write(tmp_path, "result.json", {
+            "delta_hat": delta_hat, "bins_J": [bins],
+            "dimensions": [{"column": [1], "mean": mean,
+                            "cov_row_major": [0.0] * len(mean) ** 2}]})
+        p = _write(tmp_path, "eval.json", {
+            "mode": "eval", "memory_A": fx.MEMORY_A, "dims_K": 1,
+            "truth": _truth_section(truth), "result_json": res,
+            "out_dir": str(tmp_path / "m")})
+        assert cli.main(["eval", "--config", p]) == cli.EXIT_DATA
+        error = _error_of(capsys)
+        assert error["type"] == "DataError"
+        assert ("delta_hat" if bins == 2 else "bins_J") in error["message"]
+        assert not (tmp_path / "m" / "metrics.json").exists()
+
     def test_column_of_the_wrong_length_is_exit_3(self, tmp_path, capsys):
         # a block for a source that does not exist must not go unscored
         truth = fx.sparse_truth(2)

@@ -50,13 +50,14 @@ def test_two_step_calls_every_traced_attribute(monkeypatch):
     adaptive.two_step(ev, LINK, 1, GaussianPrior.isotropic, VIConfig(tol=1e-3),
                       memory_A=fx.MEMORY_A, quad=QuadratureGrid.build(30.0, 1500))
 
-    # one node table serves both steps; each step then counts one segment
-    # table per column in its set-up: the complete column, then the two
+    # each step counts one table per column in its set-up, at its receivers'
+    # events and then its segments: the complete column, then the two
     # estimated ones (each has fewer segments at depth 0 than the 1,500
-    # nodes, 5 per memory length, so it is counted at its finest depth only)
+    # nodes, 5 per memory length, so it is counted at its finest depth only,
+    # and no node table is counted)
     counted = [(tuple(sources), basis.num_bins_J)
                for (_, basis, sources, _), _ in calls["feature_matrix"]]
-    assert counted == [((0, 1), 2), ((0, 1), 2), ((0,), 2), ((0, 1), 2)]
+    assert counted == [((0, 1), 2), ((0,), 2), ((0, 1), 2)]
     assert calls["pg_mean"]
     assert len(calls["fully_adaptive"]) == 2
     for _, kwargs in calls["fully_adaptive"]:

@@ -14,7 +14,7 @@ from hawkes_vb.adaptive import Model, SubModel, enumerate_submodels
 from hawkes_vb.core import feature_matrix
 from hawkes_vb.errors import ConfigError, NumericalError, UnsupportedLinkError
 from hawkes_vb.pg import pg_mean
-from hawkes_vb.vi import (FeatureCache, GaussianPrior, QuadratureGrid, _DimensionProblem,
+from hawkes_vb.vi import (GaussianPrior, QuadratureGrid, _DimensionProblem,
                           cavi_fixed_model, fit_candidates)
 
 LINK = fx.SIM_LINK
@@ -47,11 +47,21 @@ def _per_segment_problem(events, k, submodel, prior):
     return _DimensionProblem(feats, own.size, np.diff(pts), LINK, prior, events.horizon_T)
 
 
-def _fit_problem(task, tasks, cache):
+def _node_problem(events, k, submodel, prior, quad):
+    """The problem of ``submodel`` for dimension k on the quadrature nodes, counted
+    directly: a column per own event, then per node, of its weight."""
+    basis = HistogramBasis(fx.MEMORY_A, submodel.num_bins)
+    own = events.times[k][events.times[k] >= 0.0]
+    counts = feature_matrix(events, basis, submodel.active_sources,
+                            np.concatenate([own, quad.points]))
+    return _DimensionProblem(basis.features(counts), own.size, quad.weights, LINK, prior,
+                             events.horizon_T)
+
+
+def _fit_problem(task, tasks, events, quad):
     """The problem ``fit_candidates`` fits for ``task`` among ``tasks``."""
-    k, submodel, _ = task
-    return vi._problem(task, vi._segment_tables(tasks, cache).get((k, submodel)), cache,
-                       LINK)
+    table = vi._task_tables(tasks, events, quad, fx.MEMORY_A)[task[:2]]
+    return vi._problem(task, table, fx.MEMORY_A, LINK, events.horizon_T)
 
 
 def _count_tables(monkeypatch):
@@ -138,9 +148,7 @@ class TestCaviFixedModel:
         prior = [GaussianPrior.isotropic(2, 5.0)]
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, prior, quad,
                                  max_iter=500, tol=1e-14)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A, [1])
-        feats, n = cache.stack(_model(1, 1).submodel(0), 0)
-        problem = _DimensionProblem(feats, n, quad.weights, LINK, prior[0], 2.0)
+        problem = _node_problem(ev, 0, _model(1, 1).submodel(0), prior[0], quad)
         mean, cov = posts[0].mean, posts[0].cov
         for _ in range(5000):
             new_mean, new_cov = problem.update(problem.moments(mean, cov))
@@ -171,10 +179,9 @@ class TestCaviFixedModel:
         model = _model(2, 2)
         joint = cavi_fixed_model(ev, model, LINK, priors, quad)
         for k in range(2):
-            # dimension k alone: one task, on a cache of its own
-            (solo,) = fit_candidates([(k, model.submodel(k), priors[k])],
-                                     FeatureCache(ev, quad, fx.MEMORY_A, [2]), LINK,
-                                     100, 1e-3)
+            # dimension k alone: one task, on tables of its own
+            (solo,) = fit_candidates([(k, model.submodel(k), priors[k])], ev, quad,
+                                     fx.MEMORY_A, LINK, 100, 1e-3)
             np.testing.assert_array_equal(joint[k].mean, solo.mean)
             np.testing.assert_array_equal(joint[k].cov, solo.cov)
             assert joint[k].elbo == solo.elbo
@@ -190,9 +197,8 @@ class TestCaviFixedModel:
         task = (0, _model(1, 4).submodel(0), GaussianPrior.isotropic(5, 5.0))
         out = []
         for n in (40_000, 80_000):
-            cache = FeatureCache(ev, QuadratureGrid.build(50.0, n), fx.MEMORY_A, [4])
-            out.append(vi._fit_dimension(vi._problem(task, None, cache, LINK), 300,
-                                         1e-10).mean)
+            problem = _node_problem(ev, *task, QuadratureGrid.build(50.0, n))
+            out.append(vi._fit_dimension(problem, 300, 1e-10).mean)
         exact = cavi_fixed_model(ev, _model(1, 4), LINK, [task[2]],
                                  QuadratureGrid.default(50.0, fx.MEMORY_A), tol=1e-10,
                                  max_iter=300)[0].mean
@@ -251,13 +257,16 @@ class TestCaviFixedModel:
 
 
 class TestFeatureCache:
+    """The count tables of ``fit_candidates``' set-up (``vi._task_tables``)."""
+
     def test_stack_places_each_source_at_its_block(self):
         ev = simulate(SimConfig(params=fx.sparse_truth(3), link=LINK, horizon_T=5.0,
                                 seed=1))
         quad = QuadratureGrid.build(5.0, 30)
         sm = SubModel(column=(1, 0, 1), depth=1)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A, [2])
-        stacked, n = cache.stack(sm, 2)
+        task = (2, sm, GaussianPrior.isotropic(sm.param_dim, 5.0))
+        problem = _fit_problem(task, [task], ev, quad)
+        stacked, n = problem.feats, problem.n_events
         e, q = stacked[:, :n], stacked[:, n:]
         basis = HistogramBasis(fx.MEMORY_A, 2)
         own = ev.times[2][ev.times[2] >= 0.0]
@@ -273,30 +282,44 @@ class TestFeatureCache:
 
     def test_table_is_read_only(self):
         ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
-        cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A, [1, 2])
-        assert cache.bins == 2 and cache.table.shape == (3, 2 + 10)
-        with pytest.raises(ValueError, match="read-only"):
-            cache.table[1, 0] = 7
+        tasks = [(0, SubModel(column=(1,), depth=d), None) for d in (0, 1)]
+        tables = vi._task_tables(tasks, ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A)
+        # neither event has an earlier one within A: one distinct event column
+        assert [tables[task[:2]][0].shape for task in tasks] == [(2, 1), (3, 1)]
+        for table in tables.values():
+            for counts in (table[0], table[2]):  # the event and compensator counts
+                with pytest.raises(ValueError, match="read-only"):
+                    counts[1, 0] = 7
 
     @pytest.mark.parametrize("memory", [0.5, fx.MEMORY_A])
     @pytest.mark.parametrize("finest", [1, 2, 4, 8])
     def test_stack_equals_the_float_features_at_each_size_bitwise(self, memory, finest):
-        # events and all but 20 random nodes on a grid of A/8 (exact when
-        # A = 0.5), so lags fall on the bin edges j A/J of every size, A among them
+        # events and all but 20 random points on a grid of A/8 (exact when
+        # A = 0.5), so lags fall on the bin edges j A/J of every size, A among
+        # them.  The points are the own events of dimension 2, which sends
+        # nothing; two nodes, not fewer than the distinct columns of either
+        # column at depth 0, keep every depth on the nodes
         step = memory / 8
         grid = np.arange(-8, 33)
-        ev = EventData(dims_K=2, horizon_T=32 * step,
-                       times=(grid[grid % 3 == 0] * step, grid[grid % 3 == 1] * step))
         off_grid = np.random.default_rng(4).uniform(0, 32 * step, 20)
-        nodes = np.sort(np.concatenate([np.arange(33) * step, off_grid]))
-        quad = QuadratureGrid(points=nodes, weights=np.full(nodes.size, step))
-        cache = FeatureCache(ev, quad, memory, [finest])
-        for depth in range(finest.bit_length()):
+        points = np.sort(np.concatenate([np.arange(2, 33, 3) * step, off_grid]))
+        ev = EventData(dims_K=3, horizon_T=32 * step, times=(
+            grid[grid % 3 == 0] * step, grid[grid % 3 == 1] * step, points))
+        nodes = np.array([16 * step, off_grid[0]])
+        quad = QuadratureGrid(points=nodes, weights=np.full(nodes.size, 16 * step))
+        columns, depths = ((1, 1, 0), (0, 1, 0)), range(finest.bit_length())
+        subs = [SubModel(column=column, depth=d) for column in columns for d in depths]
+        tasks = [(k, sm, GaussianPrior.isotropic(sm.param_dim)) for k in range(3)
+                 for sm in subs]
+        tables = vi._task_tables(tasks, ev, quad, memory)
+        problems = {task[:2]: vi._problem(task, tables[task[:2]], memory, LINK,
+                                          ev.horizon_T) for task in tasks}
+        for depth in depths:
             basis = HistogramBasis(memory, 2 ** depth)
-            for column in ((1, 1), (0, 1)):
+            for column in columns:
                 sm = SubModel(column=column, depth=depth)
-                for k in range(2):
-                    feats, n = cache.stack(sm, k)
+                for k in range(3):
+                    feats, n = problems[(k, sm)].feats, problems[(k, sm)].n_events
                     own = ev.times[k][ev.times[k] >= 0.0]
                     want = _float_features(ev, basis, sm.active_sources,
                                            np.concatenate([own, nodes]))
@@ -308,11 +331,13 @@ class TestFeatureCache:
         ev = simulate(SimConfig(params=fx.sparse_truth(10), link=LINK, horizon_T=50.0,
                                 seed=1))
         quad = QuadratureGrid.default(50.0, fx.MEMORY_A)
+        tasks = [(k, SubModel(column=(1,) * 10, depth=d), None) for k in range(10)
+                 for d in range(3)]
         # what one float64 table per size J = 1, 2, 4 took
         float_bytes = sum((1 + 10 * j) * (ev.total() + quad.n_gq) * 8 for j in (1, 2, 4))
         tracemalloc.start()
         try:
-            FeatureCache(ev, quad, fx.MEMORY_A, [1, 2, 4])
+            vi._task_tables(tasks, ev, quad, fx.MEMORY_A)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -329,12 +354,12 @@ class TestFeatureCache:
         tasks = [(k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0))
                  for k in range(3) for sm in subs]
         expected = {}
-        for k, sm, _ in tasks:  # each job on a cache of its own
-            serial = FeatureCache(ev, quad, fx.MEMORY_A, [sm.num_bins])
-            expected[(sm, k)] = serial.stack(sm, k)
+        for k, sm, prior in tasks:  # each job counted on its own
+            problem = _node_problem(ev, k, sm, prior, quad)
+            expected[(sm, k)] = problem.feats, problem.n_events
 
         log, stacked, lock = [], {}, threading.Lock()
-        build, fit = vi.feature_matrix, vi._fit_dimension
+        build, fit, make = vi.feature_matrix, vi._fit_dimension, vi._problem
 
         def counting(events, basis, sources, times):
             with lock:
@@ -347,29 +372,28 @@ class TestFeatureCache:
                 log.append(("fit", threading.get_ident()))
             return fit(problem, *args)
 
-        def recording(submodel, k):
-            out = stack(submodel, k)
+        def recording(task, *args):
+            problem = make(task, *args)
             with lock:
-                stacked[(submodel, k)] = out
-            return out
+                stacked[(task[1], task[0])] = problem.feats, problem.n_events
+            return problem
 
         monkeypatch.setattr(vi, "feature_matrix", counting)
         monkeypatch.setattr(vi, "_fit_dimension", fitting)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A, [sm.num_bins for _, sm, _ in tasks])
-        # one table at the finest depth, counted at construction: every
-        # source, at every own event and then every node
-        caller, points = threading.get_ident(), np.concatenate(own + [quad.points])
-        assert log == [("table", caller, (0, 1, 2), 2, points.tobytes())]
-        log.clear()
-        stack = cache.stack
-        monkeypatch.setattr(cache, "stack", recording)
-        posts = fit_candidates(tasks, cache, LINK, 3, 1e-3, threads=4)
+        monkeypatch.setattr(vi, "_problem", recording)
+        posts = fit_candidates(tasks, ev, quad, fx.MEMORY_A, LINK, 3, 1e-3, threads=4)
         assert len(posts) == len(tasks)
-        # the set-up counts each column once, at depth 0, in the calling
-        # thread: both have more segments than the 30 nodes, and more distinct
-        # columns too, so every depth keeps the nodes; the workers only fit
-        counted = [entry[:4] for entry in log if entry[0] == "table"]
-        assert counted == [("table", caller, (0, 1, 2), 1), ("table", caller, (1, 2), 1)]
+        # the set-up counts each column at depth 0, in the calling thread:
+        # both have more segments than the 30 nodes, and more distinct columns
+        # too, so every depth keeps the nodes.  It then counts each column once
+        # at its finest depth, at every own event and then every node; the
+        # complete column's table holds every source.  The workers only fit
+        caller, points = threading.get_ident(), np.concatenate(own + [quad.points])
+        counted = [entry for entry in log if entry[0] == "table"]
+        assert [entry[:4] for entry in counted] == [
+            ("table", caller, (0, 1, 2), 1), ("table", caller, (0, 1, 2), 2),
+            ("table", caller, (1, 2), 1), ("table", caller, (1, 2), 2)]
+        assert counted[1][4] == counted[3][4] == points.tobytes()
         assert [entry[0] for entry in log[len(counted):]] == ["fit"] * len(tasks)
         assert stacked.keys() == expected.keys()
         for job, (feats, n) in stacked.items():
@@ -380,8 +404,6 @@ class TestFeatureCache:
     def test_wrong_prior_in_the_last_task_fails_before_any_fit(self, monkeypatch):
         ev = EventData(dims_K=2, horizon_T=2.0,
                        times=(np.array([0.31, 0.55, 1.2]), np.array([0.4, 1.6])))
-        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A,
-                             [2, 4])
         sm = SubModel(column=(1, 1), depth=1)
         tasks = [(k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0)) for k in range(2)]
         tasks.append((1, SubModel(column=(1, 1), depth=2), GaussianPrior.isotropic(5, 5.0)))
@@ -389,16 +411,8 @@ class TestFeatureCache:
                             lambda *a: pytest.fail("a feature table was built"))
         monkeypatch.setattr(vi, "_fit_dimension", lambda *a: pytest.fail("a fit ran"))
         with pytest.raises(ConfigError, match="prior dimension 5 of dimension 1"):
-            fit_candidates(tasks, cache, LINK, 5, 1e-3, threads=1)
-
-    def test_task_finer_than_the_cache_fails_before_any_fit(self, monkeypatch):
-        ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.3, 1.1]),))
-        cache = FeatureCache(ev, QuadratureGrid.build(2.0, 10), fx.MEMORY_A, [1])
-        tasks = [(0, SubModel(column=(1,), depth=d), GaussianPrior.isotropic(1 + 2 ** d))
-                 for d in (0, 1)]  # a ladder whose second rung is finer than the table
-        monkeypatch.setattr(vi, "_fit_dimension", lambda *a: pytest.fail("a fit ran"))
-        with pytest.raises(ConfigError, match="feature cache's 1 bins do not sum to 2 bins"):
-            fit_candidates(tasks, cache, LINK, 5, 1e-3, threads=1)
+            fit_candidates(tasks, ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A,
+                           LINK, 5, 1e-3, threads=1)
 
 
 class TestExactIntegration:
@@ -411,11 +425,11 @@ class TestExactIntegration:
 
     def test_elbo_and_update_equal_the_per_segment_problem(self):
         ev = self._data()
-        cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A, [2])
+        quad = QuadratureGrid.default(20.0, fx.MEMORY_A)
         for k, column in ((0, (1, 0)), (1, (1, 1))):
             sm = SubModel(column=column, depth=1)
             task = (k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0))
-            exact = _fit_problem(task, [task], cache)
+            exact = _fit_problem(task, [task], ev, quad)
             ref = _per_segment_problem(ev, k, sm, task[2])
             # distinct columns: fewer than the segments and the events
             assert exact.feats.shape[1] < ref.feats.shape[1] / 4
@@ -429,6 +443,18 @@ class TestExactIntegration:
                             ref.update(ref.moments(mean, cov))):
                 np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
+    def test_exact_fit_counts_no_node_table(self, monkeypatch):
+        # the one column integrates exactly: one table, at the own events and
+        # then the segment midpoints, and none at the nodes
+        ev = EventData(dims_K=1, horizon_T=2.0, times=(np.array([0.31, 0.55, 1.2, 1.6]),))
+        tables = _count_tables(monkeypatch)
+        cavi_fixed_model(ev, _model(1, 1), LINK, [GaussianPrior.isotropic(2, 5.0)],
+                         QuadratureGrid.default(2.0, fx.MEMORY_A), max_iter=4)
+        pts = core.segment_points(ev, HistogramBasis(fx.MEMORY_A, 1), [0])
+        assert len(tables) == 1
+        np.testing.assert_array_equal(
+            tables[0][3], np.concatenate([ev.times[0], 0.5 * (pts[:-1] + pts[1:])]))
+
     def test_exact_fit_is_closer_to_a_fine_quadrature_than_five_nodes_per_memory(self):
         ev = self._data(seed=5, horizon=30.0)
         model = Model(graph_delta=fx.sparse_truth(2).graph(), bins_J=(2, 2),
@@ -437,12 +463,11 @@ class TestExactIntegration:
                   for k in range(2)]
         quad = QuadratureGrid.build(30.0, 1500)  # 5 T/A
         exact = cavi_fixed_model(ev, model, LINK, priors, quad, tol=1e-10, max_iter=300)
-        fine = FeatureCache(ev, QuadratureGrid.build(30.0, 200 * 300), fx.MEMORY_A, [2])
-        coarse = FeatureCache(ev, quad, fx.MEMORY_A, [2])
+        fine = QuadratureGrid.build(30.0, 200 * 300)
         for k in range(2):
             task = (k, model.submodel(k), priors[k])
-            ref, five = (vi._fit_dimension(vi._problem(task, None, cache, LINK), 300, 1e-10)
-                         for cache in (fine, coarse))
+            ref, five = (vi._fit_dimension(_node_problem(ev, *task, nodes), 300, 1e-10)
+                         for nodes in (fine, quad))
             assert abs(exact[k].elbo - ref.elbo) < abs(five.elbo - ref.elbo)
             assert (np.max(np.abs(exact[k].mean - ref.mean))
                     < np.max(np.abs(five.mean - ref.mean)))
@@ -450,11 +475,15 @@ class TestExactIntegration:
     @pytest.mark.parametrize("column", [(1, 0), (1, 1)])
     def test_rungs_summed_from_the_finest_table_equal_tables_counted_directly(self, column):
         # 5 nodes per memory length, so that both columns integrate exactly
-        cache = FeatureCache(self._data(), QuadratureGrid.build(20.0, 1000), fx.MEMORY_A, [4])
-        ladder = vi._column_segments(cache, column, [0, 1, 2])
+        ev, quad = self._data(), QuadratureGrid.build(20.0, 1000)
+        rungs = [(0, SubModel(column=column, depth=d), None) for d in range(3)]
+        tables = vi._task_tables(rungs, ev, quad, fx.MEMORY_A)
+        ladder = {sm.depth: table[2:] for (_, sm), table in tables.items()
+                  if table[3] is not quad.weights}  # on the segments
         assert sorted(ladder) == [0, 1, 2]
         for depth, (cols, widths) in ladder.items():
-            direct_cols, direct_widths = vi._column_segments(cache, column, [depth])[depth]
+            direct_cols, direct_widths = vi._task_tables([rungs[depth]], ev, quad,
+                                                         fx.MEMORY_A)[rungs[depth][:2]][2:]
             np.testing.assert_array_equal(cols, direct_cols)  # values, in the same order
             np.testing.assert_array_equal(widths.view(np.uint64),
                                           direct_widths.view(np.uint64))
@@ -462,10 +491,10 @@ class TestExactIntegration:
     def test_widths_sum_to_the_horizon_and_multiplicities_to_the_events(self):
         ev = self._data()
         # 5 nodes per memory length, so that every column integrates exactly
-        cache = FeatureCache(ev, QuadratureGrid.build(20.0, 1000), fx.MEMORY_A, [4])
+        quad = QuadratureGrid.build(20.0, 1000)
         tasks = [(k, sm, None) for k in range(2) for sm in enumerate_submodels(2, 2)]
-        tables = vi._segment_tables(tasks, cache)
-        assert len(tables) == len(tasks)
+        tables = vi._task_tables(tasks, ev, quad, fx.MEMORY_A)
+        assert sum(table[3] is not quad.weights for table in tables.values()) == len(tasks)
         for (k, sm), (events, mult, segments, widths) in tables.items():
             assert events.shape[0] == segments.shape[0] == sm.param_dim
             assert mult.sum() == np.count_nonzero(ev.times[k] >= 0.0)
@@ -477,66 +506,70 @@ class TestExactIntegration:
         # depths 0-2, fewer than the 500 and the 1,000 nodes of 2.5 and of 5
         # nodes per memory length: its fits never read the nodes
         ev = self._data()
-        caches = [FeatureCache(ev, quad, fx.MEMORY_A, [4]) for quad in
-                  (QuadratureGrid.default(20.0, fx.MEMORY_A), QuadratureGrid.build(20.0, 1000))]
-        assert [cache.quad.n_gq for cache in caches] == [500, 1000]
+        quads = [QuadratureGrid.default(20.0, fx.MEMORY_A),
+                 QuadratureGrid.build(20.0, 1000)]
+        assert [quad.n_gq for quad in quads] == [500, 1000]
         tasks = [(k, sm, GaussianPrior.isotropic(sm.param_dim, 5.0)) for k in range(2)
                  for sm in (SubModel(column=(1, 0), depth=d) for d in range(3))]
-        for cache in caches:
-            assert len(vi._segment_tables(tasks, cache)) == len(tasks)
-        coarse, fine = (fit_candidates(tasks, cache, LINK, 50, 1e-6, threads=1)
-                        for cache in caches)
+        for quad in quads:
+            tables = vi._task_tables(tasks, ev, quad, fx.MEMORY_A).values()
+            assert sum(table[3] is not quad.weights for table in tables) == len(tasks)
+        coarse, fine = (fit_candidates(tasks, ev, quad, fx.MEMORY_A, LINK, 50, 1e-6,
+                                       threads=1)
+                        for quad in quads)
         for a, b in zip(coarse, fine):
             np.testing.assert_array_equal(a.mean, b.mean)
             np.testing.assert_array_equal(a.cov, b.cov)
             assert a.elbo_trace == b.elbo_trace
         # on the nodes, the same fit differs between the two densities
-        on_nodes = [vi._fit_dimension(vi._problem(tasks[0], None, cache, LINK), 50, 1e-6)
-                    for cache in caches]
+        on_nodes = [vi._fit_dimension(_node_problem(ev, *tasks[0], quad), 50, 1e-6)
+                    for quad in quads]
         assert on_nodes[0].elbo_trace != on_nodes[1].elbo_trace
 
     def test_column_not_fewer_than_the_nodes_at_depth_0_keeps_them_everywhere(self,
                                                                              monkeypatch):
-        ev = self._data()
-        cache = FeatureCache(ev, QuadratureGrid.build(20.0, 20), fx.MEMORY_A, [4])
+        ev, quad = self._data(), QuadratureGrid.build(20.0, 20)
         tables = _count_tables(monkeypatch)
         sm = [SubModel(column=(1, 1), depth=d) for d in range(3)]
         tasks = [(k, s, GaussianPrior.isotropic(s.param_dim, 5.0)) for k in range(2)
                  for s in sm]
-        assert vi._segment_tables(tasks, cache) == {}
-        # one table, at depth 0 (J = 1), shared by both dimensions
+        assert all(table[3] is quad.weights
+                   for table in vi._task_tables(tasks, ev, quad, fx.MEMORY_A).values())
+        # one table at depth 0 (J = 1) to decide, then one at the finest depth,
+        # at both dimensions' events and the nodes, shared by every task
         assert [(tuple(sources), basis.num_bins_J) for _, basis, sources, _ in tables] == [
-            ((0, 1), 1)]
+            ((0, 1), 1), ((0, 1), 4)]
         # each ladder's first rung, which starts cold, is the fit on the nodes
-        posts = fit_candidates(tasks, cache, LINK, 5, 1e-3, threads=1)
+        posts = fit_candidates(tasks, ev, quad, fx.MEMORY_A, LINK, 5, 1e-3, threads=1)
         for task, post in zip(tasks[::3], posts[::3]):
-            cold = vi._fit_dimension(vi._problem(task, None, cache, LINK), 5, 1e-3)
+            cold = vi._fit_dimension(_node_problem(ev, *task, quad), 5, 1e-3)
             assert post.elbo_trace == cold.elbo_trace
 
 
 class TestDepthLadder:
-    def _cache(self):
+    def _data(self):
         ev = simulate(SimConfig(params=fx.sparse_truth(2), link=LINK, horizon_T=20.0,
                                 seed=3))
-        cache = FeatureCache(ev, QuadratureGrid.default(20.0, fx.MEMORY_A), fx.MEMORY_A,
-                             [1, 2, 4, 8])
-        return cache
+        return ev, QuadratureGrid.default(20.0, fx.MEMORY_A)
 
-    def _blocks(self, cache, submodel, k):
-        """(event features, quadrature features) of the stacked matrix."""
-        feats, n = cache.stack(submodel, k)
-        return feats[:, :n], feats[:, n:]
+    def _blocks(self, data, submodel, k):
+        """(event features, quadrature features), counted directly."""
+        ev, quad = data
+        basis = HistogramBasis(fx.MEMORY_A, submodel.num_bins)
+        own = ev.times[k][ev.times[k] >= 0.0]
+        return tuple(basis.features(feature_matrix(ev, basis, submodel.active_sources, t))
+                     for t in (own, quad.points))
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_split_mean_keeps_the_drive(self, depth):
-        cache = self._cache()
+        data = self._data()
         coarse = SubModel(column=(1, 1), depth=depth)
         fine = SubModel(column=(1, 1), depth=depth + 1)
         mean = np.random.default_rng(depth).normal(size=coarse.param_dim)
         split = vi._split_mean(mean)
         assert split.size == fine.param_dim
-        for coarse_feats, fine_feats in zip(self._blocks(cache, coarse, 1),
-                                            self._blocks(cache, fine, 1)):
+        for coarse_feats, fine_feats in zip(self._blocks(data, coarse, 1),
+                                            self._blocks(data, fine, 1)):
             drive = coarse_feats.T @ mean
             assert drive.size > 0
             np.testing.assert_allclose(fine_feats.T @ split, drive,
@@ -552,12 +585,13 @@ class TestDepthLadder:
         assert vi._ladders(fixed) == [[fixed[0]], [fixed[1]]]
 
     def test_chained_fit_starts_at_the_split_mean(self):
-        cache = self._cache()
+        ev, quad = self._data()
         subs = [SubModel(column=(1, 1), depth=d) for d in range(2)]
         priors = [GaussianPrior.isotropic(sm.param_dim, 5.0) for sm in subs]
         tasks = [(0, sm, p) for sm, p in zip(subs, priors)]
-        coarse, fine = fit_candidates(tasks, cache, LINK, 100, 1e-4, threads=1)
-        problem = _fit_problem(tasks[1], tasks, cache)
+        coarse, fine = fit_candidates(tasks, ev, quad, fx.MEMORY_A, LINK, 100, 1e-4,
+                                      threads=1)
+        problem = _fit_problem(tasks[1], tasks, ev, quad)
         start = vi._split_mean(coarse.mean)
         cov = priors[1].cov * vi._INIT_COV_SCALE
         assert fine.elbo_trace[0] == problem.elbo(start, cov, problem.moments(start, cov))
@@ -570,14 +604,13 @@ class TestDepthLadder:
         # the data of test_dimension_without_events_matches_pinned_fit
         ev = EventData(dims_K=2, horizon_T=2.0,
                        times=(np.array([0.31, 0.55, 1.2, 1.6]), np.array([])))
-        cache = FeatureCache(ev, QuadratureGrid.default(2.0, fx.MEMORY_A), fx.MEMORY_A,
-                             [1])
+        quad = QuadratureGrid.default(2.0, fx.MEMORY_A)
         sm = SubModel(column=(1, 1), depth=0)
         prior = GaussianPrior.isotropic(3, 5.0)
         tasks = [(0, sm, prior), (1, sm, prior)]
-        posts = fit_candidates(tasks, cache, LINK, 4, 1e-14, threads=2)
+        posts = fit_candidates(tasks, ev, quad, fx.MEMORY_A, LINK, 4, 1e-14, threads=2)
         for task, post in zip(tasks, posts):
-            cold = vi._fit_dimension(_fit_problem(task, tasks, cache), 4, 1e-14)
+            cold = vi._fit_dimension(_fit_problem(task, tasks, ev, quad), 4, 1e-14)
             np.testing.assert_array_equal(post.mean, cold.mean)
             np.testing.assert_array_equal(post.cov, cold.cov)
             assert post.elbo_trace == cold.elbo_trace
@@ -614,9 +647,8 @@ class TestSharedUpdate:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 3))
         prior = GaussianPrior(mean=rng.normal(size=3), cov=a @ a.T + 3.0 * np.eye(3))
-        cache = FeatureCache(ev, quad, fx.MEMORY_A, [2])
-        feats, n = cache.stack(_model(1, 2).submodel(0), 0)
-        problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
+        problem = _node_problem(ev, 0, _model(1, 2).submodel(0), prior, quad)
+        feats, n = problem.feats, problem.n_events
         mean = np.array([3.0, 0.4, -0.2])
         cov = 0.05 * np.eye(3) + 0.01
         mom = problem.moments(mean, cov)
@@ -648,9 +680,7 @@ class TestBruteForceOracle:
                        times=(np.array([0.4, 1.1, 2.3]),))
         quad = QuadratureGrid.default(3.0, fx.MEMORY_A)
         prior = GaussianPrior.isotropic(2, 5.0)
-        cache = FeatureCache(ev, quad, fx.MEMORY_A, [1])
-        feats, n = cache.stack(_model(1, 1).submodel(0), 0)
-        problem = _DimensionProblem(feats, n, quad.weights, LINK, prior, 3.0)
+        problem = _node_problem(ev, 0, _model(1, 1).submodel(0), prior, quad)
 
         posts = cavi_fixed_model(ev, _model(1, 1), LINK, [prior], quad,
                                  max_iter=1000, tol=1e-14)
