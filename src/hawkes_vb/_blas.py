@@ -1,11 +1,17 @@
-"""Run BLAS on one thread while variational fits run.
+"""Run BLAS on one thread for the whole of a fit or an evaluation.
 
 NumPy and SciPy wheels each bundle their own OpenBLAS, and each starts one
 thread per core by default.  The VI products are at most a few dozen rows
 wide, where those threads only compete with the task pool of
 ``vi.fit_candidates`` for the same cores, and the BLAS thread count also
-changes the last bits of the results.  With both libraries held at one thread,
-``threads=N`` means N cores and results do not depend on any thread count.
+changes the last bits of the results.  A worker that one wide call wakes
+(the inverse of a prior at d = 41 is enough) then spin-waits on its core
+before it sleeps, doing no work.  So ``cli.main`` holds both libraries at one
+thread for the whole ``fit`` and ``eval`` commands, and ``vi.fit_candidates``
+and ``gibbs.gibbs_sample`` hold them again for library callers; nesting is
+counted.  ``threads=N`` then means N cores, and results do not depend on any
+thread count.  ``simulate`` never calls this module: ``_controls`` opens
+SciPy's OpenBLAS.
 
 The thread setters are found through ``ctypes``.  Where a library or symbol is
 missing (another BLAS build, another platform), ``single_threaded`` does

@@ -31,7 +31,7 @@ result.json  per-dimension posterior mean/cov (row-major), model weights,
              estimated graph, norm matrix, ELBO traces.  Byte-identical
              for identical config+seed and any thread count.
 timing.json  wall-clock seconds, the task-pool size and whether BLAS was
-             held at one thread inside the fits and the Gibbs sweeps; for
+             held at one thread, for the whole ``fit`` command; for
              a VI fit also the candidates fitted, their CAVI iterations
              and the fits that stopped at ``vi.max_iter`` without
              converging (``candidates``, ``cavi_iterations``,
@@ -54,9 +54,11 @@ any section.  ``--seed``, ``--out`` and ``--threads`` replace their config keys
 before the check, so the same rules cover them.
 
 Importing this module loads no SciPy and no validator package: ``simulate``
-never loads SciPy, a VI fit imports ``scipy.linalg`` when its first prior is
-factorised, and the Gibbs oracle, ``eval`` and the two-step norm matrix import
-``scipy.special`` on first use.
+never loads SciPy or opens its shared libraries, a VI fit imports
+``scipy.linalg`` when its first prior is factorised, and the Gibbs oracle,
+``eval`` and the two-step norm matrix import ``scipy.special`` on first use.
+``fit`` and ``eval`` run with BLAS held at one thread from their first line
+(``hawkes_vb._blas``).
 """
 
 import argparse
@@ -624,8 +626,12 @@ def main(argv=None):
         if cfg["mode"] != args.command:
             raise ConfigError(
                 f"config mode {cfg['mode']!r} does not match command {args.command!r}")
-        handler = {"simulate": cmd_simulate, "fit": cmd_fit, "eval": cmd_eval}
-        return handler[args.command](cfg)
+        if args.command == "simulate":  # loads no SciPy, so it opens no SciPy BLAS
+            return cmd_simulate(cfg)
+        # BLAS at one thread from before the first prior is factorised: an
+        # OpenBLAS worker, once woken, spin-waits on a core before it sleeps
+        with _blas.single_threaded():
+            return {"fit": cmd_fit, "eval": cmd_eval}[args.command](cfg)
     except HawkesVBError as exc:
         _fail(exc, exc.exit_code)
         return exc.exit_code

@@ -265,16 +265,19 @@ def feature_matrix(events, basis, sources, times):
     The times are sorted once.  The events before t - x, at a bin edge x, are
     then counted by merging: each event is placed among the sorted shifts
     t - x (``np.searchsorted``), and a cumulative sum of the places gives the
-    count at every time.
+    count at every time, in sorted order.  Unsorted times read each row back
+    through the inverse permutation, a gather.
     """
     times = np.asarray(times, dtype=np.float64)
     j_bins = basis.num_bins_J
     offsets = np.arange(j_bins + 1) * (basis.memory_A / j_bins)
     order = np.argsort(times, kind="stable")
     ordered = times[order]
-    if np.array_equal(ordered, times):
-        order = slice(None)  # already sorted: the rows need no scatter
     n = times.size
+    rank = None  # already sorted: the rows need no gather
+    if not np.array_equal(ordered, times):
+        rank = np.empty(n, dtype=np.intp)  # where each time sits in sorted order
+        rank[order] = np.arange(n)
     out = np.ones((1 + len(sources) * j_bins, n), dtype=np.uint8)
 
     def before(src, edge):
@@ -292,7 +295,7 @@ def feature_matrix(events, basis, sources, times):
             peak = counts.max(initial=0)
             if peak > np.iinfo(out.dtype).max:
                 out = out.astype(np.min_scalar_type(peak))
-            out[pos * j_bins + j, order] = counts
+            out[pos * j_bins + j] = counts if rank is None else counts[rank]
             upper = lower
     return out
 

@@ -83,7 +83,7 @@ def _draw_gaussian(mean, prec_chol, rng):
     from scipy.linalg import solve_triangular
 
     z = rng.standard_normal(mean.size)
-    return mean + solve_triangular(prec_chol[0], z, lower=True, trans="T")
+    return mean + solve_triangular(prec_chol, z, lower=True, trans="T")
 
 
 def check_latent_candidates(link, horizon_T):
@@ -156,8 +156,8 @@ def _sweep(dim, f, link, rng):
     marks = pg_sample_arr(np.abs(tilts), rng, reps)
     sums = np.add.reduceat(marks, np.cumsum(reps) - reps) if marks.size else marks
     is_event = np.arange(reps.size) < dim.n_ev.size
-    mean, cf = conjugate_update(feats, sums / reps, is_event, alpha, eta, dim.prior, reps)
-    return _draw_gaussian(mean, cf, rng)
+    mean, low = conjugate_update(feats, sums / reps, is_event, alpha, eta, dim.prior, reps)
+    return _draw_gaussian(mean, low, rng)
 
 
 def _chain(dim, config, link, rng):

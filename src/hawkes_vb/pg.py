@@ -48,16 +48,21 @@ def pg_mean(c):
     """Mean of PG(1, c): tanh(c/2)/(2c), continuously extended to 1/4 at 0.
 
     Accepts scalars or arrays; a Taylor branch 1/4 - c^2/48 avoids
-    cancellation for tiny c.  Negative tilts are a domain error.
+    cancellation for tiny c, and is evaluated only when some tilt is below
+    its cut-off.  Negative tilts are a domain error.
     """
     arr = np.asarray(c, dtype=np.float64)
-    if np.any(arr < 0.0):
-        raise DomainError("pg_mean requires a nonnegative tilt c")
-    small = arr < _TAYLOR_CUTOFF
-    safe = np.where(small, 1.0, arr)
-    out = np.where(small,
-                   0.25 - arr * arr / 48.0,
-                   np.tanh(0.5 * safe) / (2.0 * safe))
+    small = arr < _TAYLOR_CUTOFF  # every negative tilt too
+    if not small.any():
+        out = np.tanh(0.5 * arr)
+        out /= 2.0 * arr
+    else:
+        if np.any(arr < 0.0):
+            raise DomainError("pg_mean requires a nonnegative tilt c")
+        safe = np.where(small, 1.0, arr)
+        out = np.where(small,
+                       0.25 - arr * arr / 48.0,
+                       np.tanh(0.5 * safe) / (2.0 * safe))
     if np.ndim(c) == 0:
         return float(out)
     return out

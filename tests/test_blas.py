@@ -1,13 +1,19 @@
-"""BLAS thread limiter: counts restored, nesting, no-op without setters."""
+"""BLAS thread limiter: counts restored, nesting, no-op without setters, and
+held for the whole of the ``fit`` and ``eval`` commands."""
 
+import importlib.util
+import json
+import os
+import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import _fixtures as fx
-from hawkes_vb import SimConfig, _blas, gibbs, simulate, vi
+from hawkes_vb import SimConfig, _blas, cli, gibbs, metrics, simulate, vi
 from hawkes_vb.adaptive import Model, SubModel
 from hawkes_vb.errors import ConfigError
 from hawkes_vb.vi import GaussianPrior, QuadratureGrid, cavi_fixed_model
@@ -139,3 +145,112 @@ def test_thread_count_below_one_rejected(threads):
         task = (0, SubModel(column=(1,), depth=0), GaussianPrior.isotropic(2))
         vi.fit_candidates([task], None, None, 0.1, LINK, 10, 1e-3, threads=threads)
 
+
+
+def _thread_ticks():
+    """{thread id: user + system clock ticks} of this process's threads."""
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended meanwhile
+            continue
+        ticks[int(tid)] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+def _idle_thread_ticks(caller):
+    """``_thread_ticks()`` once no thread but ``caller`` gained a tick in 50 ms
+    (at most 5 s): a BLAS worker that an earlier call woke has gone back to
+    sleep, so its spin is not charged to what comes next."""
+    ticks = _thread_ticks()
+    for _ in range(100):
+        time.sleep(0.05)
+        now = _thread_ticks()
+        if all(now[tid] == n for tid, n in ticks.items() if tid != caller and tid in now):
+            return now
+        ticks = now
+    return ticks
+
+
+@pytest.mark.skipif(not _blas.pinned(), reason="the BLAS thread setters were not found")
+def test_fit_and_eval_hold_blas_at_one_thread_from_their_first_call(monkeypatch, tmp_path,
+                                                                    two_threads):
+    # K=10 at D_max=2: the complete prior has d=41, whose inverse is wide
+    # enough to wake an OpenBLAS worker, which then spins on its core
+    truth = fx.sparse_truth(10)
+    cli.write_events_csv(tmp_path / "events.csv", simulate(SimConfig(
+        params=truth, link=LINK, horizon_T=5.0, seed=1)))
+    link = {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2, "eta": 10.0}
+    common = {"link": link, "memory_A": fx.MEMORY_A, "dims_K": 10}
+    fit_cfg = tmp_path / "fit.json"
+    fit_cfg.write_text(json.dumps({
+        **common, "mode": "fit", "fit_method": "two-step", "horizon_T": 5.0,
+        "events_csv": str(tmp_path / "events.csv"), "threads": 2,
+        "adaptive": {"D_max": 2, "threshold": "auto"}, "out_dir": str(tmp_path / "fit")}))
+    eval_cfg = tmp_path / "eval.json"
+    eval_cfg.write_text(json.dumps({
+        **common, "mode": "eval", "result_json": str(tmp_path / "fit" / "result.json"),
+        "truth": {"nu": truth.nu.tolist(), "bins_J": 2,
+                  "weights": [[None if w is None else w.tolist() for w in row]
+                              for row in truth.weights]},
+        "out_dir": str(tmp_path / "eval")}))
+    seen = {"prior": [], "evaluate": []}
+    post_init, evaluate = GaussianPrior.__post_init__, metrics.evaluate
+
+    def prior_recording(self):
+        seen["prior"].append((self.mean.size, _counts()))
+        post_init(self)
+
+    def evaluate_recording(*args, **kwargs):
+        seen["evaluate"].append(_counts())
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(GaussianPrior, "__post_init__", prior_recording)
+    monkeypatch.setattr(metrics, "evaluate", evaluate_recording)
+    caller = threading.get_native_id()
+    before = _idle_thread_ticks(caller) if os.path.isdir("/proc/self/task") else None
+    assert cli.main(["fit", "--config", str(fit_cfg)]) == 0
+    assert cli.main(["eval", "--config", str(eval_cfg)]) == 0
+    after = _thread_ticks() if before is not None else None
+    one = [1] * len(_blas._controls())
+    assert 41 in [d for d, _ in seen["prior"]]
+    assert [counts for _, counts in seen["prior"]] == [one] * len(seen["prior"])
+    assert seen["evaluate"] == [one]
+    assert _counts() == [2] * len(_blas._controls())
+    if before is not None:
+        # a worker that was woken spin-waits about 13 ticks before it sleeps
+        gained = {tid: after[tid] - n for tid, n in before.items()
+                  if tid != caller and tid in after}
+        assert max(gained.values(), default=0) <= 2, gained
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc to read mappings from")
+def test_simulate_opens_no_scipy_shared_library(tmp_path):
+    # a fresh interpreter, in which nothing has loaded SciPy yet; the mapped
+    # files, and not only the imported modules, are checked
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "mode": "simulate", "link": {"kind": "sigmoid", "theta": 20.0, "alpha": 0.2,
+                                     "eta": 10.0},
+        "memory_A": fx.MEMORY_A, "dims_K": 1, "horizon_T": 5.0, "seed": 1,
+        "truth": {"nu": [7.5], "weights": [[[0.12, 0.09, 0.06, 0.045]]], "bins_J": 4},
+        "out_dir": str(tmp_path / "sim")}))
+    probe = ("import sys; from hawkes_vb import cli; "
+             "code = cli.main(['simulate', '--config', sys.argv[1]]); "
+             "print(code); print(open('/proc/self/maps').read())")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, *maps = done.stdout.splitlines()
+    assert code == "0" and (tmp_path / "sim" / "events.csv").exists()
+    site = os.path.dirname(os.path.dirname(importlib.util.find_spec("scipy").origin))
+    scipy_dirs = tuple(os.path.join(site, name) + os.sep for name in ("scipy", "scipy.libs"))
+    mapped = {line.split(maxsplit=5)[5] for line in maps if len(line.split(maxsplit=5)) == 6}
+    assert any("numpy" in path for path in mapped)  # the mappings were read
+    assert not [path for path in mapped
+                if path.startswith(scipy_dirs) or "libscipy_openblas-" in path]

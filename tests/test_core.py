@@ -337,7 +337,10 @@ class TestMergeCount:
         times = np.concatenate([times, times[:50], times[:7]])
         rng.shuffle(times)
         self._check(ev, HistogramBasis(A, j_bins), [0, 1], times)
-        self._check(ev, HistogramBasis(A, j_bins), [0, 1], np.sort(times))  # no scatter
+        # two sorted runs, as own events then segment midpoints
+        runs = np.concatenate([np.sort(times[:120]), np.sort(times[120:])])
+        self._check(ev, HistogramBasis(A, j_bins), [0, 1], runs)
+        self._check(ev, HistogramBasis(A, j_bins), [0, 1], np.sort(times))  # no gather
 
     @pytest.mark.parametrize("memory", [0.5, A])
     def test_points_on_the_bin_edges(self, memory):

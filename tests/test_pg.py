@@ -50,6 +50,24 @@ class TestPgMean:
             [0.25, math.tanh(0.5) / 2.0, math.tanh(5.0) / 20.0], rtol=1e-13)
 
 
+    @pytest.mark.parametrize("tilts", [
+        np.concatenate([[0.0, 1e-9, 5e-5, 9.999e-5, 1e-4, 1.001e-4],
+                        np.logspace(-6, 2.5, 200)]),
+        np.random.default_rng(4).uniform(1e-4, 60.0, 5000),
+        np.array(3.5)])
+    def test_equals_the_two_branch_formula_bitwise(self, tilts):
+        np.testing.assert_array_equal(pg.pg_mean(tilts), _two_branch_pg_mean(tilts))
+
+
+def _two_branch_pg_mean(c):
+    """Frozen copy of ``pg_mean`` when it evaluated both branches at every
+    tilt and picked one with ``np.where``."""
+    arr = np.asarray(c, dtype=np.float64)
+    small = arr < 1e-4
+    safe = np.where(small, 1.0, arr)
+    return np.where(small, 0.25 - arr * arr / 48.0, np.tanh(0.5 * safe) / (2.0 * safe))
+
+
 class TestPgSample:
     def test_positive_support(self):
         rng = np.random.default_rng(0)

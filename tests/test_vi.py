@@ -401,6 +401,35 @@ class TestFeatureCache:
             assert n == ref_n
             np.testing.assert_array_equal(feats, ref_feats)
 
+    @pytest.mark.parametrize("n_nodes, exact", [(400, False), (2000, True)])
+    def test_depth_0_decision_stops_at_as_many_distinct_columns_as_nodes(
+            self, monkeypatch, n_nodes, exact):
+        # the complete K=4 column of test_default_node_density_keeps_the_graph_of_a_fine_grid
+        # at seed 0: 15,359 depth-0 segments of 1,259 distinct columns.  At 400
+        # nodes a prefix of them decides; at 2,000 every one is counted
+        ev = simulate(SimConfig(params=fx.sparse_truth(4), link=LINK, horizon_T=200.0,
+                                seed=0))
+        quad = QuadratureGrid.build(200.0, n_nodes)
+        tasks = [(0, SubModel(column=(1, 1, 1, 1), depth=d), None) for d in (0, 1)]
+        pts = core.segment_points(ev, HistogramBasis(fx.MEMORY_A, 1), [0, 1, 2, 3])
+        calls = _count_tables(monkeypatch)
+        tables = vi._task_tables(tasks, ev, quad, fx.MEMORY_A)
+        counted = sum(times.size for _, basis, _, times in calls if basis.num_bins_J == 1)
+        assert (counted < pts.size - 1) is not exact
+        assert [tables[task[:2]][3] is quad.weights for task in tasks] == [not exact, True]
+
+        def full_count(events, basis, sources, times, limit):
+            return core.distinct_columns(
+                feature_matrix(events, basis, sources, times))[0].shape[1] < limit
+
+        monkeypatch.setattr(vi, "_fewer_distinct", full_count)
+        want = vi._task_tables(tasks, ev, quad, fx.MEMORY_A)
+        assert tables.keys() == want.keys()
+        for key, table in tables.items():
+            for got, ref in zip(table, want[key]):
+                assert np.asarray(got).dtype == np.asarray(ref).dtype
+                np.testing.assert_array_equal(got, ref)
+
     def test_wrong_prior_in_the_last_task_fails_before_any_fit(self, monkeypatch):
         ev = EventData(dims_K=2, horizon_T=2.0,
                        times=(np.array([0.31, 0.55, 1.2]), np.array([0.4, 1.6])))
@@ -638,6 +667,47 @@ class TestGaussianPrior:
             vi._chol_with_jitter(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
+class TestDirectLapack:
+    """The factor and the solves of every update call LAPACK's dpotrf and
+    dpotrs directly; they equal SciPy's wrappers of the same routines."""
+
+    @pytest.mark.parametrize("d", [1, 5, 41, 129])
+    def test_factor_and_solve_equal_cho_factor_and_cho_solve(self, d):
+        from scipy.linalg import cho_factor, cho_solve
+
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d + 3))
+        spd = a @ a.T
+        low = vi._chol_with_jitter(spd)
+        ref = cho_factor(spd, lower=True)
+        np.testing.assert_array_equal(low, ref[0])
+        for rhs in (rng.standard_normal(d), np.eye(d)):
+            np.testing.assert_array_equal(vi._cho_solve(low, rhs), cho_solve(ref, rhs))
+
+    def test_jitter_retry_equals_cho_factor_of_the_bumped_matrix(self):
+        from scipy.linalg import cho_factor
+
+        b = np.random.default_rng(3).standard_normal((5, 5))
+        b[2] = 0.0  # a zero row and column: singular, positive semi-definite
+        psd = b @ b.T
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(psd, lower=True)
+        bumped = psd + vi._JITTER * float(np.mean(np.diag(psd))) * np.eye(5)
+        np.testing.assert_array_equal(vi._chol_with_jitter(psd),
+                                      cho_factor(bumped, lower=True)[0])
+
+    @pytest.mark.parametrize("where", [(0, 0), (3, 1), (1, 3)])
+    def test_nan_entry_is_numerical_error(self, where):
+        a = np.eye(4)
+        a[where] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            vi._chol_with_jitter(a)
+
+    def test_not_positive_definite_after_jitter_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="after jitter"):
+            vi._chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 class TestSharedUpdate:
     def test_update_equals_the_two_term_cavi_formula(self):
         # reference: the mean-field update with its event and quadrature
@@ -656,7 +726,7 @@ class TestSharedUpdate:
 
         alpha, eta, v = LINK.alpha, LINK.eta, quad.weights
         e, q = feats[:, :n], feats[:, n:]
-        c, m, rate_q = mom
+        c, m, rate_q, _ = mom
         w_e, w_q = pg_mean(c[:n]), pg_mean(c[n:])
         np.testing.assert_array_equal(rate_q, problem.latent_rate(c[n:], m[n:]))
         prior_prec = np.linalg.inv(prior.cov)
