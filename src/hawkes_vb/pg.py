@@ -53,16 +53,16 @@ def pg_mean(c):
     """
     arr = np.asarray(c, dtype=np.float64)
     small = arr < _TAYLOR_CUTOFF  # every negative tilt too
-    if not small.any():
-        out = np.tanh(0.5 * arr)
-        out /= 2.0 * arr
-    else:
+    any_small = bool(small.any())
+    safe = arr
+    if any_small:
         if np.any(arr < 0.0):
             raise DomainError("pg_mean requires a nonnegative tilt c")
         safe = np.where(small, 1.0, arr)
-        out = np.where(small,
-                       0.25 - arr * arr / 48.0,
-                       np.tanh(0.5 * safe) / (2.0 * safe))
+    out = np.tanh(0.5 * safe)
+    out /= 2.0 * safe
+    if any_small:
+        out = np.where(small, 0.25 - arr * arr / 48.0, out)
     if np.ndim(c) == 0:
         return float(out)
     return out

@@ -272,12 +272,9 @@ class _DimensionProblem:
         self.rho = np.empty(feats.shape[1])
         self.rho[:n_events] = self.mult
 
-    def latent_rate(self, c, m):
-        """Lam(t) = theta exp(-m/2) / (2 cosh(c/2)), overflow-safe."""
-        return self._rate(m, _log_2cosh_half(c))
-
-    def _rate(self, m, log_cosh):
-        # Lam from m and log(2 cosh(c/2)); c >= |m| keeps the exponent <= 0
+    def latent_rate(self, m, log_cosh):
+        """Lam(t) = theta exp(-m/2) / (2 cosh(c/2)) from m and log(2 cosh(c/2)),
+        overflow-safe: c >= |m| keeps the exponent <= 0."""
         out = 0.5 * m
         np.subtract(self.log_theta, out, out=out)
         out -= log_cosh
@@ -299,7 +296,7 @@ class _DimensionProblem:
         m *= alpha
         log_cosh = _log_2cosh_half(c)
         n = self.n_events
-        return c, m, self._rate(m[n:], log_cosh[n:]), log_cosh
+        return c, m, self.latent_rate(m[n:], log_cosh[n:]), log_cosh
 
     def update(self, mom):
         """Next (mean, cov) from the moments of the current factor."""
@@ -383,29 +380,24 @@ def _fit_dimension(problem, max_iter, tol, start=None):
                              elbo_trace=tuple(trace))
 
 
-# Every ``feature_matrix`` call searches all of its sources' events, whatever
-# the number of times: 0.9 ms for 42k events at K = 10, J = 1, about half the
-# cost of counting 4,096 times.  So no decision block is smaller.
-_MIN_BLOCK = 4096
-
-
 def _fewer_distinct(events, basis, sources, times, limit):
     """Whether ``feature_matrix`` at ``times`` holds fewer than ``limit``
     distinct columns.
 
-    The times are counted in blocks of ``limit``, at least ``_MIN_BLOCK``,
-    each block's columns merged into the distinct ones seen so far, and the
-    count stops at the first block after which ``limit`` have been seen: the
-    verdict of a full count, from a prefix of the times.
+    The times are counted in blocks of ``limit``, each block's columns merged
+    into the distinct ones seen so far, and the count stops at the first block
+    after which ``limit`` have been seen: the verdict of a full count, from a
+    prefix of the times.
     """
-    size = max(limit, _MIN_BLOCK)
     seen = np.empty((1 + len(sources) * basis.num_bins_J, 0), dtype=np.uint8)
-    for lo in range(0, times.size, size):
-        block = feature_matrix(events, basis, sources, times[lo:lo + size])
+    lo = 0
+    while seen.shape[1] < limit:
+        if lo >= times.size:
+            return True
+        block = feature_matrix(events, basis, sources, times[lo:lo + limit])
         seen = distinct_columns(np.concatenate([seen, block], axis=1))[0]
-        if seen.shape[1] >= limit:
-            return False
-    return True
+        lo += limit
+    return False
 
 
 def _task_tables(tasks, events, quad, memory_A):

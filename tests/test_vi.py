@@ -71,6 +71,18 @@ def _count_tables(monkeypatch):
     return calls
 
 
+def _assert_decision_blocks(events, sources, blocks, n_nodes):
+    """``blocks``, the times of a column's depth-0 decision calls, are the
+    first of its depth-0 segment midpoints, in consecutive blocks of
+    ``n_nodes``."""
+    pts = core.segment_points(events, HistogramBasis(fx.MEMORY_A, 1), list(sources))
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    assert blocks and all(b.size == n_nodes for b in blocks[:-1])
+    assert 0 < blocks[-1].size <= n_nodes
+    seen = np.concatenate(blocks)
+    np.testing.assert_array_equal(seen, mid[:seen.size])
+
+
 def _empty_events(dims=1):
     return EventData(dims_K=dims, horizon_T=0.0,
                      times=tuple(np.array([]) for _ in range(dims)))
@@ -364,7 +376,7 @@ class TestFeatureCache:
         def counting(events, basis, sources, times):
             with lock:
                 log.append(("table", threading.get_ident(), tuple(sources),
-                            basis.num_bins_J, np.asarray(times).tobytes()))
+                            basis.num_bins_J, np.array(times)))
             return build(events, basis, sources, times)
 
         def fitting(problem, *args):
@@ -383,17 +395,25 @@ class TestFeatureCache:
         monkeypatch.setattr(vi, "_problem", recording)
         posts = fit_candidates(tasks, ev, quad, fx.MEMORY_A, LINK, 3, 1e-3, threads=4)
         assert len(posts) == len(tasks)
-        # the set-up counts each column at depth 0, in the calling thread:
-        # both have more segments than the 30 nodes, and more distinct columns
-        # too, so every depth keeps the nodes.  It then counts each column once
-        # at its finest depth, at every own event and then every node; the
-        # complete column's table holds every source.  The workers only fit
+        # the set-up counts each column at depth 0, in the calling thread, in
+        # blocks of 30 midpoints: both have more segments than the 30 nodes,
+        # and more distinct columns too, so every depth keeps the nodes.  It
+        # then counts each column once at its finest depth, at every own event
+        # and then every node; the complete column's table holds every source.
+        # The workers only fit
         caller, points = threading.get_ident(), np.concatenate(own + [quad.points])
         counted = [entry for entry in log if entry[0] == "table"]
-        assert [entry[:4] for entry in counted] == [
-            ("table", caller, (0, 1, 2), 1), ("table", caller, (0, 1, 2), 2),
-            ("table", caller, (1, 2), 1), ("table", caller, (1, 2), 2)]
-        assert counted[1][4] == counted[3][4] == points.tobytes()
+        assert {entry[1] for entry in counted} == {caller}
+        finest = [i for i, entry in enumerate(counted) if entry[3] == 2]
+        assert [counted[i][2] for i in finest] == [(0, 1, 2), (1, 2)]
+        for lo, hi in ((0, finest[0]), (finest[0] + 1, finest[1])):
+            sources = counted[hi][2]
+            assert all(entry[2:4] == (sources, 1) for entry in counted[lo:hi])
+            _assert_decision_blocks(ev, sources, [entry[4] for entry in counted[lo:hi]],
+                                    quad.n_gq)
+        assert finest[1] == len(counted) - 1
+        for i in finest:
+            np.testing.assert_array_equal(counted[i][4], points)
         assert [entry[0] for entry in log[len(counted):]] == ["fit"] * len(tasks)
         assert stacked.keys() == expected.keys()
         for job, (feats, n) in stacked.items():
@@ -564,10 +584,14 @@ class TestExactIntegration:
                  for s in sm]
         assert all(table[3] is quad.weights
                    for table in vi._task_tables(tasks, ev, quad, fx.MEMORY_A).values())
-        # one table at depth 0 (J = 1) to decide, then one at the finest depth,
-        # at both dimensions' events and the nodes, shared by every task
+        # tables at depth 0 (J = 1) to decide, on blocks of 20 midpoints, then
+        # one at the finest depth, at both dimensions' events and the nodes,
+        # shared by every task
         assert [(tuple(sources), basis.num_bins_J) for _, basis, sources, _ in tables] == [
-            ((0, 1), 1), ((0, 1), 4)]
+            ((0, 1), 1)] * (len(tables) - 1) + [((0, 1), 4)]
+        _assert_decision_blocks(ev, (0, 1), [times for *_, times in tables[:-1]], quad.n_gq)
+        own = [t[t >= 0.0] for t in ev.times]
+        np.testing.assert_array_equal(tables[-1][3], np.concatenate(own + [quad.points]))
         # each ladder's first rung, which starts cold, is the fit on the nodes
         posts = fit_candidates(tasks, ev, quad, fx.MEMORY_A, LINK, 5, 1e-3, threads=1)
         for task, post in zip(tasks[::3], posts[::3]):
@@ -728,7 +752,8 @@ class TestSharedUpdate:
         e, q = feats[:, :n], feats[:, n:]
         c, m, rate_q, _ = mom
         w_e, w_q = pg_mean(c[:n]), pg_mean(c[n:])
-        np.testing.assert_array_equal(rate_q, problem.latent_rate(c[n:], m[n:]))
+        np.testing.assert_allclose(rate_q, LINK.theta * np.exp(-0.5 * m[n:])
+                                   / (2.0 * np.cosh(0.5 * c[n:])), rtol=1e-13, atol=0.0)
         prior_prec = np.linalg.inv(prior.cov)
         prec = (prior_prec + alpha**2 * (e * w_e) @ e.T
                 + alpha**2 * (q * (v * w_q * rate_q)) @ q.T)
